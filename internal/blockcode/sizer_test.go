@@ -1,0 +1,150 @@
+package blockcode_test
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/blockcode"
+	"repro/internal/core"
+	"repro/internal/testset"
+	"repro/internal/tritvec"
+)
+
+// sizeReference is the path the sizer replaces: decode the genome into
+// MVs, cover the raw blocks in min-U order, build the Huffman code and
+// account the size.
+func sizeReference(blocks []tritvec.Vector, genes []uint8, k, l int) (int, bool) {
+	set := &blockcode.MVSet{K: k, MVs: core.GenesToMVs(genes, k, l)}
+	res, err := set.BuildHuffman(blocks, 0)
+	if err != nil {
+		return 0, false
+	}
+	return res.CompressedBits, true
+}
+
+// sizerCase derives blocks and a genome from fuzz arguments. The blocks
+// come from a random test set (0 to 40 patterns, so also none); the
+// genome repeats genome's bytes, raw (the sizer takes them mod 3), or is
+// random when genome is empty. pin sets the last MV to all-U.
+func sizerCase(k, l int, pin bool, density uint8, seed int64, genome []byte) ([]tritvec.Vector, []uint8) {
+	r := rand.New(rand.NewSource(seed))
+	ts := testset.Random(1+r.Intn(3*k), r.Intn(41), float64(density%101)/100, r)
+	genes := make([]uint8, k*l)
+	for i := range genes {
+		if len(genome) > 0 {
+			genes[i] = genome[i%len(genome)]
+		} else {
+			genes[i] = uint8(r.Intn(3))
+		}
+	}
+	if pin {
+		clear(genes[(l-1)*k:])
+	}
+	return blockcode.Partition(ts, k), genes
+}
+
+func checkSizer(t *testing.T, k, l int, pin bool, density uint8, seed int64, genome []byte) {
+	t.Helper()
+	blocks, genes := sizerCase(k, l, pin, density, seed, genome)
+	want, wantOK := sizeReference(blocks, genes, k, l)
+	s := blockcode.NewSizer(blockcode.Dedup(blocks), k, l)
+	for pass := 0; pass < 2; pass++ { // the second pass reuses the scratch
+		got, ok := s.Size(genes)
+		if got != want || ok != wantOK {
+			t.Fatalf("K=%d L=%d pin=%v density=%d seed=%d: sizer %d, %v; reference %d, %v",
+				k, l, pin, density, seed, got, ok, want, wantOK)
+		}
+	}
+}
+
+// FuzzSizer compares the sizer with the reference path. Its seeds cover
+// K and L below, at and above one 64-bit word, genomes with and without
+// the pinned all-U MV, and genomes that leave blocks uncovered.
+func FuzzSizer(f *testing.F) {
+	seed := int64(0)
+	for _, k := range []uint8{1, 12, 63, 64, 65, 130} {
+		for _, l := range []uint8{1, 63, 64, 65, 128} {
+			seed++
+			f.Add(k, l, true, uint8(30), seed, []byte(nil))
+			f.Add(k, l, false, uint8(10), seed, []byte(nil))
+		}
+	}
+	// All MVs all-0: every block holding a 1 is uncovered.
+	f.Add(uint8(12), uint8(64), false, uint8(80), int64(1), []byte{1})
+	// The same, rescued by the pinned all-U MV.
+	f.Add(uint8(12), uint8(64), true, uint8(80), int64(1), []byte{1})
+	// All-U everywhere: every MV ties on U count.
+	f.Add(uint8(8), uint8(9), false, uint8(50), int64(2), []byte{0})
+	// Raw gene bytes outside {0,1,2}.
+	f.Add(uint8(5), uint8(7), false, uint8(40), int64(3), []byte{255, 7, 3, 128, 5})
+	f.Fuzz(func(t *testing.T, k, l uint8, pin bool, density uint8, seed int64, genome []byte) {
+		kk, ll := int(k), int(l)
+		if kk == 0 || kk > 130 {
+			kk = 1 + kk%130
+		}
+		if ll == 0 || ll > 128 {
+			ll = 1 + ll%128
+		}
+		checkSizer(t, kk, ll, pin, density, seed, genome)
+	})
+}
+
+// TestSizerMatchesReference runs the fuzz comparison on random shapes.
+func TestSizerMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	for i := 0; i < 300; i++ {
+		checkSizer(t, 1+r.Intn(70), 1+r.Intn(70), r.Intn(4) != 0, uint8(r.Intn(101)), r.Int63(), nil)
+	}
+}
+
+// TestSizerMinUTies pins the stable min-U order: MVs with equal U counts
+// cover in index order, so the earlier one takes the block.
+func TestSizerMinUTies(t *testing.T) {
+	ts, err := testset.ParseStrings("0000", "1111", "0011")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := blockcode.Partition(ts, 4)
+	// MV 0 = 00UU and MV 1 = 0UU0 both have two U; MV 2 = UUUU. Block
+	// 0000 goes to MV 0; to MV 1 the code would have three symbols.
+	genes := []uint8{1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0}
+	want, _ := sizeReference(blocks, genes, 4, 3)
+	got, ok := blockcode.NewSizer(blockcode.Dedup(blocks), 4, 3).Size(genes)
+	if !ok || got != want {
+		t.Fatalf("sizer %d, %v; reference %d", got, ok, want)
+	}
+}
+
+// TestSizerClonesConcurrent sizes different genomes on clones at once;
+// under -race it also proves clones share no scratch.
+func TestSizerClonesConcurrent(t *testing.T) {
+	blocks, _ := sizerCase(12, 64, true, 30, 5, nil)
+	s := blockcode.NewSizer(blockcode.Dedup(blocks), 12, 64)
+	genomes := make([][]uint8, 4)
+	want := make([]int, len(genomes))
+	for g := range genomes {
+		_, genomes[g] = sizerCase(12, 64, true, 30, int64(10+g), nil)
+		want[g], _ = s.Size(genomes[g])
+	}
+	var wg sync.WaitGroup
+	errs := make([]int, len(genomes))
+	for g := range genomes {
+		wg.Add(1)
+		go func(g int, c *blockcode.Sizer) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got, _ := c.Size(genomes[g]); got != want[g] {
+					errs[g] = got
+					return
+				}
+			}
+		}(g, s.Clone())
+	}
+	wg.Wait()
+	for g, got := range errs {
+		if got != 0 {
+			t.Errorf("genome %d sized %d on a clone, %d alone", g, got, want[g])
+		}
+	}
+}

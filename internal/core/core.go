@@ -12,10 +12,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/blockcode"
 	"repro/internal/ea"
-	"repro/internal/huffman"
 	"repro/internal/mvheur"
 	"repro/internal/ninec"
 	"repro/internal/pipeline"
@@ -120,9 +120,21 @@ func MVsToGenes(mvs []tritvec.Vector, k int) []ea.Gene {
 // problem adapts MV determination to the ea.Problem interface.
 type problem struct {
 	k, l      int
-	ms        *blockcode.BlockMultiset
 	origBits  int
 	forceAllU bool
+	// sizers holds clones of one blockcode.Sizer built per compression:
+	// the EA calls Fitness concurrently, and each call needs scratch.
+	sizers sync.Pool
+}
+
+// newProblem builds the EA problem for the deduplicated blocks ms of a
+// test set of origBits bits.
+func newProblem(ms *blockcode.BlockMultiset, k, l, origBits int, forceAllU bool) *problem {
+	p := &problem{k: k, l: l, origBits: origBits, forceAllU: forceAllU}
+	proto := blockcode.NewSizer(ms, k, l)
+	p.sizers.New = func() any { return proto.Clone() }
+	p.sizers.Put(proto)
+	return p
 }
 
 // invalidFitness is "a sufficiently small number, such that it is lower
@@ -144,18 +156,15 @@ func (p *problem) Repair(genes []ea.Gene) {
 	}
 }
 
+// Fitness is the compression rate of the genome's MV set, or
+// invalidFitness when it leaves a block uncovered.
 func (p *problem) Fitness(genes []ea.Gene) float64 {
-	mvs := GenesToMVs(genes, p.k, p.l)
-	set := &blockcode.MVSet{K: p.k, MVs: mvs}
-	cov := set.CoverMultiset(p.ms)
-	if !cov.OK() {
+	s := p.sizers.Get().(*blockcode.Sizer)
+	compressed, ok := s.Size(genes)
+	p.sizers.Put(s)
+	if !ok {
 		return invalidFitness
 	}
-	code, err := huffman.Build(cov.Freqs)
-	if err != nil {
-		return invalidFitness
-	}
-	compressed := set.CompressedBits(cov, code.Lengths)
 	return blockcode.Rate(p.origBits, compressed)
 }
 
@@ -196,7 +205,7 @@ func CompressCtx(ctx context.Context, ts *testset.TestSet, p Params) (*Result, e
 	}
 	blocks := blockcode.Partition(ts, p.K)
 	ms := blockcode.Dedup(blocks)
-	prob := &problem{k: p.K, l: p.L, ms: ms, origBits: ts.TotalBits(), forceAllU: p.ForceAllU}
+	prob := newProblem(ms, p.K, p.L, ts.TotalBits(), p.ForceAllU)
 
 	var seeds [][]ea.Gene
 	padToL := func(mvs []tritvec.Vector) []ea.Gene {

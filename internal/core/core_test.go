@@ -223,7 +223,7 @@ func TestRandomMVSetCoversEverything(t *testing.T) {
 func TestFitnessInvalidWithoutCover(t *testing.T) {
 	ts, _ := testset.ParseStrings("1111")
 	blocks := blockcode.Partition(ts, 4)
-	prob := &problem{k: 4, l: 1, ms: blockcode.Dedup(blocks), origBits: 4, forceAllU: false}
+	prob := newProblem(blockcode.Dedup(blocks), 4, 1, 4, false)
 	genes := []ea.Gene{1, 1, 1, 1} // MV = 0000, cannot cover 1111
 	if f := prob.Fitness(genes); f != invalidFitness {
 		t.Fatalf("fitness=%f want invalid", f)

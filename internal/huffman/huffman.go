@@ -8,6 +8,7 @@ package huffman
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitstream"
@@ -121,6 +122,56 @@ func Build(freqs []int) (*Code, error) {
 	}
 	walk(root, 0)
 	return canonical(lengths)
+}
+
+// Cost returns Σ freqs[i]·Lengths[i] of the code Build(freqs) would
+// return — the codeword bits of a Huffman code — without building it,
+// and false when no frequency is positive. It reorders and overwrites
+// freqs, and allocates nothing.
+//
+// Cost sorts the positive weights and merges them with two queues (the
+// leaves, and the merged nodes, which come out in ascending order). The
+// sum of all merged weights is Σ f·len of the resulting tree. Every
+// Huffman code of the same weights is optimal and so has that same sum,
+// whichever way ties break; Build's tie-breaking cannot change it. One
+// used symbol costs 1 bit per occurrence, as in Build. Build's 62-bit
+// length cap is not checked: a codeword of 63 bits or more needs a total
+// weight above the Fibonacci number F(64) ≈ 1.06·10¹³.
+func Cost(freqs []int) (int, bool) {
+	n := 0
+	for _, f := range freqs {
+		if f > 0 {
+			freqs[n] = f
+			n++
+		}
+	}
+	switch n {
+	case 0:
+		return 0, false
+	case 1:
+		return freqs[0], true
+	}
+	w := freqs[:n]
+	slices.Sort(w)
+	// Leaves are w[leaf:]; merged nodes are w[node:merged]. Merge m
+	// consumes two nodes and stores its weight at w[m]: by then at
+	// least m+2 leaves are consumed, so the slot is free.
+	leaf, node, total := 0, 0, 0
+	for merged := 0; merged < n-1; merged++ {
+		sum := 0
+		for pick := 0; pick < 2; pick++ {
+			if leaf < n && (node == merged || w[leaf] <= w[node]) {
+				sum += w[leaf]
+				leaf++
+			} else {
+				sum += w[node]
+				node++
+			}
+		}
+		w[merged] = sum
+		total += sum
+	}
+	return total, true
 }
 
 // FromLengths builds a canonical code from explicit codeword lengths

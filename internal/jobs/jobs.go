@@ -245,6 +245,12 @@ type Manager struct {
 	jobs    map[string]*state
 	order   []string // creation order, for List
 	closing bool
+
+	// journalMu orders journal writes: it is held from a job's snapshot
+	// through the write and rename of its record, and around Remove's
+	// unlink, so the last record to land is always the latest state.
+	// Lock order: journalMu before mu.
+	journalMu sync.Mutex
 }
 
 // NewManager loads the journal (if cfg.Dir is set), re-queues unfinished
@@ -563,6 +569,8 @@ func (m *Manager) Remove(id string) error {
 	}
 	m.mu.Unlock()
 	if m.cfg.Dir != "" {
+		m.journalMu.Lock()
+		defer m.journalMu.Unlock()
 		if err := os.Remove(m.journalPath(id)); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("jobs: removing journal entry: %w", err)
 		}
@@ -778,11 +786,15 @@ func (m *Manager) journalPath(id string) string {
 // journal persists the job's current snapshot with an atomic
 // tmp+rename, so a crash never leaves a torn record. Best-effort: a
 // journal write failure is logged, not fatal — the in-memory state
-// machine stays authoritative for this process's lifetime.
+// machine stays authoritative for this process's lifetime. Writes are
+// serialized under journalMu, so a writer that snapshotted an older
+// state can never rename its record over a newer one.
 func (m *Manager) journal(id string) {
 	if m.cfg.Dir == "" {
 		return
 	}
+	m.journalMu.Lock()
+	defer m.journalMu.Unlock()
 	m.mu.Lock()
 	st, ok := m.jobs[id]
 	var snap Job

@@ -682,3 +682,50 @@ func TestContentAddressedDedup(t *testing.T) {
 		t.Fatalf("store holds %d blobs, want 2 (deduped output)", blobs)
 	}
 }
+
+// TestJournalKeepsLatestState journals one job from several goroutines
+// while its state advances. The record on disk must equal the final
+// state: a writer that snapshotted an older state must never land its
+// record after a newer one.
+func TestJournalKeepsLatestState(t *testing.T) {
+	dir := t.TempDir()
+	m, _ := newTestManager(t, Config{Dir: dir})
+	for round := 0; round < 20; round++ {
+		id := newID()
+		m.mu.Lock()
+		m.jobs[id] = &state{job: Job{ID: id, Spec: Spec{Kind: KindCompress, Codec: "golomb"}, State: StateRunning, Created: time.Now()}}
+		m.order = append(m.order, id)
+		m.mu.Unlock()
+		const writers, steps = 8, 25
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < steps; i++ {
+					m.mu.Lock()
+					m.jobs[id].job.Progress.Chunks++
+					m.mu.Unlock()
+					m.journal(id)
+				}
+			}()
+		}
+		wg.Wait()
+		b, err := os.ReadFile(m.journalPath(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var onDisk Job
+		if err := json.Unmarshal(b, &onDisk); err != nil {
+			t.Fatal(err)
+		}
+		final, err := m.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if onDisk.Progress != final.Progress || onDisk.State != final.State {
+			t.Fatalf("round %d: journal holds %+v in %s, final state is %+v in %s",
+				round, onDisk.Progress, onDisk.State, final.Progress, final.State)
+		}
+	}
+}

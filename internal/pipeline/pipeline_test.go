@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestSeedDependsOnlyOnRootAndIndex(t *testing.T) {
@@ -185,35 +185,40 @@ func TestStreamWithoutFailFastRunsEverything(t *testing.T) {
 
 // TestPoolPicksUpFreedTokens asserts a batch started under a saturated
 // limiter gains parallelism once tokens free up mid-batch, instead of
-// staying serial for its whole lifetime.
+// staying serial for its whole lifetime. The batch starts serial because
+// the test holds the only token; job 10 releases it. Each later job then
+// waits at a rendezvous that opens only when two jobs run at once, which
+// needs a helper spawned on the freed token. The deadline fails the test
+// instead of hanging it; nothing sleeps.
 func TestPoolPicksUpFreedTokens(t *testing.T) {
 	lim := NewLimiter(1)
 	if !lim.TryAcquire() {
 		t.Fatal("setup")
 	}
-	release := make(chan struct{})
-	go func() {
-		<-release
-		lim.Release() // frees the only token while the batch is running
-	}()
-	var maxConcurrent, cur atomic.Int32
-	jobs := make([]Job[int], 200)
+	deadline := time.After(10 * time.Second)
+	joined := make(chan struct{})
+	var running atomic.Int32
+	var joinOnce sync.Once
+	var timedOut atomic.Bool
+	jobs := make([]Job[int], 40)
 	for i := range jobs {
 		i := i
 		jobs[i] = Job[int]{Run: func(context.Context, int64) (int, error) {
-			if i == 10 {
-				close(release)
-			}
-			c := cur.Add(1)
-			defer cur.Add(-1)
-			for {
-				m := maxConcurrent.Load()
-				if c <= m || maxConcurrent.CompareAndSwap(m, c) {
-					break
+			switch {
+			case i == 10:
+				lim.Release() // frees the only token while the batch is running
+			case i > 10:
+				if running.Add(1) == 2 {
+					joinOnce.Do(func() { close(joined) })
 				}
-			}
-			for k := 0; k < 10000; k++ {
-				_ = k * k
+				defer running.Add(-1)
+				if !timedOut.Load() {
+					select {
+					case <-joined:
+					case <-deadline:
+						timedOut.Store(true)
+					}
+				}
 			}
 			return i, nil
 		}}
@@ -221,7 +226,7 @@ func TestPoolPicksUpFreedTokens(t *testing.T) {
 	if _, err := Run(context.Background(), Config{Workers: 4, Limiter: lim}, jobs); err != nil {
 		t.Fatal(err)
 	}
-	if runtime.NumCPU() > 1 && maxConcurrent.Load() < 2 {
+	if timedOut.Load() {
 		t.Fatal("pool never re-acquired the freed limiter token")
 	}
 }
