@@ -84,20 +84,7 @@ type JobProgress struct {
 
 // JobStats is the size accounting of a finished job, mirroring the
 // X-Tcomp-* headers of the synchronous endpoints.
-type JobStats struct {
-	Patterns       int `json:"patterns"`
-	Chunks         int `json:"chunks"`
-	OriginalBits   int `json:"original_bits"`
-	CompressedBits int `json:"compressed_bits"`
-}
-
-// RatePercent returns the paper-style compression rate.
-func (s JobStats) RatePercent() float64 {
-	if s.OriginalBits == 0 {
-		return 0
-	}
-	return 100 * float64(s.OriginalBits-s.CompressedBits) / float64(s.OriginalBits)
-}
+type JobStats = ContainerStats
 
 // JobStatus is one job record as the daemon serves it.
 type JobStatus struct {

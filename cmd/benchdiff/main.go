@@ -14,20 +14,11 @@
 // Parse fresh bench output into a baseline:
 //
 //	go test -run=NONE -bench=. ./... | benchdiff -parse - -out new.json
-//
-// Migrate a legacy baseline (the PR-5 files were raw `go test -json`
-// event streams no comparison tool could read):
-//
-//	benchdiff -migrate BENCH_codec.json -out BENCH_codec.json
-//
-// benchdiff refuses to compare the legacy format, naming the migration
-// command instead.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -42,22 +33,17 @@ func main() {
 		tolerance = flag.String("tolerance", "10%", "ns/op regression tolerance, e.g. 8% or 0.08")
 		markdown  = flag.String("markdown", "", "also write the delta table to this file")
 		parse     = flag.String("parse", "", "parse `go test -bench` text output from this file (- = stdin) into the schema")
-		migrate   = flag.String("migrate", "", "migrate a raw `go test -json` event stream from this file (- = stdin) into the schema")
-		outPath   = flag.String("out", "", "output path for -parse/-migrate (- or empty = stdout)")
+		outPath   = flag.String("out", "", "output path for -parse (- or empty = stdout)")
 	)
 	flag.Parse()
 
 	switch {
-	case *parse != "" && *migrate != "":
-		fatalUsage("-parse and -migrate are mutually exclusive")
 	case *parse != "":
-		convert(*parse, *outPath, benchfmt.Parse)
-	case *migrate != "":
-		convert(*migrate, *outPath, benchfmt.ParseTest2JSON)
+		convert(*parse, *outPath)
 	case *oldPath != "" && *newPath != "":
 		compare(*oldPath, *newPath, *tolerance, *markdown)
 	default:
-		fatalUsage("need either -old/-new (compare), -parse (convert), or -migrate (legacy baselines)")
+		fatalUsage("need either -old/-new (compare) or -parse (convert)")
 	}
 }
 
@@ -72,8 +58,8 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
-// convert runs one of the ingestion parsers and writes the schema file.
-func convert(inPath, outPath string, parse func(io.Reader) (*benchfmt.File, error)) {
+// convert parses `go test -bench` output and writes the schema file.
+func convert(inPath, outPath string) {
 	in := os.Stdin
 	if inPath != "-" {
 		f, err := os.Open(inPath)
@@ -83,7 +69,7 @@ func convert(inPath, outPath string, parse func(io.Reader) (*benchfmt.File, erro
 		defer f.Close()
 		in = f
 	}
-	bf, err := parse(in)
+	bf, err := benchfmt.Parse(in)
 	if err != nil {
 		fatal(err)
 	}

@@ -25,7 +25,7 @@
 // into a chunked stream container (format v3) at O(chunk) memory —
 // stdin to stdout works as a pipe stage, and chunk compression runs on
 // the pipeline worker pool without changing the output bytes. Expand
-// with tdecompress (-stream for constant-memory expansion).
+// with tdecompress, which reads a v3 stream at constant memory too.
 package main
 
 import (

@@ -1,24 +1,29 @@
 // Command tdecompress expands a compressed container back into a fully
 // specified test-set file and optionally verifies it against the
-// original. The compression method is auto-detected from the container
-// header — every registered codec (ea, 9c, 9chc, golomb, fdr, rl,
-// selhuff) round-trips, and legacy v1 block-codec files remain readable.
-// Chunked stream containers (format v3, written by tcompress -stream)
-// are auto-detected too; add -stream to expand them at O(chunk) memory
-// with a pipe-friendly stdin-to-stdout flow.
+// original. The container version and the compression method are
+// auto-detected from the header: every registered codec (ea, 9c, 9chc,
+// golomb, fdr, rl, selhuff) round-trips, legacy v1 block-codec files
+// remain readable, and a chunked v3 stream (tcompress -stream) expands
+// at O(chunk) memory, so the command works as a pipe stage. The output
+// header is "width count" for a v1/v2 container and the streaming
+// "width *" for a v3 stream — the same bytes tcompd answers.
 //
 // Usage:
 //
 //	tdecompress -in tests.tcmp -out expanded.txt [-verify tests.txt]
-//	tdecompress -stream < tests.tcmp > expanded.txt
+//	tdecompress -verify tests.txt < tests.tcmp > expanded.txt
+//	tdecompress -fsm -in tests.tcmp -out expanded.txt
 //	tdecompress -remote http://localhost:8077 < tests.tcmp > expanded.txt
 //	tdecompress -remote http://localhost:8077 -async < tests.tcmp > expanded.txt
 //
-// With -remote the expansion is delegated to a tcompd daemon: the
-// container streams up, the textual patterns stream back, and -verify
-// still checks the result locally against the original. Adding -async
-// submits the expansion as a background job instead and polls until it
-// is done — the work survives a daemon restart mid-run.
+// -fsm decodes a v1/v2 block-codec container (ea, 9c, 9chc) through the
+// hardware decoder FSM model instead of the software codec and reports
+// its cycle count and area. With -remote the expansion is delegated to
+// a tcompd daemon: the container streams up, the textual patterns
+// stream back, and -verify still checks the result locally against the
+// original. Adding -async submits the expansion as a background job
+// instead and polls until it is done — the work survives a daemon
+// restart mid-run.
 package main
 
 import (
@@ -46,8 +51,7 @@ func main() {
 		in     = flag.String("in", "", "input container file (default stdin)")
 		out    = flag.String("out", "", "output test-set file (default stdout)")
 		verify = flag.String("verify", "", "original test-set file to verify against")
-		fsm    = flag.Bool("fsm", false, "decode through the hardware FSM model and report cycles (block codecs only)")
-		stream = flag.Bool("stream", false, "expand a chunked stream container pattern-by-pattern at O(chunk) memory")
+		fsm    = flag.Bool("fsm", false, "decode through the hardware FSM model and report cycles (v1/v2 block-codec containers only)")
 		remote = flag.String("remote", "", "delegate decompression to a tcompd daemon at this base URL")
 		async  = flag.Bool("async", false, "with -remote: submit as a background job, poll until done, then fetch the patterns")
 	)
@@ -65,118 +69,76 @@ func main() {
 		defer f.Close()
 		r = f
 	}
+	r = bufio.NewReader(r)
 
-	if *remote != "" {
-		if *fsm {
-			log.Fatal("-fsm decodes locally; it cannot be combined with -remote")
-		}
-		if *async {
-			runAsync(*remote, bufio.NewReader(r), *out, *verify)
-		} else {
-			runRemote(*remote, bufio.NewReader(r), *out, *verify)
-		}
-		return
+	var err error
+	switch {
+	case *remote != "" && *fsm:
+		err = errors.New("-fsm decodes locally; it cannot be combined with -remote")
+	case *async:
+		err = runAsync(*remote, r, *out, *verify)
+	case *remote != "":
+		err = runRemote(*remote, r, *out, *verify)
+	case *fsm:
+		err = expandFSM(r, *out, *verify, os.Stderr)
+	default:
+		err = expand(r, *out, *verify, os.Stderr)
 	}
-
-	// One shared version probe (container.Sniff) routes chunked
-	// containers to the streaming reader even without -stream.
-	version, rest, err := container.Sniff(bufio.NewReader(r))
 	if err != nil {
-		log.Fatal(err)
-	}
-
-	if *stream || version == container.Version3 {
-		if *fsm {
-			log.Fatal("-fsm applies to buffered block-codec containers, not chunked streams")
-		}
-		runStream(rest, *out, *verify)
-		return
-	}
-
-	art, err := tcomp.Open(rest)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "container: codec %s, %d patterns x %d inputs, %d payload bits\n",
-		art.Codec, art.Patterns, art.Width, art.NBits)
-
-	var ts *testset.TestSet
-	if *fsm {
-		// The hardware decoder model exists for the block codecs; their
-		// artifacts carry the MV table and codeword list as the
-		// parameter blob.
-		set, code, err := container.DecodeBlockParams(art.Params)
-		if err != nil {
-			log.Fatalf("-fsm requires a block-codec container (ea/9c/9chc): %v", err)
-		}
-		dec, err := decoder.New(set, code)
-		if err != nil {
-			log.Fatal(err)
-		}
-		total := art.Width * art.Patterns
-		nblocks := (total + set.K - 1) / set.K
-		blocks, st, err := dec.Run(art.BitReader(), nblocks)
-		if err != nil {
-			log.Fatal(err)
-		}
-		area := dec.Area()
-		fmt.Fprintf(os.Stderr, "fsm: %d blocks, %d input bits, %d cycles, %d states, %.0f GE\n",
-			st.Blocks, st.InputBits, st.Cycles, area.States, area.GateEquivalents)
-		flat := tritvec.Concat(blocks...).Slice(0, total)
-		ts, err = testset.FromFlat(flat, art.Width)
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		ts, err = tcomp.Decompress(art)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if *verify != "" {
-		vf, err := os.Open(*verify)
-		if err != nil {
-			log.Fatal(err)
-		}
-		orig, err := testset.Read(vf)
-		_ = vf.Close() // read side; the parse error is the one that matters
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !orig.Compatible(ts) {
-			log.Fatal("verification FAILED: decoded data does not preserve the original's specified bits")
-		}
-		fmt.Fprintln(os.Stderr, "verification OK: all specified bits preserved")
-	}
-
-	w := os.Stdout
-	if *out != "" {
-		w, err = os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer w.Close()
-	}
-	if err := ts.Write(w); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// runStream expands a chunked stream container pattern-by-pattern at
-// O(chunk) memory: the textual output carries a streaming ("width *")
-// header, and -verify reads the original incrementally too, so nothing
-// is ever buffered whole.
-func runStream(r io.Reader, out, verify string) {
+// expand is the local expansion path for every container version: the
+// one tcomp.NewStreamReader opens it, and expandStream writes whatever
+// comes out.
+func expand(r io.Reader, out, verify string, stderr io.Writer) error {
 	sr, err := tcomp.NewStreamReader(r)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "container: codec %s, chunked stream, width %d, %d patterns/chunk\n",
-		sr.Codec(), sr.Width(), sr.ChunkPatterns())
-	expandStream(sr.Width(), sr.Next, out, verify, func(err error) string {
-		return streamFailureLine(sr.ChunkIndex(), err)
+	desc := "chunked stream"
+	if n := sr.Expected(); n >= 0 {
+		desc = fmt.Sprintf("%d patterns", n)
+	}
+	fmt.Fprintf(stderr, "container: codec %s, width %d, %s\n", sr.Codec(), sr.Width(), desc)
+	return expandStream(sr.Width(), sr.Expected(), sr.Next, out, verify, stderr, func(err error) error {
+		return errors.New(streamFailureLine(sr.ChunkIndex(), err))
 	})
+}
+
+// expandFSM decodes a v1/v2 block-codec container through the hardware
+// decoder model. Such artifacts carry the MV table and codeword list as
+// their parameter blob.
+func expandFSM(r io.Reader, out, verify string, stderr io.Writer) error {
+	art, err := tcomp.Open(r)
+	if err != nil {
+		return fmt.Errorf("-fsm needs a v1/v2 block-codec container: %w", err)
+	}
+	fmt.Fprintf(stderr, "container: codec %s, %d patterns x %d inputs, %d payload bits\n",
+		art.Codec, art.Patterns, art.Width, art.NBits)
+	set, code, err := container.DecodeBlockParams(art.Params)
+	if err != nil {
+		return fmt.Errorf("-fsm requires a block-codec container (ea/9c/9chc): %w", err)
+	}
+	dec, err := decoder.New(set, code)
+	if err != nil {
+		return err
+	}
+	total := art.Width * art.Patterns
+	nblocks := (total + set.K - 1) / set.K
+	blocks, st, err := dec.Run(art.BitReader(), nblocks)
+	if err != nil {
+		return err
+	}
+	area := dec.Area()
+	fmt.Fprintf(stderr, "fsm: %d blocks, %d input bits, %d cycles, %d states, %.0f GE\n",
+		st.Blocks, st.InputBits, st.Cycles, area.States, area.GateEquivalents)
+	ts, err := testset.FromFlat(tritvec.Concat(blocks...).Slice(0, total), art.Width)
+	if err != nil {
+		return err
+	}
+	return expandStream(ts.Width, ts.NumPatterns(), tcomp.PatternsOf(ts), out, verify, stderr, nil)
 }
 
 // streamFailureLine renders a chunked-stream read failure as one
@@ -218,94 +180,87 @@ func remoteHint(err error) string {
 // runAsync submits the container as a daemon background job, polls
 // until it is done, and fetches the textual patterns; -verify still
 // runs locally while the result streams down.
-func runAsync(base string, r io.Reader, out, verify string) {
+func runAsync(base string, r io.Reader, out, verify string) error {
 	ctx := context.Background()
 	c := tcomp.NewClient(base)
 	j, err := c.SubmitDecompressJob(ctx, r)
 	if err != nil {
 		if errors.Is(err, tcomp.ErrQueueFull) {
-			log.Fatalf("%v (the daemon's job backlog is at capacity; retry later or raise tcompd -max-jobs)", err)
+			return fmt.Errorf("%v (the daemon's job backlog is at capacity; retry later or raise tcompd -max-jobs)", err)
 		}
-		log.Fatal(remoteHint(err))
+		return errors.New(remoteHint(err))
 	}
 	fmt.Fprintf(os.Stderr, "submitted job %s (%s)\n", j.ID, base)
 	if j, err = c.WaitJob(ctx, j.ID); err != nil {
-		log.Fatal(remoteHint(err))
+		return errors.New(remoteHint(err))
 	}
 	if j.State != tcomp.JobDone {
-		log.Fatalf("job %s ended %s: %s (%s)", j.ID, j.State, j.Error, j.ErrorCode)
+		return fmt.Errorf("job %s ended %s: %s (%s)", j.ID, j.State, j.Error, j.ErrorCode)
 	}
-	errAborted := errors.New("tdecompress: result fetch aborted")
-	pr, pw := io.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.JobResult(ctx, j.ID, pw)
-		pw.CloseWithError(err)
-		done <- err
-	}()
-	drainRemote := func(localErr error) string {
-		pr.CloseWithError(errAborted)
-		if derr := <-done; derr != nil && !errors.Is(derr, errAborted) {
-			return remoteHint(derr)
-		}
-		return localErr.Error()
-	}
-	sc, err := testset.NewScanner(pr)
-	if err != nil {
-		log.Fatal(drainRemote(err))
-	}
-	expandStream(sc.Width(), sc.Next, out, verify, drainRemote)
+	return expandRemote(func(w io.Writer) error {
+		_, err := c.JobResult(ctx, j.ID, w)
+		return err
+	}, out, verify)
 }
 
 // runRemote delegates expansion to a tcompd daemon, streaming the
 // container up and the textual patterns back down; -verify still runs
 // locally against the original.
-func runRemote(base string, r io.Reader, out, verify string) {
+func runRemote(base string, r io.Reader, out, verify string) error {
 	c := tcomp.NewClient(base)
+	return expandRemote(func(w io.Writer) error {
+		return c.Decompress(context.Background(), r, w)
+	}, out, verify)
+}
+
+// expandRemote runs fetch — a daemon call that writes textual patterns
+// — on its own goroutine and expands the text as it arrives.
+func expandRemote(fetch func(w io.Writer) error, out, verify string) error {
 	errAborted := errors.New("tdecompress: remote expansion aborted")
 	pr, pw := io.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		err := c.Decompress(context.Background(), r, pw)
-		pw.CloseWithError(err)
+		err := fetch(pw)
+		_ = pw.CloseWithError(err) // always nil
 		done <- err
 	}()
-	// drainRemote unblocks the copier goroutine before waiting on it —
+	// drainRemote unblocks the fetching goroutine before waiting on it —
 	// waiting first would deadlock against a daemon still streaming
 	// into the unread pipe — and prefers the daemon's error (the
 	// actionable one) over the local parse error.
-	drainRemote := func(localErr error) string {
-		pr.CloseWithError(errAborted)
+	drainRemote := func(localErr error) error {
+		_ = pr.CloseWithError(errAborted) // always nil
 		if derr := <-done; derr != nil && !errors.Is(derr, errAborted) {
-			return remoteHint(derr)
+			return errors.New(remoteHint(derr))
 		}
-		return localErr.Error()
+		return localErr
 	}
 	sc, err := testset.NewScanner(pr)
 	if err != nil {
-		log.Fatal(drainRemote(err))
+		return drainRemote(err)
 	}
-	expandStream(sc.Width(), sc.Next, out, verify, drainRemote)
+	return expandStream(sc.Width(), sc.Expected(), sc.Next, out, verify, os.Stderr, drainRemote)
 }
 
-// expandStream is the shared expansion loop behind the local streaming
-// and remote paths: pull patterns from next until io.EOF, verify each
-// against the original when -verify is set, and write the textual
-// output incrementally. renderErr turns a pattern-source failure into
-// the fatal operator-facing message.
-func expandStream(width int, next func() (tritvec.Vector, error), out, verify string, renderErr func(error) string) {
+// expandStream is the one expansion loop behind the local and remote
+// paths: pull patterns from next until io.EOF, verify each against the
+// original when verify names a file, and write the textual output
+// incrementally under a "width count" header (count < 0: "width *").
+// sourceErr, when non-nil, turns a pattern-source failure into the
+// operator-facing error.
+func expandStream(width, count int, next func() (tritvec.Vector, error), out, verify string, stderr io.Writer, sourceErr func(error) error) error {
 	var origSc *testset.Scanner
 	if verify != "" {
 		vf, err := os.Open(verify)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer vf.Close()
 		if origSc, err = testset.NewScanner(bufio.NewReader(vf)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if origSc.Width() != width {
-			log.Fatalf("verification FAILED: original width %d, decoded width %d", origSc.Width(), width)
+			return fmt.Errorf("verification FAILED: original width %d, decoded width %d", origSc.Width(), width)
 		}
 	}
 
@@ -313,14 +268,14 @@ func expandStream(width int, next func() (tritvec.Vector, error), out, verify st
 	if out != "" {
 		f, err := os.Create(out)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		w = f
 	}
-	pw, err := testset.NewPatternWriter(w, width)
+	pw, err := testset.NewPatternWriter(w, width, count)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	n := 0
 	for {
@@ -329,30 +284,34 @@ func expandStream(width int, next func() (tritvec.Vector, error), out, verify st
 			break
 		}
 		if err != nil {
-			log.Fatal(renderErr(err))
+			if sourceErr != nil {
+				return sourceErr(err)
+			}
+			return err
 		}
 		if origSc != nil {
 			o, err := origSc.Next()
 			if err != nil {
-				log.Fatalf("verification FAILED: original ended at pattern %d: %v", n, err)
+				return fmt.Errorf("verification FAILED: original ended at pattern %d: %v", n, err)
 			}
 			if !o.Subsumes(v) {
-				log.Fatalf("verification FAILED: pattern %d does not preserve the original's specified bits", n)
+				return fmt.Errorf("verification FAILED: pattern %d does not preserve the original's specified bits", n)
 			}
 		}
 		if err := pw.WritePattern(v); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		n++
 	}
 	if err := pw.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if origSc != nil {
 		if _, err := origSc.Next(); err != io.EOF {
-			log.Fatalf("verification FAILED: original has more than %d patterns", n)
+			return fmt.Errorf("verification FAILED: original has more than %d patterns", n)
 		}
-		fmt.Fprintln(os.Stderr, "verification OK: all specified bits preserved")
+		fmt.Fprintln(stderr, "verification OK: all specified bits preserved")
 	}
-	fmt.Fprintf(os.Stderr, "expanded %d patterns\n", n)
+	fmt.Fprintf(stderr, "expanded %d patterns\n", n)
+	return nil
 }

@@ -236,10 +236,10 @@ func LookupParamRange(query string) (r ParamRange, ok bool) {
 }
 
 // paramOrder lists every daemon query parameter in canonical order. It
-// is the single list the wire layers iterate: the synchronous tcompd
-// validator, the async job runner, and the client's option-to-query
-// translation all resolve keys through OptionForParam, so a parameter
-// accepted anywhere resolves to the same functional option everywhere.
+// is the single list the wire layers iterate: the tcompd request
+// validators and the async job runner resolve keys through
+// ParamOptions, so a parameter accepted anywhere resolves to the same
+// functional option everywhere.
 var paramOrder = []string{"seed", "k", "l", "runs", "workers", "m", "d", "b", "chunk"}
 
 // ParamKeys returns the daemon query parameter keys OptionForParam
@@ -270,6 +270,36 @@ func OptionForParam(key string, v int64) (Option, bool) {
 		return WithChunkPatterns(int(v)), true
 	}
 	return nil, false
+}
+
+// ParamOptions resolves a daemon parameter map into functional options,
+// keys in ParamKeys order so the list is deterministic. An explicit 0
+// means "codec default"; any other value must lie inside the key's
+// shared range (LookupParamRange), and a key OptionForParam does not
+// know is an error. It is the one validator behind the tcompd compress,
+// job and flow endpoints and the job runner, which re-checks
+// journal-recovered specs.
+func ParamOptions(params map[string]int64) ([]Option, error) {
+	var opts []Option
+	for _, key := range paramOrder {
+		v, ok := params[key]
+		if !ok {
+			continue
+		}
+		if r, bounded := paramRanges[key]; bounded && v != 0 && (v < r.Min || v > r.Max) {
+			return nil, fmt.Errorf("parameter %s=%d out of range [%d,%d]", key, v, r.Min, r.Max)
+		}
+		opt, _ := OptionForParam(key, v)
+		opts = append(opts, opt)
+	}
+	if len(opts) != len(params) {
+		for key := range params {
+			if _, ok := OptionForParam(key, 0); !ok {
+				return nil, fmt.Errorf("unknown parameter %q", key)
+			}
+		}
+	}
+	return opts, nil
 }
 
 // CodecInfo is one entry of the registry listing served by

@@ -1,6 +1,7 @@
 package tcomp_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,12 +20,16 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := tcomp.Compress9CHC(ts, 8)
+	codec, err := tcomp.Lookup("9chc")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%d -> %d bits\n", res.OriginalBits, res.CompressedBits)
-	dec, err := tcomp.DecompressResult(res, ts.Width)
+	art, err := codec.Compress(context.Background(), ts, tcomp.WithBlockLen(8))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%d -> %d bits\n", art.OriginalBits, art.CompressedBits)
+	dec, err := tcomp.Decompress(art)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +62,20 @@ func ExampleCompressEA() {
 	// The EA finds an MV like 110U0U and encodes each 6-bit block in a
 	// codeword plus at most two fill bits.
 	fmt.Println("compressed below half:", res.Final.CompressedBits < res.Final.OriginalBits/2)
-	dec, _ := tcomp.DecompressResult(res.Final, ts.Width)
+	// The registry's "ea" codec runs the same EA and returns an artifact,
+	// which Decompress expands.
+	codec, err := tcomp.Lookup("ea")
+	if err != nil {
+		log.Fatal(err)
+	}
+	art, err := codec.Compress(context.Background(), ts, tcomp.WithEAParams(p))
+	if err != nil {
+		log.Fatal(err)
+	}
+	dec, err := tcomp.Decompress(art)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("lossless:", tcomp.VerifyLossless(ts, dec))
 	// Output:
 	// compressed below half: true

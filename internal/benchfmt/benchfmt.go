@@ -1,5 +1,5 @@
 // Package benchfmt defines the repo's committed benchmark baseline
-// format and the tooling to produce, migrate, and compare it.
+// format and the tooling to produce and compare it.
 //
 // A baseline file (BENCH_codec.json, BENCH_serve.json at the repo root)
 // is one JSON object in a small stable schema:
@@ -14,10 +14,7 @@
 //	  ]
 //	}
 //
-// Results come from parsing `go test -bench` text output (Parse) or, for
-// the one-time migration of the PR-5 baselines, from a raw `go test
-// -json` event stream (ParseTest2JSON — those committed files were
-// unusable as baselines because no comparison tool reads event streams).
+// Results come from parsing `go test -bench` text output (Parse).
 // Absent metrics are recorded as -1 (b_per_op, allocs_per_op) or 0
 // (mb_per_s); custom b.ReportMetric values land in "extra".
 //
@@ -28,7 +25,6 @@ package benchfmt
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -171,62 +167,13 @@ func parseResult(pkg string, m []string) (Result, bool) {
 	return res, sawNs
 }
 
-// test2jsonEvent is the subset of a `go test -json` event the migration
-// needs.
-type test2jsonEvent struct {
-	Action string `json:"Action"`
-	Output string `json:"Output"`
-}
-
-// ParseTest2JSON migrates a raw `go test -json` event stream — the
-// format the PR-5 baselines were mistakenly committed in — by
-// extracting every Output event and parsing the reassembled text.
-func ParseTest2JSON(r io.Reader) (*File, error) {
-	var text strings.Builder
-	dec := json.NewDecoder(r)
-	events := 0
-	for {
-		var ev test2jsonEvent
-		if err := dec.Decode(&ev); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("benchfmt: not a test2json event stream: %w", err)
-		}
-		events++
-		if ev.Action == "output" {
-			text.WriteString(ev.Output)
-		}
-	}
-	if events == 0 {
-		return nil, fmt.Errorf("benchfmt: empty test2json event stream")
-	}
-	return Parse(strings.NewReader(text.String()))
-}
-
-// looksLikeTest2JSON sniffs the legacy raw event-stream format: a JSON
-// object per line with Time/Action fields.
-func looksLikeTest2JSON(head []byte) bool {
-	var ev struct {
-		Action *string `json:"Action"`
-	}
-	line := head
-	if i := bytes.IndexByte(head, '\n'); i >= 0 {
-		line = head[:i]
-	}
-	return json.Unmarshal(line, &ev) == nil && ev.Action != nil
-}
-
-// Read decodes a baseline file, refusing the legacy raw test2json
-// format with an actionable message (that defect — baselines committed
-// as event streams no tool could compare — is why the bench trajectory
-// stayed empty through PR 5).
+// Read decodes a baseline file. Anything but one JSON object in the
+// current schema — a raw `go test -json` event stream included — is
+// refused.
 func Read(r io.Reader) (*File, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("benchfmt: reading baseline: %w", err)
-	}
-	if looksLikeTest2JSON(data) {
-		return nil, fmt.Errorf("benchfmt: this is a raw `go test -json` event stream, not a %s baseline; migrate it with `benchdiff -migrate <file> -out <file>`", SchemaVersion)
 	}
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {

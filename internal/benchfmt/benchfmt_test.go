@@ -68,27 +68,10 @@ const sampleTest2JSON = `{"Time":"2026-07-29T10:40:44Z","Action":"start","Packag
 {"Time":"2026-07-29T10:40:44Z","Action":"pass","Package":"repro/internal/bitstream","Elapsed":0.004}
 `
 
-func TestParseTest2JSON(t *testing.T) {
-	f, err := ParseTest2JSON(strings.NewReader(sampleTest2JSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Results) != 1 {
-		t.Fatalf("got %d results, want 1", len(f.Results))
-	}
-	r := f.Results[0]
-	if r.Name != "BenchmarkBitstreamRead/StreamReader" || r.NsPerOp != 41766 || r.MBPerS != 169.30 {
-		t.Fatalf("bad migrated result: %+v", r)
-	}
-}
-
 func TestReadRefusesLegacyFormat(t *testing.T) {
 	_, err := Read(strings.NewReader(sampleTest2JSON))
 	if err == nil {
 		t.Fatal("want error reading a raw test2json stream as a baseline")
-	}
-	if !strings.Contains(err.Error(), "-migrate") {
-		t.Fatalf("error must name the migration command, got: %v", err)
 	}
 }
 

@@ -15,9 +15,10 @@ const prologueLen = 5
 // (1, 2, or Version3) and a reader that replays the full stream —
 // prologue included — so the caller can hand rest to whichever parser
 // the version calls for (ReadAny for v1/v2, NewChunkReader for v3)
-// without seeking. This is the one detection path shared by tdecompress,
-// the streaming reader, and the compression service; there is no second
-// copy of the magic/version peek to drift.
+// without seeking. This is the one detection path: both parsers and
+// tcomp.NewStreamReader, the reader every other caller goes through,
+// use it, so there is no second copy of the magic/version peek to
+// drift.
 //
 // On error (short input, bad magic, unknown version) rest still replays
 // whatever was consumed, so the caller can report or re-route the raw

@@ -112,12 +112,7 @@ type Progress struct {
 
 // Stats is the size accounting of a finished job, mirroring the
 // X-Tcomp-* headers of the synchronous endpoints.
-type Stats struct {
-	Patterns       int `json:"patterns"`
-	Chunks         int `json:"chunks"`
-	OriginalBits   int `json:"original_bits"`
-	CompressedBits int `json:"compressed_bits"`
-}
+type Stats = tcomp.ContainerStats
 
 // OutputArtifact is one named extra artifact of a finished job — flow
 // jobs store the winner container and the Verilog decoder next to their
@@ -439,8 +434,8 @@ func (m *Manager) validate(spec *Spec) error {
 	default:
 		return fmt.Errorf("jobs: unknown kind %q", spec.Kind)
 	}
-	if _, err := optionsFromParams(spec.Params); err != nil {
-		return err
+	if _, err := tcomp.ParamOptions(spec.Params); err != nil {
+		return fmt.Errorf("jobs: %w", err)
 	}
 	if spec.Kind == KindFlow && spec.Benchmark != "" && spec.Input == "" {
 		// A generated-benchmark flow has no input blob to check.
@@ -453,40 +448,6 @@ func (m *Manager) validate(spec *Spec) error {
 		return fmt.Errorf("jobs: input artifact: %w", err)
 	}
 	return nil
-}
-
-// optionsFromParams translates a params map into functional options via
-// the shared tcomp table, enforcing the same ranges the synchronous
-// validator does (journal-recovered specs get re-checked too). Keys are
-// applied in canonical order so the option list is deterministic.
-func optionsFromParams(params map[string]int64) ([]tcomp.Option, error) {
-	if len(params) == 0 {
-		return nil, nil
-	}
-	known := 0
-	var opts []tcomp.Option
-	for _, key := range tcomp.ParamKeys() {
-		v, ok := params[key]
-		if !ok {
-			continue
-		}
-		known++
-		// An explicit 0 means "codec default" throughout the API; any
-		// other value must sit inside the shared range table.
-		if r, bounded := tcomp.LookupParamRange(key); bounded && v != 0 && (v < r.Min || v > r.Max) {
-			return nil, fmt.Errorf("jobs: parameter %s=%d out of range [%d,%d]", key, v, r.Min, r.Max)
-		}
-		opt, _ := tcomp.OptionForParam(key, v)
-		opts = append(opts, opt)
-	}
-	if known != len(params) {
-		for key := range params {
-			if _, ok := tcomp.OptionForParam(key, 0); !ok {
-				return nil, fmt.Errorf("jobs: unknown parameter %q", key)
-			}
-		}
-	}
-	return opts, nil
 }
 
 // Get returns a snapshot of the job.
@@ -738,19 +699,15 @@ func (m *Manager) run(ctx context.Context, id string) {
 	}
 }
 
-// setProgress publishes a running job's progress; chunk boundaries also
-// hit the journal so a restart shows how far the interrupted run came.
+// setProgress publishes a running job's progress. Progress lives in
+// memory only: the journal is written on state transitions, and a job
+// reloaded from it restarts from scratch, so a journalled progress
+// would never be read back.
 func (m *Manager) setProgress(id string, p Progress) {
 	m.mu.Lock()
-	st, ok := m.jobs[id]
-	journalNow := false
-	if ok && st.job.State == StateRunning {
-		journalNow = p.Chunks > st.job.Progress.Chunks
+	defer m.mu.Unlock()
+	if st, ok := m.jobs[id]; ok && st.job.State == StateRunning {
 		st.job.Progress = p
-	}
-	m.mu.Unlock()
-	if journalNow {
-		m.journal(id)
 	}
 }
 

@@ -262,6 +262,50 @@ func TestDecompressJob(t *testing.T) {
 	}
 }
 
+// TestBinaryInputMatchesText: a TSET binary input blob compresses to
+// the same bytes as its textual twin, in both container formats and in
+// a sweep report; a corrupt binary blob fails the job as bad input.
+func TestBinaryInputMatchesText(t *testing.T) {
+	m, store := newTestManager(t, Config{})
+	text := testPatterns(40, 24)
+	ts, err := tcomp.ReadTestSet(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bin bytes.Buffer
+	if err := ts.WriteBinary(&bin); err != nil {
+		t.Fatal(err)
+	}
+	inputs := []artifact.Digest{putBlob(t, store, text), putBlob(t, store, bin.String())}
+	specs := []Spec{
+		{Kind: KindCompress, Codec: "fdr", Format: "v2"},
+		{Kind: KindCompress, Codec: "fdr", Format: "v3", Params: map[string]int64{"chunk": 16}},
+		{Kind: KindSweep, Codecs: []string{"golomb", "rl"}},
+	}
+	for _, spec := range specs {
+		var done []Job
+		for _, in := range inputs {
+			spec.Input = in
+			j, err := m.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = append(done, waitState(t, m, j.ID, StateDone))
+		}
+		if done[0].Output != done[1].Output || *done[0].Stats != *done[1].Stats {
+			t.Fatalf("%s %s: binary input gave %s %+v, text %s %+v", spec.Kind, spec.Format,
+				done[1].Output, done[1].Stats, done[0].Output, done[0].Stats)
+		}
+	}
+	j, err := m.Submit(Spec{Kind: KindCompress, Codec: "fdr", Input: putBlob(t, store, "TSET\x01garbage")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitState(t, m, j.ID, StateFailed); !strings.Contains(got.Error, "bad binary test set") {
+		t.Fatalf("corrupt binary input failed with %q", got.Error)
+	}
+}
+
 // TestSweepJob checks the multi-codec comparison artifact.
 func TestSweepJob(t *testing.T) {
 	m, store := newTestManager(t, Config{})

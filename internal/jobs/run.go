@@ -12,7 +12,6 @@ import (
 
 	tcomp "repro"
 	"repro/internal/artifact"
-	"repro/internal/container"
 	"repro/internal/pipeline"
 	"repro/internal/testset"
 )
@@ -106,197 +105,81 @@ func (m *Manager) produceTo(produce func(w io.Writer) (*Stats, error)) (*outcome
 	return &outcome{digest: res.d, size: res.n, stats: stats}, nil
 }
 
-// patternSource abstracts "a stream of test patterns" over the two input
-// encodings a job accepts: textual pattern files and TSET binary blobs.
-type patternSource interface {
-	Width() int
-	Next() (tcomp.Vector, error) // io.EOF ends the stream
-}
-
-// textSource streams a textual pattern blob.
-type textSource struct{ sc *testset.Scanner }
-
-func (s textSource) Width() int                  { return s.sc.Width() }
-func (s textSource) Next() (tcomp.Vector, error) { return s.sc.Next() }
-
-// memSource walks an already-decoded test set (the TSET binary path —
-// that format is in-memory-sized by construction).
-type memSource struct {
-	ts *tcomp.TestSet
-	i  int
-}
-
-func (s *memSource) Width() int { return s.ts.Width }
-func (s *memSource) Next() (tcomp.Vector, error) {
-	if s.i >= s.ts.NumPatterns() {
-		return tcomp.Vector{}, io.EOF
-	}
-	v := s.ts.Patterns[s.i]
-	s.i++
-	return v, nil
-}
-
-// openPatterns opens the input blob as a pattern stream, sniffing the
-// TSET binary magic.
-func (m *Manager) openPatterns(input artifact.Digest) (patternSource, io.Closer, error) {
+// openPatterns opens the input blob as a pattern iterator for
+// tcomp.CompressTo, sniffing the TSET binary magic: a binary set is
+// in-memory-sized by construction and is decoded whole, a textual one
+// is scanned a pattern at a time.
+func (m *Manager) openPatterns(input artifact.Digest) (width int, next func() (tcomp.Vector, error), closer io.Closer, err error) {
 	rc, err := m.cfg.Store.Open(input)
 	if err != nil {
-		return nil, nil, fmt.Errorf("jobs: input artifact: %w", err)
+		return 0, nil, nil, fmt.Errorf("jobs: input artifact: %w", err)
 	}
 	br := bufio.NewReader(rc)
 	if peek, err := br.Peek(4); err == nil && string(peek) == "TSET" {
 		ts, err := testset.ReadBinary(br)
 		if err != nil {
 			_ = rc.Close() // the parse error is the story
-			return nil, nil, fmt.Errorf("bad binary test set: %w", err)
+			return 0, nil, nil, fmt.Errorf("bad binary test set: %w", err)
 		}
-		return &memSource{ts: ts}, rc, nil
+		return ts.Width, tcomp.PatternsOf(ts), rc, nil
 	}
 	sc, err := testset.NewScanner(br)
 	if err != nil {
 		_ = rc.Close() // the parse error is the story
-		return nil, nil, fmt.Errorf("bad test set: %w", err)
+		return 0, nil, nil, fmt.Errorf("bad test set: %w", err)
 	}
-	return textSource{sc}, rc, nil
-}
-
-// effectiveChunkPats mirrors the StreamWriter's chunk sizing so progress
-// can be reported in chunks-completed while the stream is still open
-// (the writer's own counters are collector-owned until Close).
-func effectiveChunkPats(params map[string]int64, width int) int {
-	if c := params["chunk"]; c > 0 {
-		return int(c)
+	next = func() (tcomp.Vector, error) {
+		v, err := sc.Next()
+		if err != nil && err != io.EOF {
+			return v, fmt.Errorf("bad pattern %d: %w", sc.Patterns(), err)
+		}
+		return v, err
 	}
-	n := tcomp.DefaultChunkBits / width
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return sc.Width(), next, rc, nil
 }
 
 // runCompress compresses the input pattern blob into a container blob.
+// Progress counts the chunk frames as the writer writes them.
 func (m *Manager) runCompress(ctx context.Context, id string, spec Spec) (*outcome, error) {
-	opts, err := optionsFromParams(spec.Params)
+	opts, err := tcomp.ParamOptions(spec.Params)
 	if err != nil {
 		return nil, err
 	}
-	src, closer, err := m.openPatterns(spec.Input)
+	width, next, closer, err := m.openPatterns(spec.Input)
 	if err != nil {
 		return nil, err
 	}
 	defer closer.Close()
-
-	if spec.Format == "v2" {
-		// v2 is a monolithic container: materialize the set (bounded by
-		// the daemon's body cap at submission time), compress whole.
-		ts := tcomp.NewTestSet(src.Width())
-		for {
-			v, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("bad pattern %d: %w", ts.NumPatterns(), err)
-			}
-			ts.Add(v)
-		}
-		codec, err := tcomp.Lookup(spec.Codec)
-		if err != nil {
-			return nil, err
-		}
-		art, err := codec.Compress(ctx, ts, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return m.produceTo(func(w io.Writer) (*Stats, error) {
-			if err := tcomp.Write(w, art); err != nil {
-				return nil, err
-			}
-			return &Stats{
-				Patterns:     art.Patterns,
-				OriginalBits: art.OriginalBits, CompressedBits: art.CompressedBits,
-			}, nil
-		})
+	progress := func(st tcomp.ContainerStats) {
+		m.setProgress(id, Progress{Patterns: st.Patterns, Chunks: st.Chunks})
 	}
-
-	chunkPats := effectiveChunkPats(spec.Params, src.Width())
 	return m.produceTo(func(w io.Writer) (*Stats, error) {
-		sw, err := tcomp.NewStreamWriter(ctx, w, spec.Codec, src.Width(), opts...)
+		st, err := tcomp.CompressTo(ctx, w, spec.Codec, spec.Format, width, next, progress, opts...)
 		if err != nil {
 			return nil, err
 		}
-		fed := 0
-		for {
-			v, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				_ = sw.Close() // the scan error is the story; Close joins the workers
-				return nil, fmt.Errorf("bad pattern %d: %w", fed, err)
-			}
-			if err := sw.WritePattern(v); err != nil {
-				_ = sw.Close() // the write error is the story; Close joins the workers
-				return nil, err
-			}
-			fed++
-			if fed%chunkPats == 0 {
-				m.setProgress(id, Progress{Patterns: fed, Chunks: fed / chunkPats})
-			}
-		}
-		if err := sw.Close(); err != nil {
-			return nil, err
-		}
-		return &Stats{
-			Patterns: sw.Patterns(), Chunks: sw.Chunks(),
-			OriginalBits: sw.OriginalBits(), CompressedBits: sw.CompressedBits(),
-		}, nil
+		return &st, nil
 	})
 }
 
 // runDecompress expands a container blob (any version) into a textual
-// pattern blob — the exact bytes the synchronous endpoint would stream.
+// pattern blob — the exact bytes the synchronous endpoint would answer.
 func (m *Manager) runDecompress(ctx context.Context, id string, spec Spec) (*outcome, error) {
 	rc, err := m.cfg.Store.Open(spec.Input)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: input artifact: %w", err)
 	}
 	defer rc.Close()
-	version, rest, err := container.Sniff(bufio.NewReader(rc))
+	sr, err := tcomp.NewStreamReader(bufio.NewReader(rc))
 	if err != nil {
-		return nil, fmt.Errorf("not a tcomp container: %w", err)
-	}
-
-	if version != container.Version3 {
-		art, err := tcomp.Open(rest)
-		if err != nil {
-			return nil, fmt.Errorf("bad container: %w", err)
-		}
-		ts, err := tcomp.Decompress(art)
-		if err != nil {
-			return nil, err
-		}
-		return m.produceTo(func(w io.Writer) (*Stats, error) {
-			if err := ts.Write(w); err != nil {
-				return nil, err
-			}
-			return &Stats{
-				Patterns:     ts.NumPatterns(),
-				OriginalBits: art.OriginalBits, CompressedBits: art.CompressedBits,
-			}, nil
-		})
-	}
-
-	sr, err := tcomp.NewStreamReader(rest)
-	if err != nil {
-		return nil, fmt.Errorf("bad chunked container: %w", err)
+		return nil, err
 	}
 	return m.produceTo(func(w io.Writer) (*Stats, error) {
-		pw, err := testset.NewPatternWriter(w, sr.Width())
+		pw, err := testset.NewPatternWriter(w, sr.Width(), sr.Expected())
 		if err != nil {
 			return nil, err
 		}
-		n, chunk := 0, 0
+		chunk := 0
 		for {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -311,16 +194,16 @@ func (m *Manager) runDecompress(ctx context.Context, id string, spec Spec) (*out
 			if err := pw.WritePattern(v); err != nil {
 				return nil, err
 			}
-			n++
 			if c := sr.ChunkIndex(); c != chunk {
 				chunk = c
-				m.setProgress(id, Progress{Patterns: n, Chunks: chunk})
+				m.setProgress(id, Progress{Patterns: pw.Patterns(), Chunks: chunk})
 			}
 		}
 		if err := pw.Close(); err != nil {
 			return nil, err
 		}
-		return &Stats{Patterns: n, Chunks: sr.ChunkIndex(), OriginalBits: n * sr.Width()}, nil
+		n := pw.Patterns()
+		return &Stats{Patterns: n, Chunks: sr.ChunkIndex(), OriginalBits: n * sr.Width(), CompressedBits: sr.CompressedBits()}, nil
 	})
 }
 
@@ -345,7 +228,7 @@ type SweepCodecStat struct {
 // the blob per codec, so memory stays O(chunk)) and stores the rate
 // comparison as a JSON report.
 func (m *Manager) runSweep(ctx context.Context, id string, spec Spec) (*outcome, error) {
-	opts, err := optionsFromParams(spec.Params)
+	opts, err := tcomp.ParamOptions(spec.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -355,51 +238,28 @@ func (m *Manager) runSweep(ctx context.Context, id string, spec Spec) (*outcome,
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		src, closer, err := m.openPatterns(spec.Input)
+		width, next, closer, err := m.openPatterns(spec.Input)
 		if err != nil {
 			return nil, err
 		}
-		sw, err := tcomp.NewStreamWriter(ctx, io.Discard, codecName, src.Width(), opts...)
-		if err != nil {
-			_ = closer.Close() // the open error is the story
-			return nil, err
-		}
-		fed := 0
-		for {
-			v, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				_ = sw.Close()     // the scan error is the story; Close joins the workers
-				_ = closer.Close() // ditto
-				return nil, fmt.Errorf("%s: bad pattern %d: %w", codecName, fed, err)
-			}
-			if err := sw.WritePattern(v); err != nil {
-				_ = sw.Close()     // the write error is the story; Close joins the workers
-				_ = closer.Close() // ditto
-				return nil, err
-			}
-			fed++
-		}
-		closeErr := sw.Close()
+		st, err := tcomp.CompressTo(ctx, io.Discard, codecName, "v3", width, next, nil, opts...)
 		_ = closer.Close() // input re-opens next iteration
-		if closeErr != nil {
-			return nil, fmt.Errorf("%s: %w", codecName, closeErr)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", codecName, err)
 		}
-		report.Patterns = sw.Patterns()
-		report.Width = src.Width()
+		report.Patterns = st.Patterns
+		report.Width = width
 		report.Codecs = append(report.Codecs, SweepCodecStat{
 			Codec:          codecName,
-			Chunks:         sw.Chunks(),
-			OriginalBits:   sw.OriginalBits(),
-			CompressedBits: sw.CompressedBits(),
-			RatePercent:    sw.RatePercent(),
+			Chunks:         st.Chunks,
+			OriginalBits:   st.OriginalBits,
+			CompressedBits: st.CompressedBits,
+			RatePercent:    st.RatePercent(),
 		})
-		if best == 0 || sw.CompressedBits() < best {
-			best = sw.CompressedBits()
+		if best == 0 || st.CompressedBits < best {
+			best = st.CompressedBits
 		}
-		m.setProgress(id, Progress{Patterns: sw.Patterns(), Chunks: i + 1})
+		m.setProgress(id, Progress{Patterns: st.Patterns, Chunks: i + 1})
 	}
 	b, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -431,7 +291,7 @@ type FlowReport struct {
 // and stores three blobs: the JSON report as the job output, plus the
 // container and decoder as named artifacts on the job record.
 func (m *Manager) runFlow(ctx context.Context, id string, spec Spec) (*outcome, error) {
-	opts, err := optionsFromParams(spec.Params)
+	opts, err := tcomp.ParamOptions(spec.Params)
 	if err != nil {
 		return nil, err
 	}

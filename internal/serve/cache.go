@@ -6,6 +6,7 @@ import (
 	"io"
 	"sync"
 
+	tcomp "repro"
 	"repro/internal/artifact"
 )
 
@@ -40,17 +41,8 @@ type Cache struct {
 // Result is one compressed artifact plus the size accounting the
 // response headers report; it is what the cache stores and returns.
 type Result struct {
-	Body                         []byte
-	Patterns, Chunks             int
-	OriginalBits, CompressedBits int
-}
-
-// RatePercent returns the paper-style compression rate of the artifact.
-func (r *Result) RatePercent() float64 {
-	if r.OriginalBits == 0 {
-		return 0
-	}
-	return 100 * float64(r.OriginalBits-r.CompressedBits) / float64(r.OriginalBits)
+	Body []byte
+	tcomp.ContainerStats
 }
 
 // cacheEntry is the index record: digest plus the stats sidecar. The

@@ -28,15 +28,11 @@ import (
 // are flow-specific.
 func parseFlowQuery(q url.Values) (jobs.Spec, error) {
 	spec := jobs.Spec{Kind: jobs.KindFlow}
-	known := map[string]bool{"benchmark": true, "tests": true, "sample": true, "codecs": true}
-	for _, key := range tcomp.ParamKeys() {
-		known[key] = true
+	params, _, err := parseParams(q, "benchmark", "tests", "sample", "codecs")
+	if err != nil {
+		return spec, err
 	}
-	for key := range q {
-		if !known[key] {
-			return spec, fmt.Errorf("unknown query parameter %q", key)
-		}
-	}
+	spec.Params = params
 	spec.Benchmark = q.Get("benchmark")
 	spec.Tests = q.Get("tests")
 	if raw := q.Get("sample"); raw != "" {
@@ -48,20 +44,6 @@ func parseFlowQuery(q url.Values) (jobs.Spec, error) {
 	}
 	if cs := q.Get("codecs"); cs != "" {
 		spec.Codecs = strings.Split(cs, ",")
-	}
-	for _, key := range tcomp.ParamKeys() {
-		raw := q.Get(key)
-		if raw == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return spec, fmt.Errorf("parameter %s=%q is not an integer", key, raw)
-		}
-		if spec.Params == nil {
-			spec.Params = map[string]int64{}
-		}
-		spec.Params[key] = v
 	}
 	return spec, nil
 }

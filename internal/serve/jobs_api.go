@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 
-	tcomp "repro"
 	"repro/internal/jobs"
 )
 
@@ -34,15 +33,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // range table — enforced again by the manager) plus kind and codecs.
 func parseJobQuery(q url.Values) (jobs.Spec, error) {
 	spec := jobs.Spec{Kind: jobs.KindCompress}
-	known := map[string]bool{"kind": true, "codec": true, "format": true, "codecs": true}
-	for _, key := range tcomp.ParamKeys() {
-		known[key] = true
+	params, _, err := parseParams(q, "kind", "codec", "format", "codecs")
+	if err != nil {
+		return spec, err
 	}
-	for key := range q {
-		if !known[key] {
-			return spec, fmt.Errorf("unknown query parameter %q", key)
-		}
-	}
+	spec.Params = params
 	if k := q.Get("kind"); k != "" {
 		spec.Kind = jobs.Kind(k)
 	}
@@ -50,20 +45,6 @@ func parseJobQuery(q url.Values) (jobs.Spec, error) {
 	spec.Format = q.Get("format")
 	if cs := q.Get("codecs"); cs != "" {
 		spec.Codecs = strings.Split(cs, ",")
-	}
-	for _, key := range tcomp.ParamKeys() {
-		raw := q.Get(key)
-		if raw == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return spec, fmt.Errorf("parameter %s=%q is not an integer", key, raw)
-		}
-		if spec.Params == nil {
-			spec.Params = map[string]int64{}
-		}
-		spec.Params[key] = v
 	}
 	if spec.Kind == jobs.KindCompress && spec.Codec == "" {
 		return spec, fmt.Errorf("missing codec parameter (see GET /v1/codecs)")

@@ -8,8 +8,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -234,6 +238,69 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	}
 	if j3, err := client2.Job(ctx, j.ID); err != nil || j3.State != tcomp.JobDone {
 		t.Fatalf("job record after GC: %+v, %v — want the done record intact", j3, err)
+	}
+}
+
+// TestAsyncJobMatchesSyncFormats carries TestAsyncJobLifecycle's
+// sync-vs-async identity to the other sync answers: the buffered v2
+// container, and a body over CacheInputBytes, which the sync endpoint
+// answers uncached (v2 buffered, v3 streamed with trailers). Container
+// bytes and size accounting must match the job's.
+func TestAsyncJobMatchesSyncFormats(t *testing.T) {
+	s := mustServer(t, Config{Workers: 2, CacheBytes: 1 << 20, CacheInputBytes: 1024})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	client := tcomp.NewClient(hs.URL)
+	client.PollInterval = 2 * time.Millisecond
+	ctx := context.Background()
+	opts := []tcomp.Option{tcomp.WithSeed(7), tcomp.WithChunkPatterns(16)}
+
+	for _, n := range []int{16, 200} { // 16·33 bytes fit the cap, 200·33 do not
+		in := textOf(t, randomSet(32, n, 9))
+		for _, format := range []string{"v2", "v3"} {
+			label := fmt.Sprintf("%d patterns, %s", n, format)
+			resp, err := http.Post(hs.URL+"/v1/compress?codec=golomb&seed=7&chunk=16&format="+format,
+				"text/plain", bytes.NewReader(in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			syncOut, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: sync status %d: %v", label, resp.StatusCode, err)
+			}
+			stat := func(key string) int {
+				v := resp.Header.Get(key)
+				if v == "" {
+					v = resp.Trailer.Get(key)
+				}
+				i, _ := strconv.Atoi(v)
+				return i
+			}
+			syncStats := tcomp.JobStats{
+				Patterns: stat("X-Tcomp-Patterns"), Chunks: stat("X-Tcomp-Chunks"),
+				OriginalBits: stat("X-Tcomp-Original-Bits"), CompressedBits: stat("X-Tcomp-Compressed-Bits"),
+			}
+
+			j, err := client.SubmitCompressJobFormat(ctx, "golomb", format, bytes.NewReader(in), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j, err = client.WaitJob(ctx, j.ID); err != nil || j.State != tcomp.JobDone {
+				t.Fatalf("%s: job %+v: %v", label, j, err)
+			}
+			var asyncOut bytes.Buffer
+			if _, err := client.JobResult(ctx, j.ID, &asyncOut); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(asyncOut.Bytes(), syncOut) {
+				t.Fatalf("%s: async result differs from the synchronous path: %d vs %d bytes",
+					label, asyncOut.Len(), len(syncOut))
+			}
+			if *j.Stats != syncStats || syncStats.Patterns != n {
+				t.Fatalf("%s: job stats %+v, sync headers %+v", label, *j.Stats, syncStats)
+			}
+		}
 	}
 }
 

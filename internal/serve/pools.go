@@ -5,7 +5,7 @@
 // taken after the worker token is acquired and returned before the
 // handler exits, and nothing that outlives the request — in particular
 // a cached Result, whose Body the cache hands to every later hit — may
-// alias pooled storage. compressToMemory therefore copies the assembled
+// alias pooled storage. compressBuffered therefore copies the assembled
 // container out of the scratch buffer into an exact-size private slice.
 package serve
 

@@ -9,13 +9,11 @@
 //	                     container out; ?codec= selects the scheme and
 //	                     the remaining query parameters map onto the
 //	                     functional options (see GET /v1/codecs).
-//	                     ?format=v3 (default) streams a chunked
-//	                     container at O(chunk) memory; ?format=v2
-//	                     buffers and answers with the universal
-//	                     container.
-//	POST /v1/decompress  container of any version in (v1/v2/v3
-//	                     auto-detected through container.Sniff),
-//	                     textual patterns out.
+//	                     ?format=v3 (default) answers a chunked
+//	                     container, ?format=v2 the universal one.
+//	POST /v1/decompress  container of any version in, textual patterns
+//	                     out ("width count" for v1/v2, "width *" for
+//	                     v3).
 //	GET  /v1/codecs      registry listing with per-codec param schema.
 //	POST /v1/jobs        async submission: the body is stored in the
 //	                     content-addressed artifact store and the work
@@ -45,19 +43,31 @@
 //	GET  /healthz        liveness; 503 once draining.
 //	GET  /metrics        expvar-style JSON counter snapshot.
 //
-// Three properties carry over from the engine. Memory: both data
-// endpoints stream through tcomp.StreamWriter/StreamReader, so a
-// multi-gigabyte test set never materializes in RAM. Admission: every
-// request must hold a token of one shared pipeline.Limiter before codec
-// work starts, so N concurrent requests share a fixed worker budget
-// instead of oversubscribing the machine. Determinism: compressed bytes
+// The container formats are the root package's business: every
+// container is written by tcomp.CompressTo and read by
+// tcomp.NewStreamReader, the same pair behind the job runner and
+// cmd/tdecompress. What stays here is HTTP. A compression is answered
+// buffered (Content-Length, stats in X-Tcomp-* headers) when it is
+// cacheable or a v2 container; an over-cap v3 compression streams onto
+// the response with its stats in trailers. A v1/v2 expansion, decoded
+// whole on open, states its pattern count in a header; a v3 expansion
+// streams chunk by chunk with the count — or a failure found
+// mid-stream — in trailers. A body that is not a container at all
+// (tcomp.ErrNotContainer) is a 400, a corrupt one a 422; errors.go has
+// the whole taxonomy.
+//
+// Three properties carry over from the engine. Memory: a v3 stream is
+// compressed and expanded chunk by chunk, so a multi-gigabyte test set
+// never materializes in RAM. Admission: every request must hold a token
+// of one shared pipeline.Limiter before codec work starts, so N
+// concurrent requests share a fixed worker budget instead of
+// oversubscribing the machine. Determinism: compressed bytes
 // are a pure function of (input, codec, parameters) — worker count and
 // scheduling never leak into output — which is what makes the
 // content-addressed result cache sound.
 package serve
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -69,13 +79,13 @@ import (
 	"net/url"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
 
 	tcomp "repro"
 	"repro/internal/artifact"
-	"repro/internal/container"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -418,27 +428,6 @@ func drainBody(r io.Reader) {
 	_, _ = io.Copy(io.Discard, r) // best-effort: bounded by MaxBytesReader
 }
 
-// abortWriter swallows writes once aborted. The streaming compress path
-// uses it to cut a failing response off mid-stream: the StreamWriter's
-// cleanup still runs (worker goroutines must be joined) but its
-// terminator and trailer never reach the client, so the container ends
-// visibly truncated. abort may race the writer's collector goroutine —
-// a frame that wins the race still lands whole, the stream just ends
-// after it.
-type abortWriter struct {
-	w       io.Writer
-	aborted atomic.Bool
-}
-
-func (a *abortWriter) abort() { a.aborted.Store(true) }
-
-func (a *abortWriter) Write(p []byte) (int, error) {
-	if a.aborted.Load() {
-		return len(p), nil
-	}
-	return a.w.Write(p)
-}
-
 // countingReader/countingWriter feed the bytes_in/bytes_out counters.
 type countingReader struct {
 	r io.Reader
@@ -494,62 +483,61 @@ func (s *Server) handleCodecs(w http.ResponseWriter, r *http.Request) {
 // compressRequest is a parsed and validated compress query.
 type compressRequest struct {
 	codecName string
-	codec     tcomp.Codec
 	format    string // "v2" or "v3"
 	opts      []tcomp.Option
 	canon     string // canonical parameter string, the query half of the cache key
 }
 
-// intParam is one accepted integer query parameter. Its accepted range
-// comes from the shared tcomp param-range table — the same rows the
-// GET /v1/codecs schema advertises — so validation and schema cannot
-// drift apart (the historical bug: /v1/codecs advertised b up to 64
-// while the rl codec rejects anything outside 1..30). The bounds also
-// reject absurd values (a 2^31 MV count would drive the EA into a
-// gigantic allocation) before they reach a codec. "seed" has no table
-// row: it spans the full int64 domain.
-type intParam struct {
-	key   string
-	apply func(int64) tcomp.Option
-}
-
-var compressParams = []intParam{
-	{"seed", func(v int64) tcomp.Option { return tcomp.WithSeed(v) }},
-	{"k", func(v int64) tcomp.Option { return tcomp.WithBlockLen(int(v)) }},
-	{"l", func(v int64) tcomp.Option { return tcomp.WithMVCount(int(v)) }},
-	{"runs", func(v int64) tcomp.Option { return tcomp.WithRuns(int(v)) }},
-	{"workers", func(v int64) tcomp.Option { return tcomp.WithWorkers(int(v)) }},
-	{"m", func(v int64) tcomp.Option { return tcomp.WithGolombM(int(v)) }},
-	{"d", func(v int64) tcomp.Option { return tcomp.WithDictSize(int(v)) }},
-	{"b", func(v int64) tcomp.Option { return tcomp.WithCounterWidth(int(v)) }},
-	{"chunk", func(v int64) tcomp.Option { return tcomp.WithChunkPatterns(int(v)) }},
+// parseParams reads the codec parameters of q — the keys
+// tcomp.ParamKeys lists — and checks them through tcomp.ParamOptions,
+// which enforces the shared range table that GET /v1/codecs advertises.
+// Any other query key must be one of extra. It is the one query parser
+// behind the compress, job and flow endpoints.
+func parseParams(q url.Values, extra ...string) (map[string]int64, []tcomp.Option, error) {
+	for key := range q {
+		if _, ok := tcomp.OptionForParam(key, 0); !ok && !slices.Contains(extra, key) {
+			return nil, nil, fmt.Errorf("unknown query parameter %q", key)
+		}
+	}
+	var params map[string]int64
+	for _, key := range tcomp.ParamKeys() {
+		raw := q.Get(key)
+		if raw == "" {
+			continue
+		}
+		v, err := strconv.ParseInt(raw, 10, 64)
+		if err != nil {
+			return nil, nil, fmt.Errorf("parameter %s=%q is not an integer", key, raw)
+		}
+		if params == nil {
+			params = map[string]int64{}
+		}
+		params[key] = v
+	}
+	opts, err := tcomp.ParamOptions(params)
+	if err != nil {
+		return nil, nil, err
+	}
+	return params, opts, nil
 }
 
 // parseCompressQuery validates the query string; on failure it has
 // already answered with a 400 and returns ok=false.
 func parseCompressQuery(w http.ResponseWriter, q url.Values) (*compressRequest, bool) {
-	req := &compressRequest{format: "v3"}
-	known := map[string]bool{"codec": true, "format": true}
-	for _, p := range compressParams {
-		known[p.key] = true
-	}
-	for key := range q {
-		if !known[key] {
-			writeError(w, CodeBadRequest, "unknown query parameter %q", key)
-			return nil, false
-		}
-	}
-	req.codecName = q.Get("codec")
-	if req.codecName == "" {
-		writeError(w, CodeBadRequest, "missing codec parameter (see GET /v1/codecs)")
-		return nil, false
-	}
-	codec, err := tcomp.Lookup(req.codecName)
+	params, opts, err := parseParams(q, "codec", "format")
 	if err != nil {
 		writeError(w, CodeBadRequest, "%v", err)
 		return nil, false
 	}
-	req.codec = codec
+	req := &compressRequest{codecName: q.Get("codec"), format: "v3", opts: opts}
+	if req.codecName == "" {
+		writeError(w, CodeBadRequest, "missing codec parameter (see GET /v1/codecs)")
+		return nil, false
+	}
+	if _, err := tcomp.Lookup(req.codecName); err != nil {
+		writeError(w, CodeBadRequest, "%v", err)
+		return nil, false
+	}
 	if f := q.Get("format"); f != "" {
 		if f != "v2" && f != "v3" {
 			writeError(w, CodeBadRequest, "format %q must be v2 or v3", f)
@@ -562,27 +550,9 @@ func parseCompressQuery(w http.ResponseWriter, q url.Values) (*compressRequest, 
 	// the engine guarantees worker-count-independent bytes, so requests
 	// differing only in workers share a cache entry.
 	canon := fmt.Sprintf("codec=%s|format=%s", req.codecName, req.format)
-	for _, p := range compressParams {
-		raw := q.Get(p.key)
-		if raw == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			writeError(w, CodeBadRequest, "parameter %s=%q is not an integer", p.key, raw)
-			return nil, false
-		}
-		// An explicit 0 always means "use the codec default"; any other
-		// value must fall inside the shared table's range. Every non-seed
-		// key has a table row (with Min >= 0), so this also rejects all
-		// negative values; seed alone spans the full int64 domain.
-		if r, bounded := tcomp.LookupParamRange(p.key); bounded && v != 0 && (v < r.Min || v > r.Max) {
-			writeError(w, CodeBadRequest, "parameter %s=%d out of range [%d,%d]", p.key, v, r.Min, r.Max)
-			return nil, false
-		}
-		req.opts = append(req.opts, p.apply(v))
-		if p.key != "workers" {
-			canon += fmt.Sprintf("|%s=%d", p.key, v)
+	for _, key := range tcomp.ParamKeys() {
+		if v, ok := params[key]; ok && key != "workers" {
+			canon += fmt.Sprintf("|%s=%d", key, v)
 		}
 	}
 	req.canon = canon
@@ -602,6 +572,42 @@ func (req *compressRequest) cacheKey(ts *testset.TestSet) string {
 		h.Write([]byte{'\n'})
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// patternFeed is a compress request's pattern source for
+// tcomp.CompressTo: the patterns buffered while probing the cache cap,
+// then — for an over-cap submission — the rest of the body's scanner. A
+// scan failure is kept in err, so the handler answers it as bad input
+// rather than as a codec failure.
+type patternFeed struct {
+	prefix *testset.TestSet
+	sc     *testset.Scanner // nil: prefix is the whole submission
+	i      int
+	err    error
+}
+
+func (f *patternFeed) next() (tcomp.Vector, error) {
+	if f.i < f.prefix.NumPatterns() {
+		f.i++
+		return f.prefix.Patterns[f.i-1], nil
+	}
+	if f.sc == nil {
+		return tcomp.Vector{}, io.EOF
+	}
+	v, err := f.sc.Next()
+	if err != nil && err != io.EOF {
+		f.err = fmt.Errorf("bad pattern %d: %w", f.sc.Patterns(), err)
+		return v, f.err
+	}
+	return v, err
+}
+
+// errorCode classifies a CompressTo failure over this feed.
+func (f *patternFeed) errorCode(err error) string {
+	if f.err != nil {
+		return bodyErrorCode(err, CodeBadRequest)
+	}
+	return compressErrorCode(err)
 }
 
 func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
@@ -632,7 +638,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	_, readSp := obs.StartSpan(r.Context(), "read")
 	if peek, err := br.Peek(4); err == nil && string(peek) == "TSET" {
 		// Binary test-set body: the format is already in-memory-sized
-		// (bounded by MaxBodyBytes), so take the buffered path. Cache
+		// (bounded by MaxBodyBytes), so the response is buffered. Cache
 		// eligibility is measured in canonical *textual* bytes — the
 		// unit the cache key hashes — so the same patterns are
 		// cacheable regardless of submission encoding.
@@ -643,7 +649,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		}
 		readSp.End()
 		canonical := int64(ts.NumPatterns()) * int64(ts.Width+1)
-		s.compressBuffered(w, r, req, ts, canonical <= s.cfg.CacheInputBytes)
+		s.compressBuffered(w, r, req, &patternFeed{prefix: ts}, canonical <= s.cfg.CacheInputBytes)
 		return
 	}
 
@@ -654,16 +660,16 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	}
 	// Cache probe: buffer patterns while the canonical input stays under
 	// the cap. Most submissions end in here and become cacheable; the
-	// rare multi-gigabyte set overflows the cap and streams through
-	// uncached at O(chunk) memory.
+	// rare multi-gigabyte set overflows the cap and goes uncached.
 	ts := getTestSet(sc.Width())
 	defer putTestSet(ts)
 	canon := int64(0)
-	overCap := false
 	for {
 		v, err := sc.Next()
 		if err == io.EOF {
-			break
+			readSp.End()
+			s.compressBuffered(w, r, req, &patternFeed{prefix: ts}, true)
+			return
 		}
 		if err != nil {
 			writeError(w, bodyErrorCode(err, CodeBadRequest), "bad pattern %d: %v", ts.NumPatterns(), err)
@@ -672,41 +678,30 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		ts.Add(v)
 		canon += int64(sc.Width() + 1)
 		if canon > s.cfg.CacheInputBytes {
-			overCap = true
 			break
 		}
 	}
-	if !overCap {
-		readSp.End()
-		s.compressBuffered(w, r, req, ts, true)
-		return
-	}
+	// Over the cap: the buffered prefix plus the rest of the scanner go
+	// to the writer uncached. A v2 container is monolithic, so its
+	// answer stays buffered (bounded by MaxBodyBytes); v3 streams onto
+	// the response at O(chunk) memory.
+	feed := &patternFeed{prefix: ts, sc: sc}
 	if req.format == "v2" {
-		// v2 is a monolithic container; it must materialize regardless,
-		// bounded by MaxBodyBytes. No cache: the input was never hashed.
-		for {
-			v, err := sc.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				writeError(w, bodyErrorCode(err, CodeBadRequest), "bad pattern %d: %v", ts.NumPatterns(), err)
-				return
-			}
-			ts.Add(v)
-		}
-		s.compressBuffered(w, r, req, ts, false)
+		s.compressBuffered(w, r, req, feed, false)
 		return
 	}
-	s.compressStream(w, r, req, ts, sc, body)
+	s.compressStream(w, r, req, feed, body)
 }
 
-// compressBuffered serves a fully buffered submission, consulting the
-// result cache when the input qualified.
-func (s *Server) compressBuffered(w http.ResponseWriter, r *http.Request, req *compressRequest, ts *testset.TestSet, cacheable bool) {
+// compressBuffered serves a submission whose container is assembled in
+// memory, consulting the result cache when the input qualified. The
+// container is built in a pooled scratch buffer and copied out into an
+// exact-size private slice: a Result may enter the cache, whose
+// read-only Body must never alias per-request scratch.
+func (s *Server) compressBuffered(w http.ResponseWriter, r *http.Request, req *compressRequest, feed *patternFeed, cacheable bool) {
 	var key string
 	if cacheable && s.cfg.CacheBytes > 0 {
-		key = req.cacheKey(ts)
+		key = req.cacheKey(feed.prefix)
 		if res, ok := s.cache.Get(key); ok {
 			s.metrics.CacheHits.Add(1)
 			s.writeResult(w, res, "hit")
@@ -715,67 +710,33 @@ func (s *Server) compressBuffered(w http.ResponseWriter, r *http.Request, req *c
 		s.metrics.CacheMisses.Add(1)
 	}
 	cctx, compressSp := obs.StartSpan(r.Context(), "compress")
-	res, err := s.compressToMemory(cctx, req, ts)
+	buf := getScratch()
+	defer putScratch(buf)
+	st, err := tcomp.CompressTo(cctx, buf, req.codecName, req.format, feed.prefix.Width, feed.next, nil, req.opts...)
 	if err != nil {
 		compressSp.SetError(err)
 		compressSp.End()
-		if r.Context().Err() != nil {
-			return // client gone; nothing useful to answer
+		switch {
+		case r.Context().Err() != nil:
+			// client gone; nothing useful to answer
+		case feed.err != nil:
+			writeError(w, feed.errorCode(err), "%v", err)
+		default:
+			writeError(w, feed.errorCode(err), "compress: %v", err)
 		}
-		writeError(w, compressErrorCode(err), "compress: %v", err)
 		return
 	}
 	compressSp.End()
+	res := &Result{Body: append([]byte(nil), buf.Bytes()...), ContainerStats: st}
 	s.metrics.ObserveRate(req.codecName, res.RatePercent())
-	if key != "" {
-		s.cache.Put(key, res)
-	}
 	cacheState := ""
 	if key != "" {
+		s.cache.Put(key, res)
 		cacheState = "miss"
 	}
 	_, writeSp := obs.StartSpan(r.Context(), "write")
 	s.writeResult(w, res, cacheState)
 	writeSp.End()
-}
-
-// compressToMemory runs the actual codec work for a buffered request.
-// The container is assembled in a pooled scratch buffer and copied out
-// into an exact-size private slice: a Result may enter the cache, whose
-// read-only Body must never alias per-request scratch.
-func (s *Server) compressToMemory(ctx context.Context, req *compressRequest, ts *testset.TestSet) (*Result, error) {
-	buf := getScratch()
-	defer putScratch(buf)
-	if req.format == "v2" {
-		art, err := req.codec.Compress(ctx, ts, req.opts...)
-		if err != nil {
-			return nil, err
-		}
-		if err := tcomp.Write(buf, art); err != nil {
-			return nil, err
-		}
-		return &Result{
-			Body:     append([]byte(nil), buf.Bytes()...),
-			Patterns: art.Patterns, Chunks: 0,
-			OriginalBits: art.OriginalBits, CompressedBits: art.CompressedBits,
-		}, nil
-	}
-	sw, err := tcomp.NewStreamWriter(ctx, buf, req.codecName, ts.Width, req.opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := sw.WriteSet(ts); err != nil {
-		_ = sw.Close() // the WriteSet error is the story; Close joins the workers
-		return nil, err
-	}
-	if err := sw.Close(); err != nil {
-		return nil, err
-	}
-	return &Result{
-		Body:     append([]byte(nil), buf.Bytes()...),
-		Patterns: sw.Patterns(), Chunks: sw.Chunks(),
-		OriginalBits: sw.OriginalBits(), CompressedBits: sw.CompressedBits(),
-	}, nil
 }
 
 // writeResult answers with an in-memory artifact and its stats headers.
@@ -794,73 +755,43 @@ func (s *Server) writeResult(w http.ResponseWriter, res *Result, cacheState stri
 	_, _ = cw.Write(res.Body) // client gone: nothing to do
 }
 
-// compressStream serves an over-cap submission: the already-buffered
-// prefix plus the rest of the scanner stream flow through a
-// StreamWriter directly onto the response, so memory stays O(chunk).
-// Stats travel as HTTP trailers because they are unknown until the
-// stream ends. A mid-stream failure aborts the frame stream before the
-// v3 terminator/trailer is written — the response is a *genuinely*
-// truncated container that any consumer's parser rejects, trailer-aware
-// or not — and names the reason in X-Tcomp-Error.
-func (s *Server) compressStream(w http.ResponseWriter, r *http.Request, req *compressRequest, prefix *testset.TestSet, sc *testset.Scanner, body io.Reader) {
+// compressStream serves an over-cap v3 submission: the writer's frames
+// flow straight onto the response, so memory stays O(chunk). Stats
+// travel as HTTP trailers because they are unknown until the stream
+// ends. A failed stream ends without the v3 terminator/trailer — the
+// response is a *genuinely* truncated container that any consumer's
+// parser rejects, trailer-aware or not — and X-Tcomp-Error names the
+// reason.
+func (s *Server) compressStream(w http.ResponseWriter, r *http.Request, req *compressRequest, feed *patternFeed, body io.Reader) {
 	sctx, streamSp := obs.StartSpan(r.Context(), "stream")
 	defer streamSp.End()
 	enableFullDuplex(w)
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set("Trailer", "X-Tcomp-Patterns, X-Tcomp-Chunks, X-Tcomp-Original-Bits, X-Tcomp-Compressed-Bits, X-Tcomp-Error, X-Tcomp-Error-Code")
-	aw := &abortWriter{w: &countingWriter{w: w, n: s.metrics.BytesOut}}
-	sw, err := tcomp.NewStreamWriter(sctx, aw, req.codecName, prefix.Width, req.opts...)
+	cw := &countingWriter{w: w, n: s.metrics.BytesOut}
+	st, err := tcomp.CompressTo(sctx, cw, req.codecName, "v3", feed.prefix.Width, feed.next, nil, req.opts...)
 	if err != nil {
-		// NewStreamWriter validates before writing: the response is
-		// still clean, a real error answer is possible.
-		writeError(w, compressErrorCode(err), "compress: %v", err)
-		return
-	}
-	fail := func(code string, err error) {
-		// Abort first: sw.Close would otherwise flush a terminator and
-		// trailer that make the truncated stream look complete.
-		aw.abort()
-		_ = sw.Close() // the original err is the story; Close joins the workers
 		streamSp.SetError(err)
-		trailerError(h, code, err)
+		trailerError(h, feed.errorCode(err), err)
 		drainBody(body)
-	}
-	if err := sw.WriteSet(prefix); err != nil {
-		fail(compressErrorCode(err), err)
 		return
 	}
-	// sw's counters are owned by its collector goroutine until Close,
-	// so the submission index is tracked locally for error messages.
-	sent := prefix.NumPatterns()
-	for {
-		v, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			fail(bodyErrorCode(err, CodeBadRequest), fmt.Errorf("bad pattern %d: %w", sent, err))
-			return
-		}
-		if err := sw.WritePattern(v); err != nil {
-			fail(compressErrorCode(err), err)
-			return
-		}
-		sent++
-	}
-	if err := sw.Close(); err != nil {
-		fail(compressErrorCode(err), err)
-		return
-	}
-	s.metrics.ObserveRate(req.codecName, sw.RatePercent())
-	h.Set("X-Tcomp-Patterns", strconv.Itoa(sw.Patterns()))
-	h.Set("X-Tcomp-Chunks", strconv.Itoa(sw.Chunks()))
-	h.Set("X-Tcomp-Original-Bits", strconv.Itoa(sw.OriginalBits()))
-	h.Set("X-Tcomp-Compressed-Bits", strconv.Itoa(sw.CompressedBits()))
+	s.metrics.ObserveRate(req.codecName, st.RatePercent())
+	h.Set("X-Tcomp-Patterns", strconv.Itoa(st.Patterns))
+	h.Set("X-Tcomp-Chunks", strconv.Itoa(st.Chunks))
+	h.Set("X-Tcomp-Original-Bits", strconv.Itoa(st.OriginalBits))
+	h.Set("X-Tcomp-Compressed-Bits", strconv.Itoa(st.CompressedBits))
 }
 
 // ---- /v1/decompress ----
 
+// handleDecompress expands a container of any version. A v1/v2
+// container is decoded whole when it is opened, so its answer carries
+// the pattern count up front ("width count" header line, X-Tcomp-
+// Patterns header). A v3 stream is expanded chunk by chunk onto the
+// response ("width *"), with the count — or the failure, should a
+// later chunk be corrupt — in the trailers.
 func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, CodeMethodNotAllowed, "use POST")
@@ -877,64 +808,45 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), n: s.metrics.BytesIn}
-	version, rest, err := container.Sniff(body)
+	_, decodeSp := obs.StartSpan(r.Context(), "decompress")
+	defer decodeSp.End()
+	sr, err := tcomp.NewStreamReader(body)
 	if err != nil {
-		writeError(w, bodyErrorCode(err, CodeBadRequest), "not a tcomp container: %v", err)
-		return
-	}
-	if version != container.Version3 {
-		art, err := tcomp.Open(rest)
-		if err != nil {
-			writeError(w, bodyErrorCode(err, CodeCorruptContainer), "bad container: %v", err)
-			return
+		decodeSp.SetError(err)
+		code := decodeErrorCode(err)
+		if errors.Is(err, tcomp.ErrNotContainer) {
+			code = bodyErrorCode(err, CodeBadRequest)
 		}
-		_, decodeSp := obs.StartSpan(r.Context(), "decompress")
-		decodeSp.SetAttrs(obs.String("codec", art.Codec))
-		ts, err := tcomp.Decompress(art)
-		if err != nil {
-			decodeSp.SetError(err)
-			decodeSp.End()
-			writeError(w, decodeErrorCode(err), "decompress: %v", err)
-			return
-		}
-		decodeSp.End()
-		h := w.Header()
-		h.Set("Content-Type", "text/plain; charset=utf-8")
-		h.Set("X-Tcomp-Codec", art.Codec)
-		h.Set("X-Tcomp-Patterns", strconv.Itoa(ts.NumPatterns()))
-		_ = ts.Write(&countingWriter{w: w, n: s.metrics.BytesOut}) // client gone: nothing to do
+		writeError(w, code, "%v", err)
 		return
 	}
-
-	sr, err := tcomp.NewStreamReader(rest)
-	if err != nil {
-		writeError(w, bodyErrorCode(err, CodeCorruptContainer), "bad chunked container: %v", err)
-		return
-	}
-	_, streamSp := obs.StartSpan(r.Context(), "stream")
-	streamSp.SetAttrs(obs.String("codec", sr.Codec()))
-	defer streamSp.End()
-	enableFullDuplex(w)
+	decodeSp.SetAttrs(obs.String("codec", sr.Codec()))
+	streamed := sr.Expected() < 0
 	h := w.Header()
 	h.Set("Content-Type", "text/plain; charset=utf-8")
 	h.Set("X-Tcomp-Codec", sr.Codec())
-	h.Set("Trailer", "X-Tcomp-Patterns, X-Tcomp-Error, X-Tcomp-Error-Code")
-	pw, err := testset.NewPatternWriter(&countingWriter{w: w, n: s.metrics.BytesOut}, sr.Width())
+	if streamed {
+		enableFullDuplex(w)
+		h.Set("Trailer", "X-Tcomp-Patterns, X-Tcomp-Error, X-Tcomp-Error-Code")
+	} else {
+		h.Set("X-Tcomp-Patterns", strconv.Itoa(sr.Expected()))
+	}
+	pw, err := testset.NewPatternWriter(&countingWriter{w: w, n: s.metrics.BytesOut}, sr.Width(), sr.Expected())
 	if err != nil {
 		writeError(w, decodeErrorCode(err), "decompress: %v", err)
 		return
 	}
-	n := 0
 	for {
 		v, err := sr.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			// The textual stream is already flowing; truncate it and
-			// name the failing chunk in the trailer.
+			// Only a v3 stream fails here, with its text already
+			// flowing: truncate it and name the failing chunk in the
+			// trailer.
 			_ = pw.Close() // truncating deliberately; the trailer names the cause
-			streamSp.SetError(err)
+			decodeSp.SetError(err)
 			trailerError(h, decodeErrorCode(err),
 				fmt.Errorf("stream corrupt or truncated at chunk %d: %v", sr.ChunkIndex(), err))
 			drainBody(body)
@@ -943,11 +855,12 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		if err := pw.WritePattern(v); err != nil {
 			return // client went away mid-response
 		}
-		n++
 	}
 	if err := pw.Close(); err != nil {
 		return
 	}
-	h.Set("X-Tcomp-Patterns", strconv.Itoa(n))
-	drainBody(body)
+	if streamed {
+		h.Set("X-Tcomp-Patterns", strconv.Itoa(pw.Patterns()))
+		drainBody(body)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/tritvec"
@@ -133,22 +134,27 @@ func (s *Scanner) parseOrReadError(parseErr error) error {
 	return parseErr
 }
 
-// PatternWriter emits the textual format incrementally with a streaming
-// ("width *") header, at O(pattern) memory. Close flushes; it does not
-// close the underlying writer.
+// PatternWriter emits the textual format incrementally, at O(pattern)
+// memory. Close flushes; it does not close the underlying writer.
 type PatternWriter struct {
 	bw    *bufio.Writer
 	width int
 	n     int
 }
 
-// NewPatternWriter writes the streaming header for the given width.
-func NewPatternWriter(w io.Writer, width int) (*PatternWriter, error) {
+// NewPatternWriter writes the header for the given width: "width count"
+// when the pattern count is known up front, the streaming "width *"
+// when count is negative (the convention of Scanner.Expected).
+func NewPatternWriter(w io.Writer, width, count int) (*PatternWriter, error) {
 	if width <= 0 {
 		return nil, fmt.Errorf("testset: width must be positive")
 	}
+	n := "*"
+	if count >= 0 {
+		n = strconv.Itoa(count)
+	}
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%d *\n", width); err != nil {
+	if _, err := fmt.Fprintf(bw, "%d %s\n", width, n); err != nil {
 		return nil, err
 	}
 	return &PatternWriter{bw: bw, width: width}, nil

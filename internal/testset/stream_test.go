@@ -113,7 +113,7 @@ func TestPatternWriterRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	orig := Random(9, 25, 0.5, rng)
 	var buf bytes.Buffer
-	pw, err := NewPatternWriter(&buf, 9)
+	pw, err := NewPatternWriter(&buf, 9, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,5 +145,26 @@ func TestPatternWriterRoundTrip(t *testing.T) {
 	}
 	if err := pw.WritePattern(orig.Patterns[0].Slice(0, 4)); err == nil {
 		t.Fatal("wrong-width pattern accepted")
+	}
+
+	// With the count known up front the output is byte-identical to
+	// TestSet.Write.
+	var counted, whole bytes.Buffer
+	if pw, err = NewPatternWriter(&counted, 9, orig.NumPatterns()); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range orig.Patterns {
+		if err := pw.WritePattern(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := orig.Write(&whole); err != nil {
+		t.Fatal(err)
+	}
+	if counted.String() != whole.String() {
+		t.Fatalf("counted PatternWriter output differs from TestSet.Write:\n%q\n%q", counted.String()[:12], whole.String()[:12])
 	}
 }

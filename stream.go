@@ -3,6 +3,7 @@ package tcomp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -49,15 +50,15 @@ type StreamWriter struct {
 	chunkPats int
 	opts      []Option // caller options, re-applied per chunk before the derived seed
 
-	buf    *TestSet
-	chunks int
-	closed bool
+	buf       *TestSet
+	submitted int // chunks handed to the worker pool
+	closed    bool
 
-	// Totals are updated by the collector goroutine; Close's drain
-	// publishes them, so read them only after Close.
-	patterns       int
-	originalBits   int
-	compressedBits int
+	// stats is updated by the collector goroutine as each frame is
+	// written, and onChunk (when set) sees it there; Close's drain
+	// publishes it, so read it only after Close.
+	stats   ContainerStats
+	onChunk func(ContainerStats)
 }
 
 // NewStreamWriter writes the chunked-container header for the named
@@ -66,6 +67,12 @@ type StreamWriter struct {
 // WithChunkPatterns / WithWorkers shape the chunking and the worker
 // pool. Close must be called to terminate the stream.
 func NewStreamWriter(ctx context.Context, w io.Writer, codecName string, width int, opts ...Option) (*StreamWriter, error) {
+	return newStreamWriter(ctx, w, codecName, width, nil, opts)
+}
+
+// newStreamWriter is NewStreamWriter with a hook the collector calls
+// after every frame it writes.
+func newStreamWriter(ctx context.Context, w io.Writer, codecName string, width int, onChunk func(ContainerStats), opts []Option) (*StreamWriter, error) {
 	codec, err := Lookup(codecName)
 	if err != nil {
 		return nil, err
@@ -94,6 +101,7 @@ func NewStreamWriter(ctx context.Context, w io.Writer, codecName string, width i
 		width:     width,
 		chunkPats: chunkPats,
 		opts:      opts,
+		onChunk:   onChunk,
 	}
 	sw.ord = pipeline.NewOrdered(ctx, pipeline.Config{
 		Workers:  o.workers,
@@ -105,9 +113,13 @@ func NewStreamWriter(ctx context.Context, w io.Writer, codecName string, width i
 		if err := sw.cw.WriteChunk(res.Value.chunk); err != nil {
 			return err
 		}
-		sw.patterns += res.Value.chunk.Patterns
-		sw.originalBits += res.Value.originalBits
-		sw.compressedBits += res.Value.compressedBits
+		sw.stats.Patterns += res.Value.chunk.Patterns
+		sw.stats.Chunks++
+		sw.stats.OriginalBits += res.Value.originalBits
+		sw.stats.CompressedBits += res.Value.compressedBits
+		if sw.onChunk != nil {
+			sw.onChunk(sw.stats)
+		}
 		return nil
 	})
 	return sw, nil
@@ -151,8 +163,8 @@ func (sw *StreamWriter) WriteSet(ts *TestSet) error {
 func (sw *StreamWriter) flushChunk() error {
 	ts := sw.buf
 	sw.buf = nil
-	idx := sw.chunks
-	sw.chunks++
+	idx := sw.submitted
+	sw.submitted++
 	codec, userOpts := sw.codec, sw.opts
 	return sw.ord.Submit(fmt.Sprintf("chunk %d", idx), func(ctx context.Context, seed int64) (*chunkResult, error) {
 		opts := make([]Option, 0, len(userOpts)+1)
@@ -196,40 +208,174 @@ func (sw *StreamWriter) Close() error {
 	return sw.cw.Close()
 }
 
+// abort joins the in-flight chunk compressions without writing the
+// terminator and trailer, so the stream stays visibly truncated: no
+// reader mistakes a failed stream for a complete container. Frames
+// that finish during the join still land whole.
+func (sw *StreamWriter) abort() {
+	if !sw.closed {
+		sw.closed = true
+		_ = sw.ord.Close() // the caller's error is the story
+	}
+}
+
 // Patterns returns the number of patterns written to the container.
 // Valid after Close.
-func (sw *StreamWriter) Patterns() int { return sw.patterns }
+func (sw *StreamWriter) Patterns() int { return sw.stats.Patterns }
 
 // Chunks returns the number of chunk frames written. Valid after Close.
-func (sw *StreamWriter) Chunks() int { return sw.chunks }
+func (sw *StreamWriter) Chunks() int { return sw.stats.Chunks }
 
 // OriginalBits returns the total uncompressed size in bits. Valid after
 // Close.
-func (sw *StreamWriter) OriginalBits() int { return sw.originalBits }
+func (sw *StreamWriter) OriginalBits() int { return sw.stats.OriginalBits }
 
 // CompressedBits returns the total encoded payload size in bits (codec
 // accounting, excluding container framing). Valid after Close.
-func (sw *StreamWriter) CompressedBits() int { return sw.compressedBits }
+func (sw *StreamWriter) CompressedBits() int { return sw.stats.CompressedBits }
 
 // RatePercent returns the paper-style compression rate over the whole
 // stream. Valid after Close.
-func (sw *StreamWriter) RatePercent() float64 {
-	if sw.originalBits == 0 {
-		return 0
-	}
-	return 100 * float64(sw.originalBits-sw.compressedBits) / float64(sw.originalBits)
+func (sw *StreamWriter) RatePercent() float64 { return sw.stats.RatePercent() }
+
+// ContainerStats is the size accounting of one container: what the
+// daemon reports in its X-Tcomp-* headers and a job record in its
+// stats. Chunks is 0 for a whole (v1/v2) container.
+type ContainerStats struct {
+	Patterns       int `json:"patterns"`
+	Chunks         int `json:"chunks"`
+	OriginalBits   int `json:"original_bits"`
+	CompressedBits int `json:"compressed_bits"`
 }
 
-// StreamReader decompresses a v3 chunked container at O(chunk) memory.
-// Each chunk frame is CRC-checked, then decoded by the codec named in
-// the header through an io.Reader-fed bitstream.StreamReader — the same
-// word-at-a-time refill path the differential tests pin against the
-// hardware FSM model. Patterns come out one at a time (Next) or chunk at
-// a time (NextChunk); buffered v1/v2 containers are read with Open, not
-// this type.
+// RatePercent returns the paper-style compression rate,
+// 100·(orig−comp)/orig.
+func (s ContainerStats) RatePercent() float64 {
+	if s.OriginalBits == 0 {
+		return 0
+	}
+	return 100 * float64(s.OriginalBits-s.CompressedBits) / float64(s.OriginalBits)
+}
+
+// CompressTo is the one container writer behind the daemon's compress
+// endpoint, its compress and sweep jobs: it pulls patterns of the given
+// width from next until io.EOF and writes them to w as a container of
+// the named format.
+//
+//   - "v2" gathers the whole set, compresses it with one codec call and
+//     writes the universal container (Write).
+//   - "v3" streams chunk frames through a StreamWriter at O(chunk)
+//     memory. onChunk, when non-nil, is called with the running totals
+//     after each frame is written, from the writer's collector
+//     goroutine.
+//
+// testset.Scanner.Next, StreamReader.Next and PatternsOf all fit next.
+// An error from next comes back unchanged, so the caller can tell bad
+// input from a codec failure. A failed v3 stream ends without its
+// terminator.
+func CompressTo(ctx context.Context, w io.Writer, codecName, format string, width int,
+	next func() (Vector, error), onChunk func(ContainerStats), opts ...Option) (ContainerStats, error) {
+	switch format {
+	case "v2":
+		return compressWhole(ctx, w, codecName, width, next, opts)
+	case "v3":
+		sw, err := newStreamWriter(ctx, w, codecName, width, onChunk, opts)
+		if err != nil {
+			return ContainerStats{}, err
+		}
+		for {
+			v, err := next()
+			if err == io.EOF {
+				break
+			}
+			if err == nil {
+				err = sw.WritePattern(v)
+			}
+			if err != nil {
+				sw.abort()
+				return ContainerStats{}, err
+			}
+		}
+		if err := sw.Close(); err != nil {
+			return ContainerStats{}, err
+		}
+		return sw.stats, nil
+	}
+	return ContainerStats{}, fmt.Errorf("tcomp: container format %q must be v2 or v3", format)
+}
+
+// compressWhole is CompressTo's v2 branch.
+func compressWhole(ctx context.Context, w io.Writer, codecName string, width int, next func() (Vector, error), opts []Option) (ContainerStats, error) {
+	codec, err := Lookup(codecName)
+	if err != nil {
+		return ContainerStats{}, err
+	}
+	if width < 1 {
+		return ContainerStats{}, fmt.Errorf("tcomp: width %d must be positive", width)
+	}
+	ts := testset.New(width)
+	for {
+		v, err := next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return ContainerStats{}, err
+		}
+		if v.Len() != width {
+			return ContainerStats{}, fmt.Errorf("tcomp: pattern length %d != width %d", v.Len(), width)
+		}
+		ts.Add(v)
+	}
+	art, err := codec.Compress(ctx, ts, opts...)
+	if err != nil {
+		return ContainerStats{}, err
+	}
+	if err := Write(w, art); err != nil {
+		return ContainerStats{}, err
+	}
+	return ContainerStats{Patterns: art.Patterns, OriginalBits: art.OriginalBits, CompressedBits: art.CompressedBits}, nil
+}
+
+// PatternsOf returns an iterator over ts's patterns in the shape
+// CompressTo reads: each pattern in order, then io.EOF.
+func PatternsOf(ts *TestSet) func() (Vector, error) {
+	i := 0
+	return func() (Vector, error) {
+		if i >= ts.NumPatterns() {
+			return Vector{}, io.EOF
+		}
+		i++
+		return ts.Patterns[i-1], nil
+	}
+}
+
+// ErrNotContainer marks input that is not a tcomp container at all:
+// too short for the magic and version prologue, the wrong magic, or an
+// unknown version. A container that is recognised but corrupt fails
+// with some other error, so callers can tell "wrong kind of input" from
+// "damaged container".
+var ErrNotContainer = errors.New("not a tcomp container")
+
+// StreamReader is the one container reader: it opens every container
+// version and hands out the decoded patterns one at a time (Next) or a
+// chunk at a time (NextChunk).
+//
+// A chunked v3 container is read at O(chunk) memory. Each chunk frame
+// is CRC-checked, then decoded by the codec named in the header through
+// an io.Reader-fed bitstream.StreamReader — the same word-at-a-time
+// refill path the differential tests pin against the hardware FSM
+// model. A whole v1/v2 container is decoded on open, so its errors
+// surface from NewStreamReader and its pattern count is known up front
+// (Expected); it reads back as one chunk that is not a frame.
 type StreamReader struct {
-	cr    *container.ChunkReader
+	cr    *container.ChunkReader // nil for a whole (v1/v2) container
 	codec Codec
+	hdr   container.StreamHeader
+
+	whole    *TestSet // v1/v2: the decoded set, until NextChunk hands it out
+	expected int      // v1/v2 pattern count; -1 for v3
+	bits     int      // payload bits decoded so far
 
 	cur    *TestSet // decoded chunk being drained by Next
 	curPos int
@@ -237,45 +383,97 @@ type StreamReader struct {
 	done   bool
 }
 
-// NewStreamReader parses the chunked-container header and resolves its
-// codec from the registry.
+// NewStreamReader detects the container version and opens it: a v3
+// stream has its header parsed and its codec resolved; a v1/v2
+// container is parsed and decoded whole. Input that is not a container
+// at all fails with an error wrapping ErrNotContainer.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	cr, err := container.NewChunkReader(r)
+	version, rest, err := container.Sniff(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrNotContainer, err)
 	}
-	codec, err := Lookup(cr.Header().Codec)
+	if version == container.Version3 {
+		cr, err := container.NewChunkReader(rest)
+		var codec Codec
+		if err == nil {
+			codec, err = Lookup(cr.Header().Codec)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bad chunked container: %w", err)
+		}
+		return &StreamReader{cr: cr, codec: codec, hdr: cr.Header(), expected: -1}, nil
+	}
+	art, err := Open(rest)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bad container: %w", err)
 	}
-	return &StreamReader{cr: cr, codec: codec}, nil
+	ts, err := Decompress(art)
+	if err != nil {
+		return nil, fmt.Errorf("decompress: %w", err)
+	}
+	if ts.Width != art.Width || ts.NumPatterns() != art.Patterns {
+		return nil, fmt.Errorf("decompress: %s decoded to %dx%d, want %dx%d",
+			art.Codec, ts.NumPatterns(), ts.Width, art.Patterns, art.Width)
+	}
+	return &StreamReader{
+		hdr:      container.StreamHeader{Codec: art.Codec, Width: art.Width},
+		whole:    ts,
+		expected: art.Patterns,
+		bits:     art.NBits,
+	}, nil
 }
 
-// Codec returns the codec name from the stream header.
-func (sr *StreamReader) Codec() string { return sr.cr.Header().Codec }
+// Codec returns the codec name from the container header.
+func (sr *StreamReader) Codec() string { return sr.hdr.Codec }
 
-// Width returns the pattern width from the stream header.
-func (sr *StreamReader) Width() int { return sr.cr.Header().Width }
+// Width returns the pattern width from the container header.
+func (sr *StreamReader) Width() int { return sr.hdr.Width }
 
-// ChunkPatterns returns the nominal chunk size from the stream header.
-func (sr *StreamReader) ChunkPatterns() int { return sr.cr.Header().ChunkPatterns }
+// ChunkPatterns returns the nominal chunk size from the stream header
+// (0 for a whole v1/v2 container).
+func (sr *StreamReader) ChunkPatterns() int { return sr.hdr.ChunkPatterns }
 
-// TotalPatterns returns the trailer's pattern count; valid once Next or
-// NextChunk has returned io.EOF.
-func (sr *StreamReader) TotalPatterns() int { return sr.cr.TotalPatterns() }
+// Expected returns the pattern count a v1/v2 container declares up
+// front, or -1 for a v3 stream, whose count arrives with its trailer
+// (TotalPatterns). Like testset.Scanner.Expected, it is the count half
+// of the textual header: testset.NewPatternWriter writes "width count"
+// for it, or "width *" for -1.
+func (sr *StreamReader) Expected() int { return sr.expected }
+
+// TotalPatterns returns the container's pattern count: the trailer's
+// count for a v3 stream, valid once Next or NextChunk has returned
+// io.EOF; the header's for a v1/v2 container.
+func (sr *StreamReader) TotalPatterns() int {
+	if sr.cr == nil {
+		return sr.expected
+	}
+	return sr.cr.TotalPatterns()
+}
+
+// CompressedBits returns the encoded payload bits decoded so far: the
+// whole payload of a v1/v2 container, the sum over the frames read of a
+// v3 stream (complete once Next or NextChunk has returned io.EOF).
+func (sr *StreamReader) CompressedBits() int { return sr.bits }
 
 // ChunkIndex returns the zero-based index of the chunk frame NextChunk
-// will read next. After NextChunk or Next returns a non-EOF error, it
-// names the frame that failed to parse or decode — cmd/tdecompress uses
-// it to point at the corruption instead of dumping an error chain.
+// will read next (always 0 for a whole v1/v2 container, which has no
+// frames). After NextChunk or Next returns a non-EOF error, it names
+// the frame that failed to parse or decode — cmd/tdecompress uses it to
+// point at the corruption instead of dumping an error chain.
 func (sr *StreamReader) ChunkIndex() int { return sr.chunks }
 
 // NextChunk decodes and returns the next chunk as a fully specified test
-// set, or io.EOF after the final chunk (with the trailer validated).
-// Non-EOF errors name the failing chunk index.
+// set, or io.EOF after the final chunk (with the trailer validated). A
+// whole v1/v2 container comes back as a single chunk. Non-EOF errors
+// name the failing chunk index.
 func (sr *StreamReader) NextChunk() (*TestSet, error) {
 	if sr.done {
 		return nil, io.EOF
+	}
+	if sr.cr == nil {
+		ts := sr.whole
+		sr.whole, sr.done = nil, true
+		return ts, nil
 	}
 	c, err := sr.cr.Next()
 	if err == io.EOF {
@@ -285,7 +483,7 @@ func (sr *StreamReader) NextChunk() (*TestSet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcomp: chunk %d: %w", sr.chunks, err)
 	}
-	hdr := sr.cr.Header()
+	hdr := sr.hdr
 	art := &Artifact{
 		Codec:          hdr.Codec,
 		Width:          hdr.Width,
@@ -306,6 +504,7 @@ func (sr *StreamReader) NextChunk() (*TestSet, error) {
 			sr.chunks, ts.NumPatterns(), ts.Width, c.Patterns, hdr.Width)
 	}
 	sr.chunks++
+	sr.bits += c.NBits
 	return ts, nil
 }
 

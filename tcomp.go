@@ -26,11 +26,9 @@ package tcomp
 import (
 	"io"
 
-	"repro/internal/bitstream"
 	"repro/internal/blockcode"
 	"repro/internal/core"
 	"repro/internal/decoder"
-	"repro/internal/ninec"
 	"repro/internal/testset"
 	"repro/internal/tritvec"
 )
@@ -70,36 +68,6 @@ func DefaultEAParams(seed int64) EAParams { return core.DefaultParams(seed) }
 // registry equivalent is Lookup("ea").Compress(ctx, ts,
 // WithEAParams(p)), whose artifact additionally serializes via Write.
 func CompressEA(ts *TestSet, p EAParams) (*EAResult, error) { return core.Compress(ts, p) }
-
-// Compress9C compresses ts with the original nine-coded baseline
-// (Tehranipour et al., fixed codewords), block length k (even).
-//
-// Deprecated: use Lookup("9c").Compress(ctx, ts, WithBlockLen(k)); the
-// resulting Artifact round-trips through Write/Open/Decompress.
-func Compress9C(ts *TestSet, k int) (*BlockResult, error) { return ninec.Compress(ts, k) }
-
-// Compress9CHC compresses ts with the 9C matching vectors and Huffman
-// codewords ("9C+HC").
-//
-// Deprecated: use Lookup("9chc").Compress(ctx, ts, WithBlockLen(k)); the
-// resulting Artifact round-trips through Write/Open/Decompress.
-func Compress9CHC(ts *TestSet, k int) (*BlockResult, error) { return ninec.CompressHC(ts, k) }
-
-// DecompressResult reconstructs the fully specified test set from a
-// block-codec compression result. The decoded patterns preserve every
-// specified bit of the original (don't-cares get concrete values).
-//
-// Deprecated: prefer the artifact path — Decompress(a *Artifact) — which
-// works for every registered codec, not just the block codecs.
-func DecompressResult(res *BlockResult, width int) (*TestSet, error) {
-	nblocks := (res.OriginalBits + res.Set.K - 1) / res.Set.K
-	blocks, err := blockcode.Decode(bitstream.FromWriter(res.Stream), res.Set, res.Code, nblocks)
-	if err != nil {
-		return nil, err
-	}
-	flat := tritvec.Concat(blocks...).Slice(0, res.OriginalBits)
-	return testset.FromFlat(flat, width)
-}
 
 // VerifyLossless checks that decoded preserves every specified bit of
 // original.

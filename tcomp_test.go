@@ -2,9 +2,11 @@ package tcomp
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
+	"repro/internal/ninec"
 	"repro/internal/testset"
 )
 
@@ -21,35 +23,44 @@ func quickEAParams(seed int64) EAParams {
 	return p
 }
 
+// roundTrip compresses ts through the named registry codec and checks
+// that the artifact decompresses back to ts's specified bits.
+func roundTrip(t *testing.T, name string, ts *TestSet, opts ...Option) *Artifact {
+	t.Helper()
+	codec, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := codec.Compress(context.Background(), ts, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := Decompress(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !VerifyLossless(ts, dec) {
+		t.Fatalf("%s round trip lost specified bits", name)
+	}
+	return art
+}
+
 func TestFacadeEndToEnd(t *testing.T) {
 	ts := exampleTestSet(t, 1)
 	res, err := CompressEA(ts, quickEAParams(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecompressResult(res.Final, ts.Width)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VerifyLossless(ts, dec) {
-		t.Fatal("EA round trip lost specified bits")
+	art := roundTrip(t, "ea", ts, WithEAParams(quickEAParams(1)))
+	if art.CompressedBits != res.Final.CompressedBits {
+		t.Fatalf("ea codec compressed to %d bits, CompressEA to %d", art.CompressedBits, res.Final.CompressedBits)
 	}
 }
 
 func TestFacade9CEndToEnd(t *testing.T) {
 	ts := exampleTestSet(t, 2)
-	for _, compress := range []func(*TestSet, int) (*BlockResult, error){Compress9C, Compress9CHC} {
-		res, err := compress(ts, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := DecompressResult(res, ts.Width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !VerifyLossless(ts, dec) {
-			t.Fatal("9C round trip lost specified bits")
-		}
+	for _, name := range []string{"9c", "9chc"} {
+		roundTrip(t, name, ts, WithBlockLen(8))
 	}
 }
 
@@ -76,7 +87,7 @@ func TestFacadeIO(t *testing.T) {
 
 func TestFacadeDecoderFSM(t *testing.T) {
 	ts := exampleTestSet(t, 3)
-	res, err := Compress9CHC(ts, 8)
+	res, err := ninec.CompressHC(ts, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
