@@ -13,10 +13,10 @@
 // Endpoints: POST /v1/compress, POST /v1/decompress, GET /v1/codecs,
 // POST/GET /v1/jobs (async job API), POST/GET /v1/flows (hardware-test
 // flow: circuit → ATPG → codec race → container + Verilog decoder),
-// GET /v1/benchmarks (the ISCAS-style registry), GET /healthz,
-// GET /metrics (JSON snapshot), GET /metrics/prometheus (text
-// exposition). See the README's Serving, Test-flow service, and
-// Observability sections for curl examples.
+// GET /v1/benchmarks (the ISCAS-style registry), GET /healthz, and
+// GET /metrics/prometheus (the metrics, as Prometheus text exposition).
+// See the README's Serving, Test-flow service, and Observability
+// sections for curl examples.
 //
 // Every setting resolves through one layered config: a command-line
 // flag beats its TCOMPD_* environment variable (-cache-bytes →
@@ -34,7 +34,8 @@
 // 503 so load balancers stop routing here, the listener stops accepting
 // new connections, every in-flight request runs to completion (bounded
 // by -drain-timeout), running jobs are parked back to pending in the
-// journal, and the final metrics snapshot is flushed to stderr.
+// journal, and a final metrics snapshot — the same text exposition
+// /metrics/prometheus serves — is flushed to stderr.
 package main
 
 import (
@@ -232,7 +233,7 @@ func run() int {
 		logger.Warn("trace exporter flush incomplete", slog.Any("error", err))
 	}
 	cancelFlush()
-	fmt.Fprintln(os.Stderr, s.Metrics().String())
+	_, _ = s.Metrics().Prometheus().WriteTo(os.Stderr) // stderr gone: nowhere left to report
 	logger.Info("drained; bye")
 	return 0
 }

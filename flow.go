@@ -133,7 +133,9 @@ func FlowCodecOptions(opts ...Option) FlowOption {
 
 // FlowStageObserver installs a callback invoked once per completed flow
 // stage with its wall-clock duration — the hook tcompd uses to feed the
-// tcompd_flow_stage_seconds histogram.
+// tcompd_flow_stage_seconds histogram. Run reports each of its four
+// stages (atpg, race, compress, emit-verilog) exactly once, with the
+// value its report's StageSeconds holds.
 func FlowStageObserver(fn func(stage string, seconds float64)) FlowOption {
 	return func(o *flowOptions) { o.observe = fn }
 }
@@ -159,12 +161,11 @@ func NewTestFlow(opts ...FlowOption) *TestFlow {
 // stageSeed derives the deterministic seed of one flow stage.
 func (f *TestFlow) stageSeed(stage int) int64 { return pipeline.Seed(f.o.seed, stage) }
 
-// stage times one flow stage and reports it to the observer.
+// stage times one flow stage and hands the same duration to the report
+// and to the observer.
 func (f *TestFlow) stage(name string, start time.Time, secs map[string]float64) {
 	d := time.Since(start).Seconds()
-	if secs != nil {
-		secs[name] = d
-	}
+	secs[name] = d
 	if f.o.observe != nil {
 		f.o.observe(name, d)
 	}
@@ -254,8 +255,6 @@ type FlowTestsResult struct {
 func (f *TestFlow) RunATPG(ctx context.Context, c *Circuit) (*FlowTestsResult, error) {
 	ctx, sp := obs.StartSpan(ctx, "atpg")
 	defer sp.End()
-	start := time.Now()
-	defer f.stage("atpg", start, nil)
 
 	out := &FlowTestsResult{Kind: f.o.tests}
 	switch f.o.tests {
@@ -358,9 +357,6 @@ var flowBlockCodecs = map[string]bool{"ea": true, "9c": true, "9chc": true}
 // the lowest compressed size wins. One span "race <codec>" per codec
 // covers the stage on the caller's trace.
 func (f *TestFlow) RaceCodecs(ctx context.Context, ts *TestSet) (*FlowRace, error) {
-	start := time.Now()
-	defer f.stage("race", start, nil)
-
 	names := f.o.codecs
 	if len(names) == 0 {
 		names = Codecs()
@@ -470,8 +466,6 @@ type FlowDecoder struct {
 func (f *TestFlow) EmitDecoder(ctx context.Context, a *Artifact, w io.Writer, module string) (*FlowDecoder, error) {
 	_, sp := obs.StartSpan(ctx, "emit-verilog")
 	defer sp.End()
-	start := time.Now()
-	defer f.stage("emit-verilog", start, nil)
 
 	set, code, err := container.DecodeBlockParams(a.Params)
 	if err != nil {
@@ -559,16 +553,15 @@ func (f *TestFlow) Run(ctx context.Context, c *Circuit) (*FlowResult, error) {
 		StageSeconds:   secs,
 	}
 
-	// Each stage method reports its duration to the observer hook; Run
-	// additionally wants the numbers in the report, so it times the
-	// calls itself.
+	// Run times each stage once, handing the one duration to the
+	// report and to the observer hook.
 	start := time.Now()
 	tests, err := f.RunATPG(ctx, c)
 	if err != nil {
 		return nil, err
 	}
 	res.Tests = tests
-	secs["atpg"] = time.Since(start).Seconds()
+	f.stage("atpg", start, secs)
 
 	start = time.Now()
 	race, err := f.RaceCodecs(ctx, tests.Set)
@@ -576,7 +569,7 @@ func (f *TestFlow) Run(ctx context.Context, c *Circuit) (*FlowResult, error) {
 		return nil, err
 	}
 	res.Race = race
-	secs["race"] = time.Since(start).Seconds()
+	f.stage("race", start, secs)
 
 	// Full-set compression with the winner, as a v3 chunked container.
 	start = time.Now()
@@ -647,7 +640,7 @@ func (f *TestFlow) Run(ctx context.Context, c *Circuit) (*FlowResult, error) {
 		return nil, err
 	}
 	res.Decoder = info
-	secs["emit-verilog"] = time.Since(start).Seconds()
+	f.stage("emit-verilog", start, secs)
 	res.VerilogBytes = vbuf.Bytes()
 	res.Verified = true
 	return res, nil

@@ -20,7 +20,9 @@ func fastFlowOptions(extra ...FlowOption) []FlowOption {
 }
 
 func TestFlowRunEndToEnd(t *testing.T) {
-	flow := NewTestFlow(fastFlowOptions(FlowSeed(7), FlowSamplePatterns(24))...)
+	observed := map[string][]float64{}
+	flow := NewTestFlow(fastFlowOptions(FlowSeed(7), FlowSamplePatterns(24),
+		FlowStageObserver(func(stage string, seconds float64) { observed[stage] = append(observed[stage], seconds) }))...)
 	c, err := flow.GenerateCircuit(context.Background(), "s298")
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +61,15 @@ func TestFlowRunEndToEnd(t *testing.T) {
 	if !VerifyLossless(res.Tests.Set, dec) {
 		t.Fatal("container round trip lost specified bits")
 	}
+	// Run times each stage once: the observer sees every stage exactly
+	// once, with the very duration the report holds.
 	for _, stage := range []string{"atpg", "race", "compress", "emit-verilog"} {
-		if _, ok := res.StageSeconds[stage]; !ok {
+		secs, ok := res.StageSeconds[stage]
+		if !ok {
 			t.Errorf("missing stage timing %q", stage)
+		}
+		if got := observed[stage]; len(got) != 1 || got[0] != secs {
+			t.Errorf("stage %s: observer saw %v, report holds %v", stage, got, secs)
 		}
 	}
 }

@@ -111,11 +111,6 @@ func Table1() []Meta {
 	}
 }
 
-// Table1Averages returns the paper's 'Average' row for Table 1.
-func Table1Averages() (nineC, nineCHC, ea, eaBest float64) {
-	return 42.6, 46.8, 54.2, 55.9
-}
-
 // Table2 returns the path-delay registry (paper Table 2, 29 circuits).
 func Table2() []Meta {
 	return []Meta{
@@ -149,11 +144,6 @@ func Table2() []Meta {
 		{"s15850", PathDelay, 611, 36502362, 84, 84, 82.7, 86.3},
 		{"s38584", PathDelay, 1464, 81190512, 87, 87, 67.5, 90.0},
 	}
-}
-
-// Table2Averages returns the paper's 'Average' row for Table 2.
-func Table2Averages() (nineC, nineCHC, ea1, ea2 float64) {
-	return 48.7, 52.1, 55.6, 58.6
 }
 
 // Find returns the registry entry with the given name and kind.

@@ -1,14 +1,11 @@
 // Package obs is the daemon's production-observability layer: lock-free
-// metric primitives that serve both the legacy expvar JSON snapshot and
-// a zero-dependency Prometheus text exposition, a request-scoped trace
-// carried through context (request ID plus span-style stage durations),
-// structured leveled logging helpers over log/slog, and the single
-// config layer (flags + env + file) that cmd/tcompd loads.
-//
-// The primitives implement expvar.Var, so a serve.Metrics built from
-// them can keep rooting everything in one expvar.Map — GET /metrics
-// stays byte-compatible JSON — while the same counters feed the
-// Prometheus Registry without double accounting.
+// metric primitives rendered by a zero-dependency Prometheus text
+// exposition (the Registry, the one metrics view), spans carried
+// through context (the one timing record, exported to a tracer and
+// summed onto the request-completion log line), the request-scoped
+// Trace that names a request, structured leveled logging helpers over
+// log/slog, and the single config layer (flags + env + file) that
+// cmd/tcompd loads.
 package obs
 
 import (
@@ -16,13 +13,12 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // Counter is a monotonically increasing int64 metric. The zero value is
-// ready to use. It implements expvar.Var.
+// ready to use.
 type Counter struct {
 	v atomic.Int64
 }
@@ -33,11 +29,8 @@ func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// String renders the count as its decimal JSON value (expvar.Var).
-func (c *Counter) String() string { return strconv.FormatInt(c.v.Load(), 10) }
-
 // Gauge is an int64 metric that can go up and down. The zero value is
-// ready to use. It implements expvar.Var.
+// ready to use.
 type Gauge struct {
 	v atomic.Int64
 }
@@ -65,13 +58,9 @@ func (g *Gauge) SetMax(v int64) {
 	}
 }
 
-// String renders the value as its decimal JSON form (expvar.Var).
-func (g *Gauge) String() string { return strconv.FormatInt(g.v.Load(), 10) }
-
 // LabelCounter is a set of counters keyed by one label value (endpoint
 // path, job event, ...). Keys are created on first use and never
-// removed. It implements expvar.Var, rendering as a JSON object, so it
-// is a drop-in for the expvar.Map usage it replaces.
+// removed.
 type LabelCounter struct {
 	mu   sync.RWMutex
 	m    map[string]*Counter
@@ -129,27 +118,11 @@ func (c *LabelCounter) Do(f func(key string, c *Counter)) {
 	}
 }
 
-// String renders the set as a JSON object (expvar.Var).
-func (c *LabelCounter) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	c.Do(func(key string, ctr *Counter) {
-		if !first {
-			b.WriteString(", ")
-		}
-		first = false
-		fmt.Fprintf(&b, "%q: %d", key, ctr.Value())
-	})
-	b.WriteByte('}')
-	return b.String()
-}
-
 // Histogram is a fixed-bucket histogram with lock-free observation:
 // per-bucket atomic counters plus an atomic float64 sum (CAS on the
 // bit pattern). Buckets are cumulative upper bounds in Prometheus
 // style; an implicit +Inf bucket catches everything above the last
-// bound. It implements expvar.Var.
+// bound.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1, last is +Inf
@@ -203,33 +176,8 @@ func (h *Histogram) Snapshot() (bounds []float64, counts []int64) {
 	return bounds, counts
 }
 
-// String renders the histogram as JSON — count, mean, and a bucket map
-// labelled "<=bound" plus "+Inf" (expvar.Var).
-func (h *Histogram) String() string {
-	bounds, counts := h.Snapshot()
-	count := h.Count()
-	mean := 0.0
-	if count > 0 {
-		mean = h.Sum() / float64(count)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, `{"count":%d,"mean":%.2f,"buckets":{`, count, mean)
-	for i, c := range counts {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		label := "+Inf"
-		if i < len(bounds) {
-			label = "<=" + formatFloat(bounds[i])
-		}
-		fmt.Fprintf(&b, "%q:%d", label, c)
-	}
-	b.WriteString("}}")
-	return b.String()
-}
-
 // HistogramVec is a set of same-bucket histograms keyed by one label
-// value (endpoint path, codec name, ...). It implements expvar.Var.
+// value (endpoint path, codec name, ...).
 type HistogramVec struct {
 	bounds []float64
 	mu     sync.RWMutex
@@ -289,22 +237,6 @@ func (v *HistogramVec) Do(f func(key string, h *Histogram)) {
 	for _, k := range keys {
 		f(k, m[k])
 	}
-}
-
-// String renders the family as a JSON object of histograms (expvar.Var).
-func (v *HistogramVec) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	v.Do(func(key string, h *Histogram) {
-		if !first {
-			b.WriteString(", ")
-		}
-		first = false
-		fmt.Fprintf(&b, "%q: %s", key, h.String())
-	})
-	b.WriteByte('}')
-	return b.String()
 }
 
 // formatFloat renders a float the shortest way that round-trips.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -103,37 +102,18 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// TestExpvarCompatJSON: every primitive must render valid JSON, because
-// serve roots them all in an expvar.Map whose String() concatenates
-// member renderings into the GET /metrics snapshot.
-func TestExpvarCompatJSON(t *testing.T) {
-	var c Counter
-	c.Add(7)
-	var g Gauge
-	g.Set(-3)
+// TestLabelCounterDoSorted: Do walks keys in sorted order whatever the
+// insertion order, which fixes the line order of every labelled family
+// in the Prometheus exposition.
+func TestLabelCounterDoSorted(t *testing.T) {
 	lc := &LabelCounter{}
 	lc.Add("/v1/compress", 2)
 	lc.Add("/healthz", 1)
-	h := NewHistogram(1, 10)
-	h.Observe(0.5)
-	h.Observe(99)
-	hv := NewHistogramVec(50)
-	hv.Observe("golomb", 42)
-	for name, v := range map[string]fmt.Stringer{
-		"counter": &c, "gauge": &g, "labelcounter": lc, "histogram": h, "histogramvec": hv,
-	} {
-		var out any
-		if err := json.Unmarshal([]byte(v.String()), &out); err != nil {
-			t.Fatalf("%s.String() = %q is not valid JSON: %v", name, v.String(), err)
-		}
-	}
-	if got := lc.String(); got != `{"/healthz": 1, "/v1/compress": 2}` {
-		t.Fatalf("LabelCounter JSON = %s (keys must be sorted)", got)
-	}
-	if lc.Get("/healthz").Value() != 1 {
-		t.Fatalf("Get returned %d, want 1", lc.Get("/healthz").Value())
-	}
-	if lc.Get("absent") != nil {
-		t.Fatal("Get of an absent key must return nil")
+	lc.Add("/v1/compress", 1)
+	lc.Add("/metrics/prometheus", 4)
+	var got []string
+	lc.Do(func(key string, c *Counter) { got = append(got, fmt.Sprintf("%s=%d", key, c.Value())) })
+	if want := "[/healthz=1 /metrics/prometheus=4 /v1/compress=3]"; fmt.Sprint(got) != want {
+		t.Fatalf("Do yielded %v, want %s", got, want)
 	}
 }

@@ -94,14 +94,6 @@ func (r *Registry) CounterVec(name, help, label string, c *LabelCounter) {
 	})
 }
 
-// Histogram registers a histogram: cumulative _bucket{le=...} lines, a
-// final le="+Inf" bucket, and the _sum and _count samples.
-func (r *Registry) Histogram(name, help string, h *Histogram) {
-	r.register(name, help, "histogram", func(w io.Writer) {
-		writeHistogram(w, name, "", "", h)
-	})
-}
-
 // HistogramVec registers a labelled histogram family under one label
 // name.
 func (r *Registry) HistogramVec(name, help, label string, v *HistogramVec) {
@@ -115,14 +107,12 @@ func (r *Registry) HistogramVec(name, help, label string, v *HistogramVec) {
 	})
 }
 
-// writeHistogram renders one histogram's samples, with an optional
-// shared label pair on every line.
+// writeHistogram renders one labelled histogram's samples: cumulative
+// _bucket{label=...,le=...} lines ending in le="+Inf", then _sum and
+// _count.
 func writeHistogram(w io.Writer, name, label, key string, h *Histogram) {
 	bounds, counts := h.Snapshot()
-	extra := ""
-	if label != "" {
-		extra = label + "=" + quoteLabel(key) + ","
-	}
+	pair := label + "=" + quoteLabel(key)
 	cum := int64(0)
 	for i, c := range counts {
 		cum += c
@@ -130,14 +120,10 @@ func writeHistogram(w io.Writer, name, label, key string, h *Histogram) {
 		if i < len(bounds) {
 			le = formatFloat(bounds[i])
 		}
-		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, extra, le, cum)
+		fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", name, pair, le, cum)
 	}
-	suffix := ""
-	if label != "" {
-		suffix = "{" + label + "=" + quoteLabel(key) + "}"
-	}
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, suffix, formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, cum)
+	fmt.Fprintf(w, "%s_sum{%s} %s\n", name, pair, formatFloat(h.Sum()))
+	fmt.Fprintf(w, "%s_count{%s} %d\n", name, pair, cum)
 }
 
 // quoteLabel escapes a label value per the exposition format: backslash,

@@ -18,21 +18,22 @@ import (
 // nil-*Trace idiom: deep layers call StartSpan/SetAttrs/End without
 // checking whether the request is traced at all.
 //
-// Two independent sinks consume a span. Ending it always records its
-// duration as a stage on the context's Trace (unless started with
-// WithoutStage), so the request-completion log line keeps its stage
-// timings even when no exporter is configured. Exporting — handing the
-// finished span to a SpanExporter — additionally requires that the
-// span's trace is sampled and a Tracer with an exporter started the
-// root.
+// Two independent sinks consume a span. A span directly under the
+// request — under the root span, or under no span when no tracer is
+// configured — adds its duration to the context's Trace when it ends,
+// so the request-completion log line lists the request's top-level
+// stages even when no exporter is configured; nested spans (a codec
+// call, a chunk, a parallel region) stay off it. Exporting — handing
+// the finished span to a SpanExporter — requires that the span's trace
+// is sampled and a Tracer with an exporter started the root.
 type Span struct {
 	name   string
 	tc     TraceContext
 	parent SpanID
 	start  time.Time
-	trace  *Trace
+	trace  *Trace // set only on a span directly under the request
 	exp    SpanExporter
-	stage  bool
+	root   bool
 
 	mu     sync.Mutex
 	attrs  []Attr
@@ -54,14 +55,6 @@ func String(key, value string) Attr { return Attr{Key: key, Str: value} }
 
 // Int builds an int64 attribute.
 func Int(key string, value int64) Attr { return Attr{Key: key, Int: value, IsInt: true} }
-
-// SpanOption configures StartSpan.
-type SpanOption func(*Span)
-
-// WithoutStage keeps the span out of the Trace's stage list — for
-// high-cardinality spans (one per chunk, one per parallel region) whose
-// names would bloat the request-completion log line.
-func WithoutStage() SpanOption { return func(s *Span) { s.stage = false } }
 
 // TraceContext returns the span's propagation context (zero when the
 // span is a pure stage timer with no trace identity, or s is nil).
@@ -93,9 +86,9 @@ func (s *Span) SetError(err error) {
 	s.mu.Unlock()
 }
 
-// End finishes the span: its duration lands on the request trace's
-// stage list (unless WithoutStage) and, when the trace is sampled and
-// an exporter is attached, the finished span is handed to the exporter.
+// End finishes the span: a span directly under the request adds its
+// duration to the request trace and, when the trace is sampled and an
+// exporter is attached, the finished span is handed to the exporter.
 // End is idempotent; ending a nil span is a no-op.
 func (s *Span) End() {
 	if s == nil {
@@ -111,9 +104,7 @@ func (s *Span) End() {
 	attrs := s.attrs
 	status := s.status
 	s.mu.Unlock()
-	if s.stage {
-		s.trace.AddStage(s.name, end.Sub(s.start))
-	}
+	s.trace.record(s.name, end.Sub(s.start))
 	if s.exp != nil {
 		_ = s.exp.ExportSpans([]SpanData{{
 			TraceID: s.tc.TraceID,
@@ -171,28 +162,29 @@ func TraceparentFromContext(ctx context.Context) string {
 }
 
 // StartSpan starts a child of the context's current span and makes it
-// the context's current span. Outside any trace (no span and no Trace
-// on the context) it returns the context unchanged and a nil span, so
-// instrumented layers cost nothing on untraced paths.
+// the context's current span. A span with nothing to record into — no
+// trace identity to export under and not directly under a request
+// Trace — is not started: StartSpan returns the context unchanged and
+// a nil span, so instrumented layers cost nothing on untraced paths.
 //
 // When the context carries a Trace but no span (a request on a daemon
 // with no tracer configured), the span still times its stage onto the
-// Trace — StartSpan/End is a strict superset of the AddStage call sites
-// it replaced.
-func StartSpan(ctx context.Context, name string, opts ...SpanOption) (context.Context, *Span) {
+// Trace, without trace identity.
+func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent := SpanFromContext(ctx)
-	tr := TraceFrom(ctx)
-	if parent == nil && tr == nil {
+	var tr *Trace
+	if parent == nil || parent.root {
+		tr = TraceFrom(ctx)
+	}
+	traced := parent != nil && parent.tc.TraceID.Valid()
+	if tr == nil && !traced {
 		return ctx, nil
 	}
-	sp := &Span{name: name, start: time.Now(), trace: tr, stage: true}
-	if parent != nil && parent.tc.TraceID.Valid() {
+	sp := &Span{name: name, start: time.Now(), trace: tr}
+	if traced {
 		sp.tc = TraceContext{TraceID: parent.tc.TraceID, SpanID: NewSpanID(), Sampled: parent.tc.Sampled}
 		sp.parent = parent.tc.SpanID
 		sp.exp = parent.exp
-	}
-	for _, o := range opts {
-		o(sp)
 	}
 	return ContextWithSpan(ctx, sp), sp
 }
@@ -218,14 +210,6 @@ func NewTracer(exp SpanExporter, ratio float64) *Tracer {
 		ratio = 1
 	}
 	return &Tracer{exporter: exp, ratio: ratio}
-}
-
-// Exporter returns the tracer's span exporter (nil on a nil tracer).
-func (t *Tracer) Exporter() SpanExporter {
-	if t == nil {
-		return nil
-	}
-	return t.exporter
 }
 
 // ExporterStats returns the exporter's queue/volume accounting when the
@@ -255,8 +239,9 @@ func (t *Tracer) Shutdown(ctx context.Context) error {
 // returns (ctx, nil); a live tracer mints a fresh trace ID and applies
 // its ratio sampler.
 //
-// Root spans do not register as stages — the request-completion log
-// line already carries the total duration.
+// A root span adds no duration to the request trace — the
+// request-completion log line already carries the total — but the spans
+// started directly under it do.
 func (t *Tracer) StartRoot(ctx context.Context, name string, parent *TraceContext) (context.Context, *Span) {
 	var tc TraceContext
 	var parentID SpanID
@@ -270,7 +255,7 @@ func (t *Tracer) StartRoot(ctx context.Context, name string, parent *TraceContex
 	default:
 		return ctx, nil
 	}
-	sp := &Span{name: name, tc: tc, parent: parentID, start: time.Now(), trace: TraceFrom(ctx)}
+	sp := &Span{name: name, tc: tc, parent: parentID, start: time.Now(), root: true}
 	if t != nil && tc.Sampled {
 		sp.exp = t.exporter
 	}

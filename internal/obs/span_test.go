@@ -172,7 +172,7 @@ func TestConcurrentSpans(t *testing.T) {
 			cctx, sp := StartSpan(ctx, "worker")
 			sp.SetAttrs(Int("index", int64(i)))
 			for j := 0; j < 8; j++ {
-				_, inner := StartSpan(cctx, "inner", WithoutStage())
+				_, inner := StartSpan(cctx, "inner")
 				inner.SetAttrs(String("j", "x"))
 				inner.End()
 			}
@@ -192,9 +192,9 @@ func TestConcurrentSpans(t *testing.T) {
 			t.Fatalf("span %s escaped the trace", s.Name)
 		}
 	}
-	// The trace's stage list aggregated the 16 "worker" stages without
-	// duplicate keys (the StageAttrs regression) and the WithoutStage
-	// inner spans stayed off it.
+	// The 16 "worker" spans directly under the root aggregate into one
+	// log-line attribute without duplicate keys, summing exactly the
+	// durations they exported; the nested inner spans stay off it.
 	attrs := trace.StageAttrs()
 	if len(attrs) != 1 {
 		t.Fatalf("StageAttrs = %v, want a single aggregated worker entry", attrs)
@@ -203,20 +203,40 @@ func TestConcurrentSpans(t *testing.T) {
 	if a.Key != "worker" {
 		t.Fatalf("aggregated key %q, want worker", a.Key)
 	}
-	if stages := trace.Stages(); len(stages) != workers {
-		t.Fatalf("raw stage count %d, want %d", len(stages), workers)
+	var sum time.Duration
+	for _, s := range spans {
+		if s.Name == "worker" {
+			sum += s.End.Sub(s.Start)
+		}
+	}
+	if a.Value.Duration() != sum {
+		t.Fatalf("worker attribute %v, want the %d exported worker spans' sum %v", a.Value.Duration(), workers, sum)
 	}
 }
 
+// TestStageAttrsAggregatesDuplicates: spans directly under the root
+// that share a name sum into one attribute, and the attributes come in
+// the order each name first ended — not the order spans started.
 func TestStageAttrsAggregatesDuplicates(t *testing.T) {
+	exp := &collectExporter{}
+	tracer := NewTracer(exp, 1)
 	tr := NewTrace("r1")
-	tr.AddStage("read", 10*time.Millisecond)
-	tr.AddStage("compress", 20*time.Millisecond)
-	tr.AddStage("compress", 30*time.Millisecond)
-	tr.AddStage("write", 5*time.Millisecond)
+	ctx, root := tracer.StartRoot(WithTrace(context.Background(), tr), "root", nil)
+	_, first := StartSpan(ctx, "compress")
+	_, read := StartSpan(ctx, "read")
+	read.End()
+	first.End()
+	cctx, second := StartSpan(ctx, "compress")
+	_, nested := StartSpan(cctx, "compress golomb")
+	nested.End()
+	second.End()
+	_, write := StartSpan(ctx, "write")
+	write.End()
+	root.End()
+
 	attrs := tr.StageAttrs()
 	if len(attrs) != 3 {
-		t.Fatalf("got %d attrs, want 3 (duplicates aggregated): %v", len(attrs), attrs)
+		t.Fatalf("got %d attrs, want 3 (duplicates aggregated, nested span left out): %v", len(attrs), attrs)
 	}
 	keys := map[string]time.Duration{}
 	var order []string
@@ -228,11 +248,15 @@ func TestStageAttrsAggregatesDuplicates(t *testing.T) {
 		keys[at.Key] = at.Value.Duration()
 		order = append(order, at.Key)
 	}
-	if keys["compress"] != 50*time.Millisecond {
-		t.Fatalf("compress aggregated to %v, want 50ms", keys["compress"])
+	exported := map[string]time.Duration{}
+	for _, s := range exp.all() {
+		exported[s.Name] += s.End.Sub(s.Start)
+	}
+	if keys["compress"] != exported["compress"] {
+		t.Fatalf("compress aggregated to %v, want the two spans' sum %v", keys["compress"], exported["compress"])
 	}
 	if order[0] != "read" || order[1] != "compress" || order[2] != "write" {
-		t.Fatalf("first-appearance order lost: %v", order)
+		t.Fatalf("first-end order lost: %v", order)
 	}
 }
 
@@ -249,20 +273,24 @@ func TestSpanEndIdempotent(t *testing.T) {
 }
 
 // TestStageOnlySpan: with a Trace but no tracer, StartSpan still times
-// stages (the old AddStage behavior) without minting trace identity.
+// the request's stages, without minting trace identity; a span nested
+// under such a stage has nothing to record into and is not started.
 func TestStageOnlySpan(t *testing.T) {
 	trace := NewTrace("")
 	ctx := WithTrace(context.Background(), trace)
-	_, sp := StartSpan(ctx, "read")
+	rctx, sp := StartSpan(ctx, "read")
 	if sp == nil {
 		t.Fatal("expected a stage-only span")
 	}
 	if sp.TraceContext().Valid() {
 		t.Fatal("stage-only span should have no trace identity")
 	}
+	if _, nested := StartSpan(rctx, "parse"); nested != nil {
+		t.Fatal("a nested span with no tracer should not start")
+	}
 	sp.End()
-	stages := trace.Stages()
-	if len(stages) != 1 || stages[0].Name != "read" {
-		t.Fatalf("stage not recorded: %v", stages)
+	attrs := trace.StageAttrs()
+	if len(attrs) != 1 || attrs[0].(slog.Attr).Key != "read" {
+		t.Fatalf("stage not recorded: %v", attrs)
 	}
 }

@@ -13,22 +13,16 @@ import (
 
 // Trace is the per-request observability record: the request ID that
 // names the request in the response header, every log line, the error
-// body, and any async job it spawns — plus span-style stage durations
-// (queue_wait, read, compress, write, ...) accumulated as the request
-// flows through serve → jobs → pipeline. It travels by context; all
-// methods are safe for concurrent use, and a nil *Trace is a valid
+// body, and any async job it spawns — plus the durations of the spans
+// directly under the request (queue_wait, read, compress, write, ...),
+// which the request-completion log line lists. It travels by context;
+// all methods are safe for concurrent use, and a nil *Trace is a valid
 // no-op receiver so deep layers never need to check for presence.
 type Trace struct {
 	requestID string
 
 	mu     sync.Mutex
-	stages []Stage
-}
-
-// Stage is one named span duration inside a request.
-type Stage struct {
-	Name     string
-	Duration time.Duration
+	stages []slog.Attr // one per span name, in first-end order
 }
 
 // NewTrace returns a trace for the given request ID; an empty ID gets a
@@ -48,43 +42,36 @@ func (t *Trace) RequestID() string {
 	return t.requestID
 }
 
-// AddStage records one stage duration.
-func (t *Trace) AddStage(name string, d time.Duration) {
+// record adds one ended span's duration. A repeated name is summed
+// into the name's first attribute, keeping keys unique (duplicate slog
+// keys render as indistinguishable JSON fields).
+func (t *Trace) record(name string, d time.Duration) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.stages = append(t.stages, Stage{name, d})
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	for i, a := range t.stages {
+		if a.Key == name {
+			t.stages[i].Value = slog.DurationValue(a.Value.Duration() + d)
+			return
+		}
+	}
+	t.stages = append(t.stages, slog.Duration(name, d))
 }
 
-// Stages returns a copy of the recorded stage durations in order.
-func (t *Trace) Stages() []Stage {
+// StageAttrs returns the request's span durations as slog attributes
+// (span name → summed duration, in first-end order), for attaching to
+// the request-completion log line.
+func (t *Trace) StageAttrs() []any {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Stage(nil), t.stages...)
-}
-
-// StageAttrs renders the stages as slog attributes (stage name →
-// duration), for attaching to a request-completion log line. Repeated
-// stage names — a chunked request records one compress per chunk — are
-// summed into a single attribute, keeping keys unique (duplicate slog
-// keys render as indistinguishable JSON fields) while preserving
-// first-appearance order.
-func (t *Trace) StageAttrs() []any {
-	stages := t.Stages()
-	attrs := make([]any, 0, len(stages))
-	index := make(map[string]int, len(stages))
-	for _, s := range stages {
-		if i, ok := index[s.Name]; ok {
-			attrs[i] = slog.Duration(s.Name, attrs[i].(slog.Attr).Value.Duration()+s.Duration)
-			continue
-		}
-		index[s.Name] = len(attrs)
-		attrs = append(attrs, slog.Duration(s.Name, s.Duration))
+	attrs := make([]any, len(t.stages))
+	for i, a := range t.stages {
+		attrs[i] = a
 	}
 	return attrs
 }
@@ -107,13 +94,6 @@ func TraceFrom(ctx context.Context) *Trace {
 // RequestID returns the context's request ID, or "".
 func RequestID(ctx context.Context) string {
 	return TraceFrom(ctx).RequestID()
-}
-
-// AddStage records a stage duration on the context's trace; a no-op
-// when no trace is present, so instrumented layers (the pipeline
-// limiter, the jobs runner) cost nothing outside a traced request.
-func AddStage(ctx context.Context, name string, d time.Duration) {
-	TraceFrom(ctx).AddStage(name, d)
 }
 
 // NewRequestID mints a 16-hex-character request ID.

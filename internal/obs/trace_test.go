@@ -2,24 +2,27 @@ package obs
 
 import (
 	"context"
+	"log/slog"
 	"strings"
 	"testing"
-	"time"
 )
 
-// TestTraceContext: the trace rides the context; stages accumulate; the
-// nil trace (no middleware upstream) is a safe no-op.
+// TestTraceContext: the trace rides the context; the spans started on
+// it accumulate as log-line stages in end order; the nil trace (no
+// middleware upstream) is a safe no-op.
 func TestTraceContext(t *testing.T) {
 	tr := NewTrace("abc123")
 	ctx := WithTrace(context.Background(), tr)
 	if RequestID(ctx) != "abc123" {
 		t.Fatalf("RequestID = %q", RequestID(ctx))
 	}
-	AddStage(ctx, "read", 2*time.Millisecond)
-	AddStage(ctx, "compress", 5*time.Millisecond)
-	stages := tr.Stages()
-	if len(stages) != 2 || stages[0].Name != "read" || stages[1].Duration != 5*time.Millisecond {
-		t.Fatalf("stages = %v", stages)
+	_, read := StartSpan(ctx, "read")
+	read.End()
+	_, compress := StartSpan(ctx, "compress")
+	compress.End()
+	attrs := tr.StageAttrs()
+	if len(attrs) != 2 || attrs[0].(slog.Attr).Key != "read" || attrs[1].(slog.Attr).Key != "compress" {
+		t.Fatalf("stages = %v", attrs)
 	}
 
 	// Absent trace: everything no-ops.
@@ -27,9 +30,10 @@ func TestTraceContext(t *testing.T) {
 	if RequestID(bare) != "" {
 		t.Fatalf("RequestID on bare context = %q", RequestID(bare))
 	}
-	AddStage(bare, "x", time.Second) // must not panic
-	if TraceFrom(bare).RequestID() != "" {
-		t.Fatal("nil trace must answer empty request ID")
+	_, sp := StartSpan(bare, "x")
+	sp.End() // must not panic
+	if TraceFrom(bare).RequestID() != "" || TraceFrom(bare).StageAttrs() != nil {
+		t.Fatal("nil trace must answer an empty request ID and no stages")
 	}
 }
 

@@ -132,10 +132,8 @@ func (o *Ordered[T]) Submit(name string, run func(ctx context.Context, seed int6
 			s.res.Err = err
 			return
 		}
-		// Each worker job is a span named after the job (WithoutStage:
-		// a chunked stream submits one job per chunk, and per-chunk
-		// stage names would bloat the request-completion log line).
-		sctx, sp := obs.StartSpan(o.ctx, s.res.Name, obs.WithoutStage())
+		// Each worker job is a span named after the job.
+		sctx, sp := obs.StartSpan(o.ctx, s.res.Name)
 		// safeRun contains job panics so one poisoned chunk surfaces as
 		// this slot's error instead of killing the whole process.
 		s.res.Value, s.res.Err = safeRun(func() (T, error) { return run(sctx, s.res.Seed) })

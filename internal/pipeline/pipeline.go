@@ -85,11 +85,10 @@ func (l *Limiter) TryAcquire() bool {
 // while already holding a token from the same Limiter: unlike TryAcquire
 // it can wait, and a hold-and-wait cycle is a deadlock.
 //
-// Time spent waiting for a token is recorded as a queue_wait span (and
-// stage) on the context's request trace (a no-op outside a traced
-// request). The uncontended path records nothing: queue_wait only
-// appears on requests that actually queued. Unlike the historical
-// stage-only version, a wait that ends in cancellation now records too,
+// Time spent waiting for a token is recorded as a queue_wait span on
+// the context's request trace (a no-op outside a traced request). The
+// uncontended path records nothing: queue_wait only appears on requests
+// that actually queued. A wait that ends in cancellation records too,
 // marked with the context error — a request killed while queueing is
 // exactly the one whose queue time matters.
 func (l *Limiter) Acquire(ctx context.Context) error {
@@ -348,10 +347,7 @@ func ForEach(ctx context.Context, lim *Limiter, n, workers int, fn func(i int)) 
 	if lim == nil {
 		lim = Default()
 	}
-	// Export-only region span (WithoutStage: the EA calls ForEach once
-	// per generation, and a stage per generation would bloat the
-	// request-completion log line).
-	_, sp := obs.StartSpan(ctx, "parallel region", obs.WithoutStage())
+	_, sp := obs.StartSpan(ctx, "parallel region")
 	defer sp.End()
 	sp.SetAttrs(obs.Int("tasks", int64(n)), obs.Int("workers", int64(workers)))
 	var panicked atomic.Pointer[PanicError]

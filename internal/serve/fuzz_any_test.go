@@ -36,7 +36,7 @@ var fuzzPaths = []struct {
 	{"GET", "/v1/codecs"},
 	{"POST", "/v1/codecs"}, // wrong method: 405
 	{"GET", "/healthz"},
-	{"GET", "/metrics"},
+	{"GET", "/metrics/prometheus"},
 	{"DELETE", "/v1/compress"}, // wrong method: 405
 }
 

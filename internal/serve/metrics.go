@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"expvar"
-	"fmt"
 	"math"
-	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,15 +11,12 @@ import (
 )
 
 // Metrics is the daemon's counter set, built on the lock-free obs
-// primitives. Every primitive implements expvar.Var and is rooted in a
-// private expvar.Map rather than the process-global registry, so every
-// Server (and every httptest instance in the test suite) gets an
-// independent namespace and GET /metrics keeps serving the JSON
-// snapshot it always has. The same primitives are registered — by
-// reference, no double accounting — in a Prometheus text-exposition
-// registry served at GET /metrics/prometheus.
+// primitives and registered by reference in a private Prometheus
+// text-exposition registry — the one metrics view, served at
+// GET /metrics/prometheus. The registry is per Server rather than
+// process-global, so every httptest instance in the test suite gets an
+// independent namespace.
 type Metrics struct {
-	root *expvar.Map
 	prom *obs.Registry
 
 	// Requests counts completed requests per endpoint path.
@@ -43,9 +37,9 @@ type Metrics struct {
 	BytesIn  *obs.Counter
 	BytesOut *obs.Counter
 	// CacheHits / CacheMisses count result-cache lookups on /v1/compress;
-	// CacheEvictions counts entries the LRU budget pushed out. The root
-	// map also exposes cache_hit_ratio, a gauge computed from the two
-	// lookup counters (0 until the first lookup).
+	// CacheEvictions counts entries the LRU budget pushed out. The
+	// registry also exposes tcompd_cache_hit_ratio, a gauge computed from
+	// the two lookup counters (0 until the first lookup).
 	CacheHits      *obs.Counter
 	CacheMisses    *obs.Counter
 	CacheEvictions *obs.Counter
@@ -117,29 +111,9 @@ func newMetrics(tracer *obs.Tracer) *Metrics {
 		return float64(hits) / float64(hits+misses)
 	}
 
-	m.root = new(expvar.Map).Init()
-	m.root.Set("requests", m.Requests)
-	m.root.Set("in_flight", m.InFlight)
-	m.root.Set("workers_busy", m.WorkersBusy)
-	m.root.Set("workers_peak", m.WorkersPeak)
-	m.root.Set("bytes_in", m.BytesIn)
-	m.root.Set("bytes_out", m.BytesOut)
-	m.root.Set("cache_hits", m.CacheHits)
-	m.root.Set("cache_misses", m.CacheMisses)
-	m.root.Set("cache_evictions", m.CacheEvictions)
-	m.root.Set("cache_hit_ratio", expvar.Func(func() any { return hitRatio() }))
-	m.root.Set("jobs", m.Jobs)
-	m.root.Set("rejected_request_ids", m.RejectedIDs)
-	m.root.Set("errors", m.Errors)
-	m.root.Set("panics", m.Panics)
-	m.root.Set("compression_rate", m.Rates)
-	m.root.Set("request_latency", m.Latency)
-	m.root.Set("flow_stage_seconds", m.FlowStages)
-	m.root.Set("flow_coverage_percent", expvar.Func(func() any { return m.FlowCoverage() }))
-
-	// The Prometheus view over the same primitives. Names follow the
-	// exposition conventions: _total counters, base-unit seconds.
-	// Keep this table in sync with the README's metric-name table.
+	// Names follow the exposition conventions: _total counters,
+	// base-unit seconds. TestMetricFamiliesInREADME fails when a family
+	// is missing from the README's metric table.
 	p := obs.NewRegistry()
 	p.CounterVec("tcompd_requests_total", "Completed requests per endpoint path.", "path", m.Requests)
 	p.HistogramVec("tcompd_request_duration_seconds", "Request latency per endpoint path.", "path", m.Latency)
@@ -179,7 +153,6 @@ func newMetrics(tracer *obs.Tracer) *Metrics {
 	p.CounterFunc("tcompd_gc_cycles_total", "Completed GC cycles.", func() float64 {
 		return float64(rt.stats().NumGC)
 	})
-	m.root.Set("goroutines", expvar.Func(func() any { return runtime.NumGoroutine() }))
 
 	// Exporter accounting, when the tracer's exporter keeps any (the
 	// OTLP exporter's bounded queue): saturation and span loss must be
@@ -199,9 +172,9 @@ func newMetrics(tracer *obs.Tracer) *Metrics {
 	return m
 }
 
-// runtimeSampler memoizes runtime.ReadMemStats for a second: scrapes
-// and the JSON snapshot may hit several heap gauges per pass, and
-// ReadMemStats stops the world each call.
+// runtimeSampler memoizes runtime.ReadMemStats for a second: a scrape
+// reads several heap gauges per pass, and ReadMemStats stops the world
+// each call.
 type runtimeSampler struct {
 	mu   sync.Mutex
 	at   time.Time
@@ -251,19 +224,6 @@ func (m *Metrics) noteWorker(delta int64) {
 	if delta > 0 {
 		m.WorkersPeak.SetMax(busy)
 	}
-}
-
-// String returns the metrics snapshot as a JSON object.
-func (m *Metrics) String() string { return m.root.String() }
-
-// ServeHTTP implements GET /metrics.
-func (m *Metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, CodeMethodNotAllowed, "use GET")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintln(w, m.root.String())
 }
 
 // Prometheus returns the text-exposition registry (served at

@@ -7,13 +7,16 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -350,5 +353,145 @@ func TestWorkersPeakNotUnderReported(t *testing.T) {
 	peak := m.WorkersPeak.Value()
 	if peak < 1 || peak > n {
 		t.Fatalf("workers_peak = %d, want within [1,%d]", peak, n)
+	}
+}
+
+// logStages returns the stage attributes of the request-completion log
+// line for request ID rid, in the order the line lists them: every
+// top-level key beyond the line's fixed fields.
+func logStages(t *testing.T, logs *syncBuffer, rid string) []string {
+	t.Helper()
+	fixed := map[string]bool{"time": true, "level": true, "msg": true, "request_id": true,
+		"method": true, "path": true, "status": true, "duration": true}
+	for _, raw := range logs.Lines() {
+		var l logLine
+		if json.Unmarshal([]byte(raw), &l) != nil || l.Msg != "request" || l.RequestID != rid {
+			continue
+		}
+		dec := json.NewDecoder(strings.NewReader(raw))
+		if _, err := dec.Token(); err != nil { // the opening brace
+			t.Fatal(err)
+		}
+		var stages []string
+		for dec.More() {
+			key, err := dec.Token()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var skip json.RawMessage
+			if err := dec.Decode(&skip); err != nil {
+				t.Fatal(err)
+			}
+			if !fixed[key.(string)] {
+				stages = append(stages, key.(string))
+			}
+		}
+		return stages
+	}
+	t.Fatalf("no request log line for %s", rid)
+	return nil
+}
+
+// TestRequestLogLineStages pins the log line's stage rule: it lists the
+// spans directly under the request — under the handler's root span, or
+// under no span when no tracer is configured — and nothing nested
+// inside them (the codec's own "compress <codec>", pipeline chunks).
+func TestRequestLogLineStages(t *testing.T) {
+	for name, tracer := range map[string]*obs.Tracer{
+		"no tracer": nil,
+		"tracer":    obs.NewTracer(obs.NewWriterExporter(io.Discard), 1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, client, logs := logServer(t, Config{Workers: 1, CacheBytes: 1 << 20, CacheInputBytes: 1 << 10, Tracer: tracer})
+			post := func(rid, path string, body []byte) []byte {
+				t.Helper()
+				req, err := http.NewRequest(http.MethodPost, client.BaseURL+path, bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("X-Request-Id", rid)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				out, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			buffered := post("buffered", "/v1/compress?codec=golomb", textOf(t, randomSet(24, 20, 1)))
+			post("overcap", "/v1/compress?codec=golomb", textOf(t, randomSet(24, 400, 2)))
+			post("bad", "/v1/compress?codec=golomb", []byte("4 2\n01X1\n01Z1\n"))
+			post("decompress", "/v1/decompress", buffered)
+
+			// A request that finds the worker budget full queues; this
+			// one is cancelled while it waits.
+			if !s.lim.TryAcquire() {
+				t.Fatal("worker token unexpectedly held")
+			}
+			ctx, cancel := context.WithCancel(t.Context())
+			cancel()
+			req := httptest.NewRequest(http.MethodPost, "/v1/compress?codec=golomb", strings.NewReader("4 1\n0101\n")).WithContext(ctx)
+			req.Header.Set("X-Request-Id", "queued")
+			s.Handler().ServeHTTP(httptest.NewRecorder(), req)
+			s.lim.Release()
+
+			for rid, want := range map[string][]string{
+				"buffered":   {"read", "compress", "write"},
+				"overcap":    {"read", "stream"},
+				"bad":        {"read"},
+				"decompress": {"decompress"},
+				"queued":     {"queue_wait"},
+			} {
+				if got := logStages(t, logs, rid); !slices.Equal(got, want) {
+					t.Errorf("%s request logged stages %v, want %v", rid, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestMetricFamiliesInREADME: every family the exposition can render —
+// with and without an OTLP exporter's accounting attached — has a row
+// in the README's metric table, its name written out in full.
+func TestMetricFamiliesInREADME(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nameRE := regexp.MustCompile("`(tcompd_[a-z0-9_]+)(\\{[a-z]+\\})?`")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(string(readme), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`tcompd_") {
+			continue
+		}
+		for _, m := range nameRE.FindAllStringSubmatch(cells[1], -1) {
+			documented[m[1]] = true
+		}
+	}
+
+	exp := obs.NewOTLPExporter(obs.OTLPConfig{Endpoint: "http://127.0.0.1:4318/v1/traces"})
+	t.Cleanup(func() { _ = exp.Shutdown(context.Background()) }) // nothing was exported
+	typeRE := regexp.MustCompile(`(?m)^# TYPE (\S+) `)
+	for name, tracer := range map[string]*obs.Tracer{
+		"no exporter":   nil,
+		"OTLP exporter": obs.NewTracer(exp, 1),
+	} {
+		var b strings.Builder
+		if _, err := newMetrics(tracer).Prometheus().WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		families := typeRE.FindAllStringSubmatch(b.String(), -1)
+		if len(families) == 0 {
+			t.Fatalf("%s: exposition has no families", name)
+		}
+		for _, f := range families {
+			if !documented[f[1]] {
+				t.Errorf("%s: family %s has no row in the README's metric table", name, f[1])
+			}
+		}
 	}
 }

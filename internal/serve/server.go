@@ -41,7 +41,8 @@
 //	DELETE /v1/flows/{id} cancel / remove, like /v1/jobs/{id}.
 //	GET  /v1/benchmarks  the ISCAS-style registry (paper tables 1 and 2).
 //	GET  /healthz        liveness; 503 once draining.
-//	GET  /metrics        expvar-style JSON counter snapshot.
+//	GET  /metrics/prometheus  the metrics, as Prometheus text
+//	                     exposition 0.0.4.
 //
 // The container formats are the root package's business: every
 // container is written by tcomp.CompressTo and read by
@@ -220,7 +221,6 @@ func New(cfg Config) (*Server, error) {
 	mux.Handle("/v1/flows/", s.instrument("/v1/flows/", s.handleFlowByID))
 	mux.Handle("/v1/benchmarks", s.instrument("/v1/benchmarks", s.handleBenchmarks))
 	mux.Handle("/healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.Handle("/metrics", s.instrument("/metrics", s.metrics.ServeHTTP))
 	mux.Handle("/metrics/prometheus", s.instrument("/metrics/prometheus", s.metrics.Prometheus().ServeHTTP))
 	s.mux = mux
 	return s, nil
@@ -246,7 +246,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // and parked back to pending in the journal for the next start.
 func (s *Server) Close() error { return s.jobs.Close() }
 
-// Metrics returns the server's counter set (also served at /metrics).
+// Metrics returns the server's counter set (rendered at
+// /metrics/prometheus).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Jobs returns the async job manager.
@@ -322,7 +323,7 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.Handler {
 			// Health probes and scrapes log at debug — they would drown
 			// the data-plane lines at every monitoring interval.
 			level := slog.LevelInfo
-			if path == "/healthz" || path == "/metrics" || path == "/metrics/prometheus" {
+			if path == "/healthz" || path == "/metrics/prometheus" {
 				level = slog.LevelDebug
 			}
 			if sw.code >= 500 {
@@ -635,7 +636,15 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), n: s.metrics.BytesIn}
 	br := getBufReader(body)
 	defer putBufReader(br)
+	// The read span covers the body parse (for an over-cap submission,
+	// the prefix buffered before streaming starts); a body that fails
+	// to parse ends it as failed.
 	_, readSp := obs.StartSpan(r.Context(), "read")
+	badBody := func(err error, format string, args ...any) {
+		readSp.SetError(err)
+		readSp.End()
+		writeError(w, bodyErrorCode(err, CodeBadRequest), format, args...)
+	}
 	if peek, err := br.Peek(4); err == nil && string(peek) == "TSET" {
 		// Binary test-set body: the format is already in-memory-sized
 		// (bounded by MaxBodyBytes), so the response is buffered. Cache
@@ -644,7 +653,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		// cacheable regardless of submission encoding.
 		ts, err := testset.ReadBinary(br)
 		if err != nil {
-			writeError(w, bodyErrorCode(err, CodeBadRequest), "bad binary test set: %v", err)
+			badBody(err, "bad binary test set: %v", err)
 			return
 		}
 		readSp.End()
@@ -655,7 +664,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 
 	sc, err := testset.NewScanner(br)
 	if err != nil {
-		writeError(w, bodyErrorCode(err, CodeBadRequest), "bad test set: %v", err)
+		badBody(err, "bad test set: %v", err)
 		return
 	}
 	// Cache probe: buffer patterns while the canonical input stays under
@@ -672,7 +681,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err != nil {
-			writeError(w, bodyErrorCode(err, CodeBadRequest), "bad pattern %d: %v", ts.NumPatterns(), err)
+			badBody(err, "bad pattern %d: %v", ts.NumPatterns(), err)
 			return
 		}
 		ts.Add(v)
@@ -681,6 +690,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
+	readSp.End()
 	// Over the cap: the buffered prefix plus the rest of the scanner go
 	// to the writer uncached. A v2 container is monolithic, so its
 	// answer stays buffered (bounded by MaxBodyBytes); v3 streams onto

@@ -234,15 +234,12 @@ func TestCacheDeterminism(t *testing.T) {
 		t.Fatalf("cache_evictions = %d, want 0 (capacity was never exceeded)", ev)
 	}
 	// The computed hit-ratio gauge: 2 hits / 4 lookups.
-	var snap struct {
-		HitRatio  float64 `json:"cache_hit_ratio"`
-		Evictions int64   `json:"cache_evictions"`
+	var expo strings.Builder
+	if _, err := s.Metrics().Prometheus().WriteTo(&expo); err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal([]byte(s.Metrics().String()), &snap); err != nil {
-		t.Fatalf("metrics snapshot does not parse: %v", err)
-	}
-	if snap.HitRatio != 0.5 {
-		t.Fatalf("cache_hit_ratio = %v, want 0.5", snap.HitRatio)
+	if !strings.Contains(expo.String(), "\ntcompd_cache_hit_ratio 0.5\n") {
+		t.Fatalf("exposition lacks tcompd_cache_hit_ratio 0.5:\n%s", expo.String())
 	}
 }
 
@@ -472,7 +469,8 @@ func TestCodecsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint: counters move and the snapshot is valid JSON.
+// TestMetricsEndpoint: counters move, the exposition renders them, and
+// /metrics/prometheus is the one metrics route.
 func TestMetricsEndpoint(t *testing.T) {
 	s, client := newTestServer(t, Config{Workers: 2, CacheBytes: 1 << 20})
 	ctx := context.Background()
@@ -486,35 +484,41 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var snap map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(s.Metrics().String()), &snap); err != nil {
-		t.Fatalf("metrics snapshot is not valid JSON: %v", err)
+	reqs := s.Metrics().Requests
+	if reqs.Get("/v1/compress").Value() != 1 || reqs.Get("/v1/decompress").Value() != 1 {
+		t.Fatalf("request counters: compress %d, decompress %d, want 1 each",
+			reqs.Get("/v1/compress").Value(), reqs.Get("/v1/decompress").Value())
 	}
-	var reqs map[string]int64
-	if err := json.Unmarshal(snap["requests"], &reqs); err != nil {
-		t.Fatal(err)
-	}
-	if reqs["/v1/compress"] != 1 || reqs["/v1/decompress"] != 1 {
-		t.Fatalf("request counters %v", reqs)
+	if reqs.Get("/v1/codecs") != nil {
+		t.Fatal("Get of a never-requested path must return nil")
 	}
 	if s.Metrics().BytesIn.Value() == 0 || s.Metrics().BytesOut.Value() == 0 {
 		t.Fatal("byte counters did not move")
 	}
-	var rates map[string]struct {
-		Count int64 `json:"count"`
-	}
-	if err := json.Unmarshal(snap["compression_rate"], &rates); err != nil {
-		t.Fatal(err)
-	}
-	if rates["golomb"].Count != 1 {
-		t.Fatalf("golomb rate histogram count %d, want 1", rates["golomb"].Count)
+	if n := s.Metrics().Rates.Get("golomb").Count(); n != 1 {
+		t.Fatalf("golomb rate histogram count %d, want 1", n)
 	}
 
-	// The HTTP endpoint serves the same snapshot.
+	// The HTTP endpoint serves the same exposition; the retired JSON
+	// view is gone.
 	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics/prometheus", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics/prometheus: %d", rec.Code)
+	}
+	for _, want := range []string{
+		`tcompd_requests_total{path="/v1/compress"} 1`,
+		`tcompd_requests_total{path="/v1/decompress"} 1`,
+		`tcompd_compression_rate_percent_count{codec="golomb"} 1`,
+	} {
+		if !strings.Contains(rec.Body.String(), "\n"+want+"\n") {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+	rec = httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if rec.Code != http.StatusOK || !json.Valid(rec.Body.Bytes()) {
-		t.Fatalf("GET /metrics: %d, valid JSON: %v", rec.Code, json.Valid(rec.Body.Bytes()))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /metrics: %d, want 404", rec.Code)
 	}
 }
 

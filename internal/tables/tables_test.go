@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -85,6 +86,52 @@ func TestFormat(t *testing.T) {
 	out2 := Format(rows, iscasgen.PathDelay)
 	if !strings.Contains(out2, "EA1") {
 		t.Fatal("path-delay format must use EA1/EA2 column names")
+	}
+}
+
+// TestFormatPaperAverages: the published "Average" columns are means
+// over the printed rows. Over the whole tables they are the paper's own
+// Average rows; a subset prints its own mean.
+func TestFormatPaperAverages(t *testing.T) {
+	rowsOf := func(metas []iscasgen.Meta) []Row {
+		rows := make([]Row, len(metas))
+		for i, m := range metas {
+			rows[i].Meta = m
+		}
+		return rows
+	}
+	averageLine := func(rows []Row, kind iscasgen.Kind) string {
+		out := Format(rows, kind)
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "Average") {
+				return line
+			}
+		}
+		t.Fatalf("no Average line in:\n%s", out)
+		return ""
+	}
+	published := func(a, b, c, d float64) string {
+		return fmt.Sprintf("| %6.1f%% %6.1f%% %6.1f%% %6.1f%%", a, b, c, d)
+	}
+	if got := averageLine(rowsOf(iscasgen.Table1()), iscasgen.StuckAt); !strings.HasSuffix(got, published(42.6, 46.8, 54.2, 55.9)) {
+		t.Errorf("Table 1 Average line %q, want the paper's 42.6/46.8/54.2/55.9", got)
+	}
+	if got := averageLine(rowsOf(iscasgen.Table2()), iscasgen.PathDelay); !strings.HasSuffix(got, published(48.7, 52.1, 55.6, 58.6)) {
+		t.Errorf("Table 2 Average line %q, want the paper's 48.7/52.1/55.6/58.6", got)
+	}
+	var subset []iscasgen.Meta
+	for _, name := range []string{"s298", "s349"} {
+		m, err := iscasgen.Find(name, iscasgen.StuckAt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subset = append(subset, m)
+	}
+	a, b := subset[0], subset[1]
+	want := published((a.Paper9C+b.Paper9C)/2, (a.Paper9CHC+b.Paper9CHC)/2, (a.PaperEA+b.PaperEA)/2, (a.PaperEA2+b.PaperEA2)/2)
+	got := averageLine(rowsOf(subset), iscasgen.StuckAt)
+	if !strings.HasSuffix(got, want) || !strings.Contains(want, " 21.0%") {
+		t.Errorf("s298+s349 Average line %q, want the two rows' published mean %q (9C 21.0%%)", got, want)
 	}
 }
 
