@@ -34,29 +34,13 @@ type Artifact struct {
 	// *EAResult with per-run statistics). It is NOT serialized: an
 	// artifact read back via Open has Extra == nil.
 	Extra any
-
-	// src, when set, is the bit source decoders consume instead of an
-	// in-memory reader over Payload — the chunked stream path attaches
-	// an io.Reader-fed bitstream.StreamReader here.
-	src bitstream.Source
 }
 
 // BitReader returns a bitstream reader positioned at the start of the
 // payload — the raw input a decoder (software or the hardware FSM
-// model) consumes.
+// model) consumes. Every registered codec decompresses through it,
+// whether the artifact was built whole or from one v3 chunk.
 func (a *Artifact) BitReader() *bitstream.Reader {
-	return bitstream.NewReader(a.Payload, a.NBits)
-}
-
-// Source returns the bit-level input a decoder should consume: the
-// attached streaming source when the artifact arrived through the
-// chunked stream path, otherwise an in-memory reader over Payload. Every
-// registered codec decompresses through this, so the same decode code
-// serves buffered and streaming artifacts.
-func (a *Artifact) Source() bitstream.Source {
-	if a.src != nil {
-		return a.src
-	}
 	return bitstream.NewReader(a.Payload, a.NBits)
 }
 

@@ -2,9 +2,9 @@ package tcomp_test
 
 // Benchmark regression harness for the streaming engine: buffered
 // whole-set compression vs the chunked StreamWriter/StreamReader path,
-// both directions, on the fast codecs. CI runs these (with the
-// bitstream micro-benchmarks) and archives the output as
-// BENCH_stream.json so the perf trajectory across PRs has data points.
+// both directions, on every codec but the EA. CI runs these (with the
+// bitstream micro-benchmarks), ratchets them against the committed
+// BENCH_codec.json baseline and archives the new figures.
 
 import (
 	"bytes"
@@ -24,7 +24,7 @@ func benchSet() *tcomp.TestSet {
 
 func BenchmarkStreamVsBuffered(b *testing.B) {
 	ts := benchSet()
-	for _, codec := range []string{"fdr", "golomb", "rl", "selhuff"} {
+	for _, codec := range []string{"fdr", "golomb", "rl", "selhuff", "9c", "9chc"} {
 		codec := codec
 		c, err := tcomp.Lookup(codec)
 		if err != nil {

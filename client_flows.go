@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
@@ -71,19 +70,11 @@ func (c *Client) SubmitFlow(ctx context.Context, req FlowRequest) (*JobStatus, e
 
 // Flows lists the daemon's flow jobs, newest last.
 func (c *Client) Flows(ctx context.Context) ([]JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/flows", nil)
-	if err != nil {
-		return nil, err
-	}
-	injectTraceparent(req)
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.get(ctx, "/v1/flows")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
 	var out []JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, fmt.Errorf("tcomp: decoding flow list: %w", err)
@@ -94,20 +85,11 @@ func (c *Client) Flows(ctx context.Context) ([]JobStatus, error) {
 // FlowReport fetches and decodes the JSON report of a done flow.
 // ErrJobNotFound / ErrJobNotDone classify the usual failure modes.
 func (c *Client) FlowReport(ctx context.Context, id string) (*FlowReport, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/v1/flows/"+url.PathEscape(id)+"/result", nil)
-	if err != nil {
-		return nil, err
-	}
-	injectTraceparent(req)
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.get(ctx, "/v1/flows/"+url.PathEscape(id)+"/result")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
 	var rep FlowReport
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		return nil, fmt.Errorf("tcomp: decoding flow report: %w", err)
@@ -119,39 +101,22 @@ func (c *Client) FlowReport(ctx context.Context, id string) (*FlowReport, error)
 // "container" (the winner's v3 container) or "verilog" (the
 // synthesizable decoder). Returns the byte count written.
 func (c *Client) FlowArtifact(ctx context.Context, id, name string, w io.Writer) (int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/v1/flows/"+url.PathEscape(id)+"/artifacts/"+url.PathEscape(name), nil)
-	if err != nil {
-		return 0, err
-	}
-	injectTraceparent(req)
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.get(ctx, "/v1/flows/"+url.PathEscape(id)+"/artifacts/"+url.PathEscape(name))
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, apiError(resp)
-	}
 	return io.Copy(w, resp.Body)
 }
 
 // Benchmarks fetches the daemon's ISCAS-style benchmark registry — the
 // valid FlowRequest.Benchmark values and their paper-table shapes.
 func (c *Client) Benchmarks(ctx context.Context) ([]Benchmark, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/benchmarks", nil)
-	if err != nil {
-		return nil, err
-	}
-	injectTraceparent(req)
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.get(ctx, "/v1/benchmarks")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
 	var out []Benchmark
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, fmt.Errorf("tcomp: decoding benchmark registry: %w", err)

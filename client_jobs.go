@@ -194,7 +194,7 @@ func (c *Client) submitAsync(ctx context.Context, path string, q url.Values, bod
 
 // Job fetches the current record of one job (GET /v1/jobs/{id}).
 func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
-	resp, err := c.jobGet(ctx, "/v1/jobs/"+url.PathEscape(id))
+	resp, err := c.get(ctx, "/v1/jobs/"+url.PathEscape(id))
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +205,7 @@ func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 // Jobs lists every job the daemon knows, in submission order
 // (GET /v1/jobs).
 func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
-	resp, err := c.jobGet(ctx, "/v1/jobs")
+	resp, err := c.get(ctx, "/v1/jobs")
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +217,9 @@ func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
 	return out, nil
 }
 
-func (c *Client) jobGet(ctx context.Context, path string) (*http.Response, error) {
+// get issues GET BaseURL+path through do: a 200 response comes back
+// with its body open, anything else as the daemon's typed error.
+func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
 		return nil, err
@@ -246,7 +248,7 @@ func (c *Client) CancelJob(ctx context.Context, id string) (*JobStatus, error) {
 // job without a result yet answers ErrJobNotDone; an unknown job or a
 // garbage-collected artifact answers ErrJobNotFound.
 func (c *Client) JobResult(ctx context.Context, id string, w io.Writer) (*RemoteStats, error) {
-	resp, err := c.jobGet(ctx, "/v1/jobs/"+url.PathEscape(id)+"/result")
+	resp, err := c.get(ctx, "/v1/jobs/"+url.PathEscape(id)+"/result")
 	if err != nil {
 		return nil, err
 	}

@@ -70,7 +70,7 @@ func (c *blockCodec) Decompress(a *Artifact) (*TestSet, error) {
 		return nil, fmt.Errorf("tcomp: %s container declares %d blocks but ships %d payload bits: %w",
 			c.name, nblocks, a.NBits, bitstream.ErrEOS)
 	}
-	blocks, err := blockcode.Decode(a.Source(), set, code, nblocks)
+	blocks, err := blockcode.Decode(a.BitReader(), set, code, nblocks)
 	if err != nil {
 		return nil, err
 	}

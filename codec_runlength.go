@@ -74,7 +74,7 @@ func (golombCodec) Decompress(a *Artifact) (*TestSet, error) {
 	if m < 1 || m > maxGolombM {
 		return nil, fmt.Errorf("tcomp: golomb M %d out of range [1,%d]", m, maxGolombM)
 	}
-	flat, err := golomb.Decompress(a.Source(), m, a.Width*a.Patterns)
+	flat, err := golomb.Decompress(a.BitReader(), m, a.Width*a.Patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +109,7 @@ func (fdrCodec) Decompress(a *Artifact) (*TestSet, error) {
 	if len(a.Params) != 0 {
 		return nil, fmt.Errorf("tcomp: fdr expects an empty parameter blob, got %d bytes", len(a.Params))
 	}
-	flat, err := fdr.Decompress(a.Source(), a.Width*a.Patterns)
+	flat, err := fdr.Decompress(a.BitReader(), a.Width*a.Patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +155,7 @@ func (rlCodec) Decompress(a *Artifact) (*TestSet, error) {
 		return nil, fmt.Errorf("tcomp: rl counter width %d out of range [%d,%d]",
 			b, runlength.MinCounterWidth, runlength.MaxCounterWidth)
 	}
-	flat, err := runlength.Decompress(a.Source(), b, a.Width*a.Patterns)
+	flat, err := runlength.Decompress(a.BitReader(), b, a.Width*a.Patterns)
 	if err != nil {
 		return nil, err
 	}

@@ -57,7 +57,7 @@ func (selhuffCodec) Decompress(a *Artifact) (*TestSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	flat, err := selhuff.Decompress(a.Source(), res, a.Width*a.Patterns)
+	flat, err := selhuff.Decompress(a.BitReader(), res, a.Width*a.Patterns)
 	if err != nil {
 		return nil, err
 	}

@@ -155,7 +155,7 @@ func TestContainerThroughFSM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, st, err := fsm.Run(cf.Reader(), cf.NumBlocks())
+	blocks, st, err := fsm.Run(bitstream.NewReader(cf.Payload, cf.NBits), cf.NumBlocks())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,8 @@ import (
 )
 
 // MemStore is the in-memory Store: the test double for DiskStore and
-// the backing layer for servers that want content-addressed layering
-// without durability (the serve result cache rides on one by default).
-// Same contract, same GC policy, no disk.
+// the job manager's store when tcompd runs without -store-dir. Same
+// contract, same GC policy, no disk.
 type MemStore struct {
 	mu    sync.Mutex
 	blobs map[Digest][]byte
@@ -45,29 +44,14 @@ func (s *MemStore) Put(r io.Reader) (Digest, int64, error) {
 
 // Open returns a reader over the blob and refreshes its last-use time.
 func (s *MemStore) Open(d Digest) (io.ReadCloser, error) {
-	b, ok := s.get(d, true)
-	if !ok {
-		return nil, fmt.Errorf("artifact: open %s: %w", short(d), ErrNotFound)
-	}
-	return io.NopCloser(bytes.NewReader(b)), nil
-}
-
-// GetNoCopy returns the stored bytes without copying, refreshing the
-// blob's last-use time. Callers must treat the slice as read-only. It is
-// the interface-upgrade fast path the serve result cache probes for, so
-// a cache hit costs no allocation.
-func (s *MemStore) GetNoCopy(d Digest) ([]byte, bool) {
-	return s.get(d, true)
-}
-
-func (s *MemStore) get(d Digest, touch bool) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.blobs[d]
-	if ok && touch {
-		s.index[d].lastUsed = time.Now()
+	if !ok {
+		return nil, fmt.Errorf("artifact: open %s: %w", short(d), ErrNotFound)
 	}
-	return b, ok
+	s.index[d].lastUsed = time.Now()
+	return io.NopCloser(bytes.NewReader(b)), nil
 }
 
 // Stat returns the blob's metadata without touching recency.

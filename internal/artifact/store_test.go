@@ -350,19 +350,6 @@ func TestDiskRestartReindex(t *testing.T) {
 	}
 }
 
-// TestMemGetNoCopy pins the serve cache's zero-copy fast path.
-func TestMemGetNoCopy(t *testing.T) {
-	s := NewMemStore()
-	d := mustPut(t, s, "zero copy me")
-	b, ok := s.GetNoCopy(d)
-	if !ok || string(b) != "zero copy me" {
-		t.Fatalf("GetNoCopy = %q, %v", b, ok)
-	}
-	if _, ok := s.GetNoCopy(SumBytes([]byte("absent"))); ok {
-		t.Fatal("GetNoCopy found an absent blob")
-	}
-}
-
 func TestParseDigest(t *testing.T) {
 	good := string(SumBytes([]byte("x")))
 	if _, err := ParseDigest(good); err != nil {

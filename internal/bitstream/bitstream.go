@@ -3,34 +3,36 @@
 // that a prefix code can be decoded by walking bits in stream order.
 //
 // The hot paths are word-at-a-time: WriteBits splits its 64-bit argument
-// into whole output bytes instead of looping per bit, ReadBits gathers
-// whole bytes into a 64-bit word, and StreamReader keeps a 64-bit
-// accumulator refilled from an io.Reader so decoding never needs the full
-// payload in memory.
+// into whole output bytes instead of looping per bit, and ReadBits and
+// PeekBits take their bits from one big-endian 64-bit load. Every
+// container version, including each chunk of a v3 stream, holds its
+// payload in memory by the time it is decoded, so the in-memory Reader is
+// the one bit reader.
 package bitstream
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
-// ErrEOS is returned when reading past the end of the stream. Errors from
-// refilling readers wrap it; test with errors.Is(err, ErrEOS).
+// ErrEOS is returned when reading past the end of the stream. Decoders
+// wrap it; test with errors.Is(err, ErrEOS).
 var ErrEOS = errors.New("bitstream: end of stream")
 
 // ErrBitCount is returned (wrapped) when a bit count lies outside [0,64],
 // or when a reader is constructed over a buffer too small for its declared
-// bit count. Both the in-memory Reader and the StreamReader return it —
-// no read path in this package panics, so counts derived from hostile
-// container headers surface as checked errors. The only remaining panic
-// is Writer.WriteBits, whose bit counts are always produced by encoders,
-// never parsed from input (use TryWriteBits for untrusted counts).
+// bit count. No read path in this package panics, so counts derived from
+// hostile container headers surface as checked errors. The only
+// remaining panic is Writer.WriteBits, whose bit counts are always
+// produced by encoders, never parsed from input (use TryWriteBits for
+// untrusted counts).
 var ErrBitCount = errors.New("bitstream: bit count out of range [0,64]")
 
-// Source is the bit-level input every decoder in the repo consumes: the
-// in-memory Reader and the io.Reader-fed StreamReader both implement it,
-// so the same decode code serves the buffered and the streaming paths.
+// Source is the bit-level input every decoder in the repo consumes. Reader
+// implements it; a Source without the Peeker methods drives a decoder
+// down its bit-at-a-time fallback, which the differential tests use as
+// the reference for the fast path.
 type Source interface {
 	// ReadBit returns the next bit. At end of stream the error satisfies
 	// errors.Is(err, ErrEOS).
@@ -45,7 +47,7 @@ type Source interface {
 // bit-at-a-time Source methods when it is absent, so third-party
 // Sources keep working.
 //
-// The contract both implementations honor: PeekBits(n) with n in
+// The contract Reader honors: PeekBits(n) with n in
 // [0,PeekMax] returns avail = min(n, bits remaining) and the next avail
 // bits MSB-first in the low avail bits of v. avail < n therefore means
 // fewer than n bits remain in the whole stream — there is no transient
@@ -60,9 +62,9 @@ type Peeker interface {
 	Skip(n int) error
 }
 
-// PeekMax is the largest window PeekBits guarantees: the StreamReader's
-// accumulator refills to at least 57 valid bits, so any peek up to 56
-// bits is short only at true end of stream.
+// PeekMax is the largest window PeekBits serves: a peek of up to 56 bits
+// is short only at the true end of the stream. Decoders size their
+// unary scans against it.
 const PeekMax = 56
 
 // Writer accumulates bits MSB-first into a byte buffer.
@@ -144,10 +146,9 @@ func (w *Writer) Reset() {
 	w.nbit = 0
 }
 
-// Reader consumes bits MSB-first from a byte buffer. Like the
-// StreamReader, it never panics on hostile input: a declared bit count
-// exceeding the buffer, or a read past the end, surfaces as an error
-// wrapping ErrBitCount / ErrEOS.
+// Reader consumes bits MSB-first from a byte buffer. It never panics on
+// hostile input: a declared bit count exceeding the buffer, or a read
+// past the end, surfaces as an error wrapping ErrBitCount / ErrEOS.
 type Reader struct {
 	buf  []byte
 	nbit int   // total valid bits
@@ -195,10 +196,11 @@ func (r *Reader) ReadBit() (uint, error) {
 	return b, nil
 }
 
-// ReadBits reads n bits MSB-first into the low bits of the result. It
-// gathers whole bytes rather than looping per bit. A count outside
-// [0,64] returns an error wrapping ErrBitCount (the count may derive from
-// a hostile container parameter); reading past the end returns ErrEOS.
+// ReadBits reads n bits MSB-first into the low bits of the result,
+// taking them from a 64-bit window rather than one bit at a time. A
+// count outside [0,64] returns an error wrapping ErrBitCount (the count
+// may derive from a hostile container parameter); reading past the end
+// returns ErrEOS.
 func (r *Reader) ReadBits(n int) (uint64, error) {
 	if n < 0 || n > 64 {
 		return 0, fmt.Errorf("bitstream: ReadBits n=%d: %w", n, ErrBitCount)
@@ -219,30 +221,26 @@ func (r *Reader) ReadBits(n int) (uint64, error) {
 
 // gather reads n in-bounds bits starting at bit position p without
 // advancing; callers have already checked p+n <= nbit and 0 < n <= 64.
+// It loads the eight bytes at p>>3 as one big-endian word and shifts out
+// the p&7 bits already consumed, which leaves 64-p&7 valid bits. Only
+// inside the last 7 bytes of the buffer is the word assembled byte by
+// byte, and only a 58-64-bit read at an unaligned offset needs the
+// ninth byte.
 func (r *Reader) gather(p, n int) uint64 {
-	var v uint64
-	// Head: finish the current partial byte.
-	if off := p & 7; off != 0 {
-		b := uint64(r.buf[p>>3]) & (0xFF >> uint(off))
-		take := 8 - off
-		if n <= take {
-			return b >> uint(take-n)
+	i, off := p>>3, uint(p&7)
+	var w uint64
+	if i+8 <= len(r.buf) {
+		w = binary.BigEndian.Uint64(r.buf[i:])
+		if n > 64-int(off) {
+			// p+n <= nbit puts the ninth byte inside the buffer.
+			return (w<<off | uint64(r.buf[i+8])>>(8-off)) >> uint(64-n)
 		}
-		v = b
-		n -= take
-		p += take
+	} else {
+		for j, b := range r.buf[i:] {
+			w |= uint64(b) << (56 - 8*uint(j))
+		}
 	}
-	// Body: whole bytes.
-	for n >= 8 {
-		v = v<<8 | uint64(r.buf[p>>3])
-		p += 8
-		n -= 8
-	}
-	// Tail: high bits of the next byte.
-	if n > 0 {
-		v = v<<uint(n) | uint64(r.buf[p>>3])>>uint(8-n)
-	}
-	return v
+	return w << off >> uint(64-n)
 }
 
 // PeekBits returns the next min(n, PeekMax, Remaining()) bits MSB-first
@@ -284,192 +282,7 @@ func (r *Reader) Remaining() int { return r.nbit - r.pos }
 // Pos returns the number of bits consumed so far.
 func (r *Reader) Pos() int { return r.pos }
 
-// StreamReader consumes bits MSB-first from an io.Reader through a 64-bit
-// accumulator, refilling in bounded chunks so decoding never needs the
-// full payload in memory. A non-negative limit bounds the number of bits
-// exposed (the payload's bit count, excluding the final byte's padding);
-// a negative limit exposes everything until EOF.
-//
-// All end-of-stream and validation errors wrap ErrEOS / ErrBitCount, so
-// callers test with errors.Is; StreamReader never panics on hostile
-// input.
-type StreamReader struct {
-	src   io.Reader
-	limit int // total bits exposed, -1 = until EOF
-	pos   int // bits consumed
-	acc   uint64
-	nacc  int // valid low bits of acc
-	buf   []byte
-	pend  []byte // unread refill bytes
-	err   error  // sticky source error (io.EOF included)
-}
-
-// streamChunk is the refill granularity: small enough that a hostile
-// length field costs nothing, large enough to amortize Read calls.
-const streamChunk = 4 << 10
-
-// NewStreamReader returns a StreamReader over src exposing nbits bits
-// (negative = until EOF).
-func NewStreamReader(src io.Reader, nbits int) *StreamReader {
-	if nbits < 0 {
-		nbits = -1
-	}
-	return &StreamReader{src: src, limit: nbits, buf: make([]byte, streamChunk)}
-}
-
-// refill moves source bytes into the accumulator until it holds more
-// than 56 bits or the source is exhausted. A transient (0, nil) read is
-// retried, as io.ReadAtLeast does — only an error (including io.EOF)
-// ends the stream.
-func (r *StreamReader) refill() {
-	for r.nacc <= 56 {
-		for len(r.pend) == 0 {
-			if r.err != nil {
-				return
-			}
-			n, err := r.src.Read(r.buf)
-			if n > 0 {
-				r.pend = r.buf[:n]
-			}
-			if err != nil {
-				r.err = err
-			}
-		}
-		r.acc = r.acc<<8 | uint64(r.pend[0])
-		r.pend = r.pend[1:]
-		r.nacc += 8
-	}
-}
-
-// eosError reports why n more bits are unavailable: a true source error,
-// or end of stream (always wrapping ErrEOS).
-func (r *StreamReader) eosError(n int) error {
-	if r.err != nil && r.err != io.EOF {
-		return fmt.Errorf("bitstream: read %d bits at offset %d: %w", n, r.pos, r.err)
-	}
-	return fmt.Errorf("bitstream: need %d bits at offset %d: %w", n, r.pos, ErrEOS)
-}
-
-// ReadBit returns the next bit.
-func (r *StreamReader) ReadBit() (uint, error) {
-	if r.limit >= 0 && r.pos >= r.limit {
-		return 0, r.eosError(1)
-	}
-	if r.nacc == 0 {
-		r.refill()
-		if r.nacc == 0 {
-			return 0, r.eosError(1)
-		}
-	}
-	r.nacc--
-	r.pos++
-	return uint(r.acc >> uint(r.nacc) & 1), nil
-}
-
-// ReadBits reads n bits MSB-first into the low bits of the result. Unlike
-// the in-memory Reader it returns an error wrapping ErrBitCount (rather
-// than panicking) when n is outside [0,64].
-func (r *StreamReader) ReadBits(n int) (uint64, error) {
-	if n < 0 || n > 64 {
-		return 0, fmt.Errorf("bitstream: ReadBits n=%d: %w", n, ErrBitCount)
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	if r.limit >= 0 && r.pos+n > r.limit {
-		return 0, r.eosError(n)
-	}
-	if n > 56 {
-		// The accumulator refills to at least 57 bits, so split once.
-		hi, err := r.ReadBits(n - 32)
-		if err != nil {
-			return 0, err
-		}
-		lo, err := r.ReadBits(32)
-		if err != nil {
-			return 0, err
-		}
-		return hi<<32 | lo, nil
-	}
-	if r.nacc < n {
-		r.refill()
-		if r.nacc < n {
-			return 0, r.eosError(n)
-		}
-	}
-	r.nacc -= n
-	r.pos += n
-	return r.acc >> uint(r.nacc) & (1<<uint(n) - 1), nil
-}
-
-// PeekBits returns the next min(n, PeekMax, remaining) bits MSB-first
-// in the low bits of v without consuming them. The accumulator refills
-// to more than PeekMax bits whenever the source can still deliver, so a
-// short window means the stream itself is ending — the property unary
-// run scanners rely on.
-func (r *StreamReader) PeekBits(n int) (v uint64, avail int) {
-	if n > PeekMax {
-		n = PeekMax
-	}
-	if r.limit >= 0 {
-		if rem := r.limit - r.pos; n > rem {
-			n = rem
-		}
-	}
-	if n <= 0 {
-		return 0, 0
-	}
-	if r.nacc < n {
-		r.refill()
-		if r.nacc < n {
-			n = r.nacc
-		}
-	}
-	if n <= 0 {
-		return 0, 0
-	}
-	return r.acc >> uint(r.nacc-n) & (1<<uint(n) - 1), n
-}
-
-// Skip consumes n bits without decoding them. Only bits already seen
-// through PeekBits are guaranteed skippable; skipping past the end
-// returns an error wrapping ErrEOS.
-func (r *StreamReader) Skip(n int) error {
-	if n < 0 {
-		return fmt.Errorf("bitstream: Skip n=%d: %w", n, ErrBitCount)
-	}
-	for n > 0 {
-		if r.limit >= 0 && r.pos >= r.limit {
-			return r.eosError(n)
-		}
-		if r.nacc == 0 {
-			r.refill()
-			if r.nacc == 0 {
-				return r.eosError(n)
-			}
-		}
-		take := n
-		if take > r.nacc {
-			take = r.nacc
-		}
-		if r.limit >= 0 {
-			if rem := r.limit - r.pos; take > rem {
-				take = rem
-			}
-		}
-		r.nacc -= take
-		r.pos += take
-		n -= take
-	}
-	return nil
-}
-
-// Pos returns the number of bits consumed so far.
-func (r *StreamReader) Pos() int { return r.pos }
-
 var (
 	_ Source = (*Reader)(nil)
-	_ Source = (*StreamReader)(nil)
 	_ Peeker = (*Reader)(nil)
-	_ Peeker = (*StreamReader)(nil)
 )

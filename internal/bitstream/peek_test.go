@@ -1,12 +1,9 @@
 package bitstream
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"testing"
-	"testing/iotest"
 )
 
 // randStream writes nbit random bits and returns the writer plus the
@@ -35,7 +32,7 @@ func refWindow(ref []uint, pos, n int) uint64 {
 // reads and verifies every result against the reference bit slice. The
 // Peeker contract under test: avail == min(n, PeekMax, remaining), the
 // window matches the stream, and peeking never consumes.
-func checkPeeker(t *testing.T, p Peeker, src Source, ref []uint, r *rand.Rand) {
+func checkPeeker(t *testing.T, p *Reader, ref []uint, r *rand.Rand) {
 	t.Helper()
 	pos := 0
 	for pos < len(ref) {
@@ -68,7 +65,7 @@ func checkPeeker(t *testing.T, p Peeker, src Source, ref []uint, r *rand.Rand) {
 				t.Fatalf("pos=%d Skip(%d): %v", pos, take, err)
 			}
 		} else {
-			got, err := src.ReadBits(take)
+			got, err := p.ReadBits(take)
 			if err != nil {
 				t.Fatalf("pos=%d ReadBits(%d): %v", pos, take, err)
 			}
@@ -96,45 +93,29 @@ func TestReaderPeekSkipProperty(t *testing.T) {
 		nbit := r.Intn(500)
 		w, ref := randStream(nbit, r)
 		rd := FromWriter(w)
-		checkPeeker(t, rd, rd, ref, r)
+		checkPeeker(t, rd, ref, r)
 	}
 }
 
-func TestStreamReaderPeekSkipProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 200; trial++ {
-		nbit := r.Intn(500)
-		w, ref := randStream(nbit, r)
-		var src io.Reader = bytes.NewReader(w.Bytes())
-		if trial%3 == 0 {
-			// Starved source: refills arrive one byte at a time, so the
-			// "short peek means end of stream" contract is exercised
-			// against transient underfills.
-			src = iotest.OneByteReader(src)
-		}
-		sr := NewStreamReader(src, nbit)
-		checkPeeker(t, sr, sr, ref, r)
-	}
-}
-
-func TestStreamReaderPeekUnlimited(t *testing.T) {
-	// limit < 0 exposes bits until EOF; the peek window must clip to the
-	// true payload, not beyond it.
+func TestReaderPeekUnlimited(t *testing.T) {
+	// nbit < 0 exposes the whole buffer, the zero padding of a partial
+	// last byte included, and the peek window clips to it.
 	r := rand.New(rand.NewSource(23))
-	w, ref := randStream(24, r)
-	sr := NewStreamReader(bytes.NewReader(w.Bytes()), -1)
-	v, avail := sr.PeekBits(56)
+	w, ref := randStream(21, r)
+	rd := NewReader(w.Bytes(), -1)
+	ref = append(ref, 0, 0, 0)
+	v, avail := rd.PeekBits(56)
 	if avail != 24 {
 		t.Fatalf("avail=%d, want 24", avail)
 	}
 	if want := refWindow(ref, 0, 24); v != want {
 		t.Fatalf("v=%#x, want %#x", v, want)
 	}
-	if err := sr.Skip(24); err != nil {
+	if err := rd.Skip(24); err != nil {
 		t.Fatal(err)
 	}
-	if _, avail := sr.PeekBits(1); avail != 0 {
-		t.Fatalf("avail=%d after exhausting payload, want 0", avail)
+	if _, avail := rd.PeekBits(1); avail != 0 {
+		t.Fatalf("avail=%d after exhausting the buffer, want 0", avail)
 	}
 }
 
@@ -153,17 +134,17 @@ func TestReaderPeekOversizedDeclaredCount(t *testing.T) {
 
 func TestPeekDoesNotExceedLimitMidAccumulator(t *testing.T) {
 	// Eight bytes are buffered but only 3 bits are in the payload: the
-	// window must clip at the limit even though the accumulator holds
-	// more.
-	sr := NewStreamReader(bytes.NewReader([]byte{0b10100000, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}), 3)
-	v, avail := sr.PeekBits(56)
+	// window must clip at the limit even though the 64-bit word loaded
+	// at the read position holds all eight bytes.
+	rd := NewReader([]byte{0b10100000, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, 3)
+	v, avail := rd.PeekBits(56)
 	if avail != 3 || v != 0b101 {
 		t.Fatalf("got (%#b,%d), want (0b101,3)", v, avail)
 	}
-	if err := sr.Skip(3); err != nil {
+	if err := rd.Skip(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := sr.Skip(1); !errors.Is(err, ErrEOS) {
+	if err := rd.Skip(1); !errors.Is(err, ErrEOS) {
 		t.Fatalf("Skip past limit: %v, want ErrEOS", err)
 	}
 }

@@ -3,14 +3,12 @@ package bitstream
 // Property-based tests for the word-at-a-time fast paths. The reference
 // implementations below are the original bit-at-a-time loops, kept here
 // verbatim: every random (v,n) sequence must produce byte-identical
-// buffers through both writers and identical values through all three
-// readers (in-memory word-wise, reference bit-wise, io.Reader-fed
-// streaming).
+// buffers through both writers and identical values through both
+// readers (word-wise ReadBits, reference bit-wise ReadBit).
 
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"testing"
 )
@@ -108,24 +106,22 @@ func TestWordReaderMatchesReference(t *testing.T) {
 		}
 		fast := FromWriter(w)
 		ref := FromWriter(w)
-		stream := NewStreamReader(bytes.NewReader(w.Bytes()), w.Len())
 		for i, o := range ops {
 			fv, ferr := fast.ReadBits(o.n)
 			rv, rerr := refRead(ref, o.n)
-			sv, serr := stream.ReadBits(o.n)
-			if ferr != nil || rerr != nil || serr != nil {
-				t.Fatalf("seed %d op %d: errors %v/%v/%v", seed, i, ferr, rerr, serr)
+			if ferr != nil || rerr != nil {
+				t.Fatalf("seed %d op %d: errors %v/%v", seed, i, ferr, rerr)
 			}
-			if fv != o.v || rv != o.v || sv != o.v {
-				t.Fatalf("seed %d op %d: wrote %x/%d, read fast=%x ref=%x stream=%x",
-					seed, i, o.v, o.n, fv, rv, sv)
+			if fv != o.v || rv != o.v {
+				t.Fatalf("seed %d op %d: wrote %x/%d, read fast=%x ref=%x",
+					seed, i, o.v, o.n, fv, rv)
 			}
 		}
 		if fast.Remaining() != 0 {
 			t.Fatalf("seed %d: %d bits left over", seed, fast.Remaining())
 		}
-		if _, err := stream.ReadBit(); !errors.Is(err, ErrEOS) {
-			t.Fatalf("seed %d: stream reader past end: %v", seed, err)
+		if _, err := fast.ReadBits(1); !errors.Is(err, ErrEOS) {
+			t.Fatalf("seed %d: ReadBits past end: %v", seed, err)
 		}
 	}
 }
@@ -156,80 +152,129 @@ func TestInterleavedBitAndWord(t *testing.T) {
 	}
 }
 
-// TestStreamReaderTinyReads feeds the streaming reader through a
-// one-byte-at-a-time source to exercise every refill boundary.
-func TestStreamReaderTinyReads(t *testing.T) {
-	ops := randomOps(42, 300)
-	w := NewWriter()
-	for _, o := range ops {
-		w.WriteBits(o.v, o.n)
-	}
-	sr := NewStreamReader(&oneByteReader{data: w.Bytes()}, w.Len())
-	for i, o := range ops {
-		v, err := sr.ReadBits(o.n)
-		if err != nil {
-			t.Fatalf("op %d: %v", i, err)
+// bitsOf returns buf's bits MSB-first, one per element.
+func bitsOf(buf []byte) []uint {
+	out := make([]uint, 0, 8*len(buf))
+	for _, b := range buf {
+		for i := 7; i >= 0; i-- {
+			out = append(out, uint(b>>uint(i)&1))
 		}
-		if v != o.v {
-			t.Fatalf("op %d: got %x want %x", i, v, o.v)
+	}
+	return out
+}
+
+// TestReaderTinyBuffers peeks and reads every width 0-64 at every bit
+// offset of buffers of 0-16 bytes, whose payload ends anywhere in the
+// last byte. Every read that starts inside the last 7 bytes assembles
+// its window byte by byte, and a read past the payload wraps ErrEOS.
+func TestReaderTinyBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for size := 0; size <= 16; size++ {
+		buf := make([]byte, size)
+		rng.Read(buf)
+		ref := bitsOf(buf)
+		for _, nbit := range []int{8 * size, max(0, 8*size-1-rng.Intn(7))} {
+			for p := 0; p <= nbit; p++ {
+				for n := 0; n <= 64; n++ {
+					rd := NewReader(buf, nbit)
+					if err := rd.Skip(p); err != nil {
+						t.Fatalf("size=%d nbit=%d: Skip(%d): %v", size, nbit, p, err)
+					}
+					v, avail := rd.PeekBits(n)
+					if want := min(n, PeekMax, nbit-p); avail != want || v != refWindow(ref, p, want) {
+						t.Fatalf("size=%d nbit=%d p=%d: PeekBits(%d)=(%#x,%d), want (%#x,%d)",
+							size, nbit, p, n, v, avail, refWindow(ref, p, want), want)
+					}
+					got, err := rd.ReadBits(n)
+					if p+n > nbit {
+						if !errors.Is(err, ErrEOS) {
+							t.Fatalf("size=%d nbit=%d p=%d: ReadBits(%d) past end: %v, want ErrEOS",
+								size, nbit, p, n, err)
+						}
+						continue
+					}
+					if err != nil || got != refWindow(ref, p, n) {
+						t.Fatalf("size=%d nbit=%d p=%d: ReadBits(%d)=%#x err %v, want %#x",
+							size, nbit, p, n, got, err, refWindow(ref, p, n))
+					}
+				}
+			}
 		}
 	}
 }
 
-// oneByteReader returns one byte per Read call.
-type oneByteReader struct{ data []byte }
-
-func (s *oneByteReader) Read(p []byte) (int, error) {
-	if len(s.data) == 0 {
-		return 0, io.EOF
-	}
-	p[0] = s.data[0]
-	s.data = s.data[1:]
-	return 1, nil
-}
-
-func TestStreamReaderLimit(t *testing.T) {
-	data := []byte{0xFF, 0xFF}
-	sr := NewStreamReader(bytes.NewReader(data), 10)
-	if v, err := sr.ReadBits(10); err != nil || v != 0x3FF {
+// TestReaderLimit pins the declared bit count as the end of the stream:
+// a read past it wraps ErrEOS even where the buffer holds more bytes,
+// and leaves the position at the limit.
+func TestReaderLimit(t *testing.T) {
+	rd := NewReader([]byte{0xFF, 0xFF}, 10)
+	if v, err := rd.ReadBits(10); err != nil || v != 0x3FF {
 		t.Fatalf("got %x err %v", v, err)
 	}
-	if _, err := sr.ReadBit(); !errors.Is(err, ErrEOS) {
+	if _, err := rd.ReadBit(); !errors.Is(err, ErrEOS) {
 		t.Fatalf("limit not enforced: %v", err)
 	}
-	if sr.Pos() != 10 {
-		t.Fatalf("Pos=%d want 10", sr.Pos())
+	if _, err := rd.ReadBits(6); !errors.Is(err, ErrEOS) {
+		t.Fatalf("ReadBits past limit: %v", err)
 	}
-	// A limit the source cannot satisfy surfaces as wrapped EOS.
-	sr = NewStreamReader(bytes.NewReader(data), 100)
-	if _, err := sr.ReadBits(64); !errors.Is(err, ErrEOS) {
-		t.Fatalf("truncated source: %v", err)
+	if rd.Pos() != 10 {
+		t.Fatalf("Pos=%d want 10", rd.Pos())
 	}
 }
 
-func TestStreamReaderWideReads(t *testing.T) {
-	w := NewWriter()
-	vals := []uint64{0, 1, 0xFFFFFFFFFFFFFFFF, 0x8000000000000001, 0xDEADBEEFCAFEF00D}
-	for _, v := range vals {
-		w.WriteBits(v, 64)
-		w.WriteBits(v&0x1FFFFFFFFFFFFFF, 57)
+// TestReaderEOSWrapping pins the checked end of the stream: a read past
+// the payload wraps ErrEOS, and an out-of-range count wraps ErrBitCount.
+func TestReaderEOSWrapping(t *testing.T) {
+	if _, err := NewReader([]byte{0xFF}, 8).ReadBits(16); !errors.Is(err, ErrEOS) {
+		t.Fatalf("ReadBits past end: got %v, want ErrEOS", err)
 	}
-	sr := NewStreamReader(bytes.NewReader(w.Bytes()), w.Len())
-	for i, v := range vals {
-		got, err := sr.ReadBits(64)
-		if err != nil || got != v {
-			t.Fatalf("val %d: got %x err %v", i, got, err)
-		}
-		got, err = sr.ReadBits(57)
-		if err != nil || got != v&0x1FFFFFFFFFFFFFF {
-			t.Fatalf("val %d (57-bit): got %x err %v", i, got, err)
+	if _, err := NewReader(nil, -1).ReadBit(); !errors.Is(err, ErrEOS) {
+		t.Fatalf("ReadBit on empty: got %v, want ErrEOS", err)
+	}
+	if _, err := NewReader(nil, -1).ReadBits(65); !errors.Is(err, ErrBitCount) {
+		t.Fatalf("ReadBits(65) did not wrap ErrBitCount")
+	}
+	if err := NewWriter().TryWriteBits(0, 65); !errors.Is(err, ErrBitCount) {
+		t.Fatalf("TryWriteBits(65) did not wrap ErrBitCount")
+	}
+}
+
+// TestReaderWideReads reads 57-64-bit values written after 0-7 lead
+// bits, so each wide read starts at every bit offset, both where the
+// ninth byte is in the middle of the buffer and where it is the last
+// byte.
+func TestReaderWideReads(t *testing.T) {
+	vals := []uint64{0, 1, 0xFFFFFFFFFFFFFFFF, 0x8000000000000001, 0xDEADBEEFCAFEF00D}
+	for lead := 0; lead < 8; lead++ {
+		for n := 57; n <= 64; n++ {
+			w := NewWriter()
+			w.WriteBits(0, lead)
+			for _, v := range vals {
+				w.WriteBits(v, n)
+			}
+			rd := FromWriter(w)
+			if err := rd.Skip(lead); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range vals {
+				if n < 64 {
+					v &= 1<<uint(n) - 1
+				}
+				got, err := rd.ReadBits(n)
+				if err != nil || got != v {
+					t.Fatalf("lead=%d n=%d val %d: got %x err %v, want %x", lead, n, i, got, err, v)
+				}
+			}
+			if rd.Remaining() != 0 {
+				t.Fatalf("lead=%d n=%d: %d bits left over", lead, n, rd.Remaining())
+			}
 		}
 	}
 }
 
 // FuzzBitstreamWords interprets the fuzz input as a (v,n) op sequence
-// and cross-checks the word-wise writer/readers against the
-// bit-at-a-time reference on every mutation.
+// and cross-checks the word-wise writer and reader against the
+// bit-at-a-time references on every mutation.
 func FuzzBitstreamWords(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0xFF})
@@ -273,19 +318,22 @@ func FuzzBitstreamWords(f *testing.F) {
 			t.Fatal("word-wise writer diverges from bit-at-a-time reference")
 		}
 		fast := FromWriter(w)
-		stream := NewStreamReader(bytes.NewReader(w.Bytes()), w.Len())
+		slow := FromWriter(w)
 		for i, o := range ops {
 			fv, err := fast.ReadBits(o.n)
 			if err != nil {
 				t.Fatalf("op %d: fast read: %v", i, err)
 			}
-			sv, err := stream.ReadBits(o.n)
+			rv, err := refRead(slow, o.n)
 			if err != nil {
-				t.Fatalf("op %d: stream read: %v", i, err)
+				t.Fatalf("op %d: reference read: %v", i, err)
 			}
-			if fv != o.v || sv != o.v {
-				t.Fatalf("op %d: wrote %x/%d, read fast=%x stream=%x", i, o.v, o.n, fv, sv)
+			if fv != o.v || rv != o.v {
+				t.Fatalf("op %d: wrote %x/%d, read fast=%x ref=%x", i, o.v, o.n, fv, rv)
 			}
+		}
+		if _, err := fast.ReadBits(1); !errors.Is(err, ErrEOS) {
+			t.Fatalf("ReadBits past end: %v, want ErrEOS", err)
 		}
 	})
 }
@@ -327,18 +375,6 @@ func BenchmarkBitstreamRead(b *testing.B) {
 		b.SetBytes(int64(w.Len() / 8))
 		for i := 0; i < b.N; i++ {
 			r := FromWriter(w)
-			for _, o := range ops {
-				if _, err := r.ReadBits(o.n); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("StreamReader", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(w.Len() / 8))
-		for i := 0; i < b.N; i++ {
-			r := NewStreamReader(bytes.NewReader(w.Bytes()), w.Len())
 			for _, o := range ops {
 				if _, err := r.ReadBits(o.n); err != nil {
 					b.Fatal(err)

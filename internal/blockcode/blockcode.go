@@ -247,10 +247,10 @@ func Encode(blocks []tritvec.Vector, res *Result) (*bitstream.Writer, error) {
 	return w, nil
 }
 
-// Decode reconstructs nblocks fully-specified blocks from any bit source
-// (the in-memory reader or the io.Reader-fed streaming one). Each decoded
-// block consists of the MV's specified bits with the transmitted fill
-// bits at its U positions. Truncation errors wrap bitstream.ErrEOS.
+// Decode reconstructs nblocks fully-specified blocks from a bit source,
+// reading it one bit at a time as the hardware decoder does. Each
+// decoded block consists of the MV's specified bits with the transmitted
+// fill bits at its U positions. Truncation errors wrap bitstream.ErrEOS.
 func Decode(r bitstream.Source, set *MVSet, code *huffman.Code, nblocks int) ([]tritvec.Vector, error) {
 	if nblocks < 0 {
 		return nil, fmt.Errorf("blockcode: negative block count %d", nblocks)

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bitstream"
 	"repro/internal/blockcode"
 	"repro/internal/huffman"
 	"repro/internal/tritvec"
@@ -227,9 +226,6 @@ func readV1Body(r io.Reader) (*File, error) {
 	}
 	return f, nil
 }
-
-// Reader returns a bitstream reader over the payload.
-func (f *File) Reader() *bitstream.Reader { return bitstream.NewReader(f.Payload, f.NBits) }
 
 // NumBlocks returns the input-block count implied by the dimensions.
 func (f *File) NumBlocks() int {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitstream"
 	"repro/internal/blockcode"
 	"repro/internal/ninec"
 	"repro/internal/testset"
@@ -45,7 +46,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	// Decoding through the container must reproduce the test set.
 	blocks := blockcode.Partition(ts, f.K)
-	dec, err := blockcode.Decode(f.Reader(), f.Set, f.Code, f.NumBlocks())
+	dec, err := blockcode.Decode(bitstream.NewReader(f.Payload, f.NBits), f.Set, f.Code, f.NumBlocks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestReadAnyV1(t *testing.T) {
 			t.Fatalf("MV %d changed across v1 conversion", i)
 		}
 	}
-	blocks, err := blockcode.Decode(c.Reader(), set, code, len(blockcode.Partition(ts, set.K)))
+	blocks, err := blockcode.Decode(bitstream.NewReader(c.Payload, c.NBits), set, code, len(blockcode.Partition(ts, set.K)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"repro/internal/bitstream"
 )
 
 // Format limits, enforced symmetrically by writers and readers.
@@ -66,11 +64,6 @@ type Container struct {
 	Params   []byte
 	Payload  []byte
 	NBits    int
-}
-
-// Reader returns a bitstream reader over the payload.
-func (c *Container) Reader() *bitstream.Reader {
-	return bitstream.NewReader(c.Payload, c.NBits)
 }
 
 // TotalBits returns Width·Patterns, the uncompressed size.

@@ -52,9 +52,9 @@ type Stats struct {
 	Cycles int
 }
 
-// Run decodes nblocks from any bit source — the in-memory reader or the
-// io.Reader-fed streaming one, mirroring the hardware's bit-serial input —
-// returning the fully specified blocks and cycle statistics. Truncation
+// Run decodes nblocks from any bit source, one bit at a time, mirroring
+// the hardware's bit-serial input, and returns the fully specified
+// blocks and cycle statistics. Truncation
 // errors wrap bitstream.ErrEOS.
 func (f *FSM) Run(r bitstream.Source, nblocks int) ([]tritvec.Vector, Stats, error) {
 	var st Stats

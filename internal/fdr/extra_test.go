@@ -80,15 +80,14 @@ func TestAllZeroTestSet(t *testing.T) {
 
 // TestDecompressHostileUnaryPrefix pins the hostile-input fix: a payload
 // of all 1-bits drives the unary group count past any legal codeword;
-// Decompress must reject it with an error on both reader types, never
-// panic (the in-memory Reader's ReadBits panics above 64 bits).
+// Decompress must reject it with an error on the peek path and on the
+// bit-at-a-time fallback, never panic.
 func TestDecompressHostileUnaryPrefix(t *testing.T) {
 	hostile := bytes.Repeat([]byte{0xFF}, 16) // 128 one-bits
 	if _, err := Decompress(bitstream.NewReader(hostile, -1), 1<<20); err == nil {
-		t.Fatal("buffered decode accepted a 128-bit unary prefix")
+		t.Fatal("peek-path decode accepted a 128-bit unary prefix")
 	}
-	sr := bitstream.NewStreamReader(bytes.NewReader(hostile), 128)
-	if _, err := Decompress(sr, 1<<20); err == nil {
-		t.Fatal("streaming decode accepted a 128-bit unary prefix")
+	if _, err := Decompress(sourceOnly{bitstream.NewReader(hostile, -1)}, 1<<20); err == nil {
+		t.Fatal("fallback decode accepted a 128-bit unary prefix")
 	}
 }

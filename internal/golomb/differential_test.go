@@ -1,7 +1,6 @@
 package golomb
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"strings"
@@ -33,14 +32,8 @@ func TestDecompressPeekerMatchesFallback(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fallback path: %v", err)
 		}
-		sr := bitstream.NewStreamReader(bytes.NewReader(res.Stream.Bytes()), res.Stream.Len())
-		streamed, err := Decompress(sr, m, total)
-		if err != nil {
-			t.Fatalf("stream path: %v", err)
-		}
-		if !fast.Equal(slow) || !fast.Equal(streamed) {
-			t.Fatalf("m=%d decode paths disagree:\npeek   %s\nfall   %s\nstream %s",
-				m, fast, slow, streamed)
+		if !fast.Equal(slow) {
+			t.Fatalf("m=%d decode paths disagree:\npeek %s\nfall %s", m, fast, slow)
 		}
 	}
 }

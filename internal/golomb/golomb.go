@@ -112,8 +112,8 @@ func CompressBest(ts *testset.TestSet) (*Result, error) {
 	return best, nil
 }
 
-// Decompress reconstructs totalBits bits from any bit source — the
-// in-memory reader or the io.Reader-fed streaming one. End of stream at a
+// Decompress reconstructs totalBits bits from any bit source; one that
+// implements bitstream.Peeker takes the fast path. End of stream at a
 // codeword boundary means the remaining bits are implied zeros; end of
 // stream inside a codeword is an error wrapping bitstream.ErrEOS.
 func Decompress(r bitstream.Source, m, totalBits int) (tritvec.Vector, error) {

@@ -1,7 +1,6 @@
 package huffman
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -75,13 +74,10 @@ func TestTableDecoderMatchesTrie(t *testing.T) {
 		viaFallback := decodeAll(func() (int, error) { return td.Decode(sourceOnly{rd2}) })
 		rd3 := bitstream.FromWriter(w)
 		viaTrie := decodeAll(func() (int, error) { return trie.Decode(rd3.ReadBit) })
-		sr := bitstream.NewStreamReader(bytes.NewReader(w.Bytes()), w.Len())
-		viaStream := decodeAll(func() (int, error) { return td.Decode(sr) })
 		for i := range want {
-			if viaTable[i] != want[i] || viaFallback[i] != want[i] ||
-				viaTrie[i] != want[i] || viaStream[i] != want[i] {
-				t.Fatalf("symbol %d: want %d, table=%d fallback=%d trie=%d stream=%d",
-					i, want[i], viaTable[i], viaFallback[i], viaTrie[i], viaStream[i])
+			if viaTable[i] != want[i] || viaFallback[i] != want[i] || viaTrie[i] != want[i] {
+				t.Fatalf("symbol %d: want %d, table=%d fallback=%d trie=%d",
+					i, want[i], viaTable[i], viaFallback[i], viaTrie[i])
 			}
 		}
 		if rd.Remaining() != 0 {

@@ -103,10 +103,9 @@ func Compress(ts *testset.TestSet, b int) (*Result, error) {
 	return &Result{OriginalBits: ts.TotalBits(), CompressedBits: w.Len(), Stream: w}, nil
 }
 
-// Decompress reconstructs totalBits bits from any bit source — the
-// in-memory reader or the io.Reader-fed streaming one. A stream that ends
-// before totalBits (including a final partial counter, which carries no
-// information) implies the rest is zeros.
+// Decompress reconstructs totalBits bits from any bit source. A stream
+// that ends before totalBits (including a final partial counter, which
+// carries no information) implies the rest is zeros.
 func Decompress(r bitstream.Source, b, totalBits int) (tritvec.Vector, error) {
 	if b < MinCounterWidth || b > MaxCounterWidth {
 		return tritvec.Vector{}, fmt.Errorf("runlength: counter width %d out of range", b)

@@ -114,8 +114,8 @@ func Compress(ts *testset.TestSet, k, d int) (*Result, error) {
 }
 
 // Decompress reconstructs totalBits bits using the result's dictionary.
-// It accepts any bit source — the in-memory reader or the io.Reader-fed
-// streaming one.
+// It accepts any bit source; one that implements bitstream.Peeker takes
+// the fast path.
 func Decompress(r bitstream.Source, res *Result, totalBits int) (tritvec.Vector, error) {
 	if res.K < 1 || res.K > 62 {
 		return tritvec.Vector{}, fmt.Errorf("selhuff: block size %d out of range", res.K)

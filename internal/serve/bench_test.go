@@ -4,13 +4,17 @@ package serve
 // HTTP compress followed by one HTTP decompress per iteration — at 1,
 // 8, and 64 concurrent clients sharing a GOMAXPROCS-sized worker
 // budget. The cache is disabled and every request uses a distinct seed
-// so the numbers reflect codec work, not cache hits. CI archives the
-// test2json stream as BENCH_serve.json.
+// so the numbers reflect codec work, not cache hits. MB/s counts the
+// textual input of each round trip. The request log is discarded: its
+// lines would split the result lines that CI parses and ratchets against
+// the committed tcomp-bench/1 baseline BENCH_serve.json.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -20,7 +24,7 @@ import (
 )
 
 func BenchmarkServeRoundTrip(b *testing.B) {
-	s := mustServer(b, Config{CacheBytes: 0})
+	s := mustServer(b, Config{CacheBytes: 0, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 	ctx := context.Background()
@@ -31,10 +35,11 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	input := in.Bytes()
-	b.SetBytes(int64(len(input)))
 
 	for _, clients := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			b.SetBytes(int64(len(input)))
+			b.ReportAllocs()
 			var next atomic.Int64
 			var wg sync.WaitGroup
 			b.ResetTimer()

@@ -1,13 +1,11 @@
 package tcomp
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 
-	"repro/internal/bitstream"
 	"repro/internal/container"
 	"repro/internal/pipeline"
 	"repro/internal/testset"
@@ -362,10 +360,9 @@ var ErrNotContainer = errors.New("not a tcomp container")
 // chunk at a time (NextChunk).
 //
 // A chunked v3 container is read at O(chunk) memory. Each chunk frame
-// is CRC-checked, then decoded by the codec named in the header through
-// an io.Reader-fed bitstream.StreamReader — the same word-at-a-time
-// refill path the differential tests pin against the hardware FSM
-// model. A whole v1/v2 container is decoded on open, so its errors
+// is read whole and CRC-checked, then decoded by the codec named in the
+// header through the same in-memory bitstream.Reader that decodes a
+// v1/v2 payload. A whole v1/v2 container is decoded on open, so its errors
 // surface from NewStreamReader and its pattern count is known up front
 // (Expected); it reads back as one chunk that is not a frame.
 type StreamReader struct {
@@ -493,7 +490,6 @@ func (sr *StreamReader) NextChunk() (*TestSet, error) {
 		Params:         c.Params,
 		Payload:        c.Payload,
 		NBits:          c.NBits,
-		src:            bitstream.NewStreamReader(bytes.NewReader(c.Payload), c.NBits),
 	}
 	ts, err := sr.codec.Decompress(art)
 	if err != nil {

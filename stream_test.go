@@ -4,8 +4,8 @@ package tcomp
 // registered codec, the chunked stream path must agree with the buffered
 // path — byte-identical payloads and decodes when the chunking is
 // aligned, specified-bit-preserving decodes under arbitrary chunking —
-// and the hardware FSM model must behave cycle-identically whether it is
-// fed from the in-memory reader or the io.Reader-fed streaming one.
+// and the hardware FSM model must consume exactly the payload a block
+// codec wrote and decode the blocks the software decoder does.
 
 import (
 	"bytes"
@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"repro/internal/bitstream"
+	"repro/internal/blockcode"
 	"repro/internal/container"
 	"repro/internal/decoder"
 	"repro/internal/pipeline"
@@ -198,12 +199,11 @@ func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFSMStreamReaderCycleAccurate cross-checks the hardware FSM model
-// against the streaming bit reader: decoding the same block-codec payload
-// from the in-memory reader and from an io.Reader-fed StreamReader must
-// produce identical blocks AND identical cycle statistics, and both must
-// agree with the software block decoder.
-func TestFSMStreamReaderCycleAccurate(t *testing.T) {
+// TestFSMMatchesBlockDecode cross-checks the hardware FSM model against
+// the software block decoder: decoding a block-codec payload, the FSM
+// must consume exactly the payload's bits and produce the same blocks
+// as blockcode.Decode.
+func TestFSMMatchesBlockDecode(t *testing.T) {
 	for _, name := range []string{"ea", "9c", "9chc"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -228,27 +228,23 @@ func TestFSMStreamReaderCycleAccurate(t *testing.T) {
 			total := art.Width * art.Patterns
 			nblocks := (total + set.K - 1) / set.K
 
-			memBlocks, memStats, err := fsm.Run(art.BitReader(), nblocks)
+			fsmBlocks, stats, err := fsm.Run(art.BitReader(), nblocks)
 			if err != nil {
-				t.Fatalf("FSM from memory: %v", err)
+				t.Fatalf("FSM: %v", err)
 			}
-			streamSrc := bitstream.NewStreamReader(bytes.NewReader(art.Payload), art.NBits)
-			strBlocks, strStats, err := fsm.Run(streamSrc, nblocks)
+			if stats.InputBits != art.NBits {
+				t.Fatalf("FSM consumed %d bits, payload has %d", stats.InputBits, art.NBits)
+			}
+			swBlocks, err := blockcode.Decode(art.BitReader(), set, code, nblocks)
 			if err != nil {
-				t.Fatalf("FSM from stream: %v", err)
+				t.Fatalf("software decode: %v", err)
 			}
-			if memStats != strStats {
-				t.Fatalf("cycle stats diverge: memory %+v, stream %+v", memStats, strStats)
+			if len(fsmBlocks) != len(swBlocks) {
+				t.Fatalf("block counts diverge: FSM %d, software %d", len(fsmBlocks), len(swBlocks))
 			}
-			if memStats.InputBits != art.NBits {
-				t.Fatalf("FSM consumed %d bits, payload has %d", memStats.InputBits, art.NBits)
-			}
-			if len(memBlocks) != len(strBlocks) {
-				t.Fatalf("block counts diverge: %d vs %d", len(memBlocks), len(strBlocks))
-			}
-			for i := range memBlocks {
-				if !memBlocks[i].Equal(strBlocks[i]) {
-					t.Fatalf("block %d diverges between memory and stream decode", i)
+			for i := range fsmBlocks {
+				if !fsmBlocks[i].Equal(swBlocks[i]) {
+					t.Fatalf("block %d diverges between FSM and software decode", i)
 				}
 			}
 		})
@@ -298,23 +294,61 @@ func TestStreamReaderTruncationAndCorruption(t *testing.T) {
 	})
 }
 
-// TestStreamReaderEOSWrapping pins the satellite fix: truncation errors
-// from the bit-level streaming reader must wrap bitstream.ErrEOS so
-// errors.Is works through the codec wrappers.
+// TestStreamReaderEOSWrapping pins that a bit-level truncation reaches
+// the caller as bitstream.ErrEOS through every codec wrapper: a v3 chunk
+// whose frame is intact (CRC-valid) but whose payload stops halfway must
+// fail NextChunk with an error wrapping ErrEOS, and an artifact that
+// declares more payload bits than it carries must fail Decompress with
+// one wrapping ErrBitCount. The rl format is the one exception to the
+// first check: it defines an early end of stream as implied trailing
+// zeros (its encoder relies on that), so a cut rl payload decodes.
 func TestStreamReaderEOSWrapping(t *testing.T) {
-	src := bitstream.NewStreamReader(bytes.NewReader([]byte{0xFF}), 8)
-	if _, err := src.ReadBits(16); !errors.Is(err, bitstream.ErrEOS) {
-		t.Fatalf("ReadBits past end: got %v, want ErrEOS wrap", err)
-	}
-	src = bitstream.NewStreamReader(bytes.NewReader(nil), -1)
-	if _, err := src.ReadBit(); !errors.Is(err, bitstream.ErrEOS) {
-		t.Fatalf("ReadBit on empty: got %v, want ErrEOS wrap", err)
-	}
-	if _, err := bitstream.NewStreamReader(bytes.NewReader(nil), -1).ReadBits(65); !errors.Is(err, bitstream.ErrBitCount) {
-		t.Fatalf("hostile bit count did not wrap ErrBitCount")
-	}
-	if err := bitstream.NewWriter().TryWriteBits(0, 65); !errors.Is(err, bitstream.ErrBitCount) {
-		t.Fatalf("TryWriteBits(65) did not wrap ErrBitCount")
+	rng := rand.New(rand.NewSource(29))
+	ts := testset.Random(16, 24, 0.4, rng)
+	for _, name := range Codecs() {
+		codec, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := codec.Compress(context.Background(), ts, streamTestOpts(1)...)
+		if err != nil {
+			t.Fatalf("%s: Compress: %v", name, err)
+		}
+		cut := art.NBits / 2
+		var buf bytes.Buffer
+		cw, err := container.NewChunkWriter(&buf, container.StreamHeader{
+			Codec: name, Width: ts.Width, ChunkPatterns: ts.NumPatterns(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.WriteChunk(&container.Chunk{
+			Patterns: art.Patterns, Params: art.Params,
+			Payload: art.Payload[:(cut+7)/8], NBits: cut,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sr, err := NewStreamReader(&buf)
+		if err != nil {
+			t.Fatalf("%s: NewStreamReader: %v", name, err)
+		}
+		_, err = sr.NextChunk()
+		if name == "rl" {
+			if err != nil {
+				t.Fatalf("rl: chunk cut to %d of %d bits: %v, want implied zeros", cut, art.NBits, err)
+			}
+		} else if !errors.Is(err, bitstream.ErrEOS) {
+			t.Fatalf("%s: chunk cut to %d of %d bits: got %v, want ErrEOS wrap", name, cut, art.NBits, err)
+		}
+
+		hostile := *art
+		hostile.NBits = 8*len(art.Payload) + 1
+		if _, err := Decompress(&hostile); !errors.Is(err, bitstream.ErrBitCount) {
+			t.Fatalf("%s: declared bits past the payload: got %v, want ErrBitCount wrap", name, err)
+		}
 	}
 }
 
