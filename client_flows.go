@@ -32,8 +32,9 @@ type FlowRequest struct {
 	Options []Option
 }
 
-// FlowReport is the JSON report of a finished flow — the /result body.
-// It mirrors FlowResult plus the list of fetchable binary artifacts.
+// FlowReport is the JSON report of a finished flow — the /result body,
+// and the very blob a flow job stores as its output. It is FlowResult
+// plus the list of fetchable binary artifacts.
 type FlowReport struct {
 	FlowResult
 	Artifacts []JobArtifact `json:"artifacts"`

@@ -51,17 +51,21 @@ var (
 	ErrQueueFull   = errors.New("tcomp: daemon job queue is full")
 )
 
-// JobSpec mirrors the daemon's job specification: what kind of work,
-// which codec and parameters, and the content address of the stored
-// input blob.
+// JobSpec is a job's specification: what kind of work, which codec and
+// parameters, and the content address of the stored input blob. The
+// daemon validates it and keeps it on the job record.
 type JobSpec struct {
 	Kind   string           `json:"kind"`
 	Codec  string           `json:"codec,omitempty"`
-	Format string           `json:"format,omitempty"`
-	Codecs []string         `json:"codecs,omitempty"`
+	Format string           `json:"format,omitempty"` // compress: "v2" or "v3" (default)
+	Codecs []string         `json:"codecs,omitempty"` // sweep/flow: the codecs to compare or race
 	Params map[string]int64 `json:"params,omitempty"`
 	Input  string           `json:"input"`
-	// Flow-only fields (kind "flow").
+	// Flow-only fields (kind "flow"). Benchmark selects a registry
+	// circuit to generate (the input blob is ignored then); empty means
+	// the input blob is a .bench netlist. Tests picks the generation kind
+	// (FlowStuckAt, the default, or FlowPathDelay); Sample overrides the
+	// advisor's race prefix length.
 	Benchmark string `json:"benchmark,omitempty"`
 	Tests     string `json:"tests,omitempty"`
 	Sample    int    `json:"sample,omitempty"`
@@ -86,7 +90,10 @@ type JobProgress struct {
 // X-Tcomp-* headers of the synchronous endpoints.
 type JobStats = ContainerStats
 
-// JobStatus is one job record as the daemon serves it.
+// JobStatus is one job record. It is also the daemon's own record: the
+// daemon journals this type, one JSON file per job, and serves it from
+// GET /v1/jobs/{id} and GET /v1/flows/{id}, so the journal, the API and
+// the client share one definition.
 type JobStatus struct {
 	ID         string      `json:"id"`
 	Spec       JobSpec     `json:"spec"`

@@ -352,10 +352,12 @@ type FlowRace struct {
 var flowBlockCodecs = map[string]bool{"ea": true, "9c": true, "9chc": true}
 
 // RaceCodecs runs the codec advisor: every selected codec compresses
-// the same sampled prefix of ts (in parallel on the pipeline engine,
-// bounded by the shared limiter, one deterministic seed per codec), and
-// the lowest compressed size wins. One span "race <codec>" per codec
-// covers the stage on the caller's trace.
+// the same sampled prefix of ts, one deterministic seed per codec, and
+// the lowest compressed size wins. The entrants run on a
+// pipeline.Ordered pool of FlowWorkers goroutines (default GOMAXPROCS),
+// which takes no token from the shared limiter. One span
+// "race <codec>" per codec, the pool's span for that entrant, covers
+// the stage on the caller's trace.
 func (f *TestFlow) RaceCodecs(ctx context.Context, ts *TestSet) (*FlowRace, error) {
 	names := f.o.codecs
 	if len(names) == 0 {
@@ -392,8 +394,7 @@ func (f *TestFlow) RaceCodecs(ctx context.Context, ts *TestSet) (*FlowRace, erro
 			if err != nil {
 				return entry, err // unknown codec: fail the race, not just the entry
 			}
-			ctx, sp := obs.StartSpan(ctx, "race "+name)
-			defer sp.End()
+			sp := obs.SpanFromContext(ctx) // the pool's "race <codec>" span
 			opts := append(append([]Option(nil), f.o.codecOpt...), WithWorkers(1), WithSeed(seed))
 			art, err := codec.Compress(ctx, sample, opts...)
 			if err != nil {

@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // fastFlowOptions keeps the EA small enough for unit tests while still
@@ -190,5 +193,66 @@ func TestBenchmarksRegistry(t *testing.T) {
 	}
 	if !seen["stuck-at/s510"] || !seen["path-delay/s27"] {
 		t.Fatal("expected registry rows missing")
+	}
+}
+
+// spanRecorder is a SpanExporter that keeps every finished span.
+type spanRecorder struct {
+	mu    sync.Mutex
+	spans []obs.SpanData
+}
+
+func (r *spanRecorder) ExportSpans(spans []obs.SpanData) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.spans = append(r.spans, spans...)
+	return nil
+}
+
+func (r *spanRecorder) Shutdown(context.Context) error { return nil }
+
+// TestRaceCodecsOneSpanPerCodec: a traced race exports exactly one
+// "race <codec>" span per codec, parented on the caller's span and
+// carrying the entrant's compressed size, with the codec's
+// "compress <codec>" span directly under it.
+func TestRaceCodecsOneSpanPerCodec(t *testing.T) {
+	codecs := []string{"golomb", "fdr", "9c"}
+	rec := &spanRecorder{}
+	ctx, caller := obs.NewTracer(rec, 1).StartRoot(context.Background(), "caller", nil)
+	flow := NewTestFlow(fastFlowOptions(FlowCodecs(codecs...), FlowWorkers(2))...)
+	if _, err := flow.RaceCodecs(ctx, exampleTestSet(t, 3)); err != nil {
+		t.Fatal(err)
+	}
+	caller.End()
+	for _, name := range codecs {
+		var race []obs.SpanData
+		for _, s := range rec.spans {
+			if s.Name == "race "+name {
+				race = append(race, s)
+			}
+		}
+		if len(race) != 1 {
+			t.Errorf("%d spans named %q, want 1", len(race), "race "+name)
+			continue
+		}
+		if race[0].Parent != caller.TraceContext().SpanID {
+			t.Errorf("span %q is not a child of the caller's span", race[0].Name)
+		}
+		bits := false
+		for _, a := range race[0].Attrs {
+			bits = bits || a.Key == "compressed_bits"
+		}
+		if !bits {
+			t.Errorf("span %q carries no compressed_bits attribute", race[0].Name)
+		}
+		compress := 0
+		for _, s := range rec.spans {
+			if s.Name == "compress "+name && s.Parent == race[0].SpanID {
+				compress++
+			}
+		}
+		if compress != 1 {
+			t.Errorf("%d %q spans under %q, want 1", compress, "compress "+name, race[0].Name)
+		}
 	}
 }

@@ -58,19 +58,6 @@ func (m Method) String() string {
 	return fmt.Sprintf("method(%d)", uint8(m))
 }
 
-// ParseMethod converts a CLI name to a Method.
-func ParseMethod(s string) (Method, error) {
-	switch s {
-	case "ea":
-		return MethodEA, nil
-	case "9c":
-		return Method9C, nil
-	case "9chc", "9c+hc":
-		return Method9CHC, nil
-	}
-	return 0, fmt.Errorf("container: unknown method %q", s)
-}
-
 var magic = [4]byte{'T', 'C', 'M', 'P'}
 
 // File is a parsed compressed container.

@@ -35,6 +35,9 @@ func TestRoundTrip(t *testing.T) {
 	if f.Method != Method9CHC || f.K != 8 || f.Width != 16 || f.Patterns != 30 {
 		t.Fatalf("header mismatch: %+v", f)
 	}
+	if f.Method.String() != "9c+hc" || Method(77).String() == "" {
+		t.Fatal("Method.String broken")
+	}
 	if f.NBits != res.Stream.Len() {
 		t.Fatalf("payload bits %d want %d", f.NBits, res.Stream.Len())
 	}
@@ -266,25 +269,5 @@ func TestWriteV2Invalid(t *testing.T) {
 	}
 	if err := WriteV2(&bytes.Buffer{}, nil); err == nil {
 		t.Error("nil container accepted")
-	}
-}
-
-func TestParseMethod(t *testing.T) {
-	for _, c := range []struct {
-		s  string
-		m  Method
-		ok bool
-	}{
-		{"ea", MethodEA, true}, {"9c", Method9C, true},
-		{"9chc", Method9CHC, true}, {"9c+hc", Method9CHC, true},
-		{"lzw", 0, false},
-	} {
-		m, err := ParseMethod(c.s)
-		if (err == nil) != c.ok || (err == nil && m != c.m) {
-			t.Errorf("ParseMethod(%q) = %v, %v", c.s, m, err)
-		}
-	}
-	if MethodEA.String() != "ea" || Method(77).String() == "" {
-		t.Fatal("Method.String broken")
 	}
 }

@@ -21,6 +21,10 @@
 // Inputs and outputs live in a content-addressed artifact.Store and jobs
 // reference them by digest only, so identical submissions share one
 // input blob and identical results collapse to one output blob.
+//
+// A job record is the root package's tcomp.JobStatus, its spec a
+// tcomp.JobSpec: the type the journal persists, the API serves and
+// tcomp.Client decodes is one type, so the three cannot drift apart.
 package jobs
 
 import (
@@ -34,6 +38,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,115 +50,24 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Kind names the work a job performs.
-type Kind string
-
-// The job kinds.
+// The job kinds, the values of tcomp.JobSpec.Kind.
 const (
 	// KindCompress compresses a test-set blob (textual patterns or TSET
 	// binary) into a container (v3 chunked by default, v2 on request).
-	KindCompress Kind = "compress"
+	KindCompress = "compress"
 	// KindDecompress expands a container blob (v1/v2/v3 auto-detected)
 	// into textual patterns.
-	KindDecompress Kind = "decompress"
+	KindDecompress = "decompress"
 	// KindSweep streams one test-set blob through several codecs and
 	// produces a JSON rate report instead of a container.
-	KindSweep Kind = "sweep"
+	KindSweep = "sweep"
 	// KindFlow runs the full hardware-test pipeline: circuit (submitted
 	// .bench netlist or generated registry benchmark) → test generation →
 	// codec advisor race → winner container + Verilog decoder. The job
 	// output is the JSON flow report; the two binary artifacts are stored
 	// alongside it and listed on the job record.
-	KindFlow Kind = "flow"
+	KindFlow = "flow"
 )
-
-// State is a job's position in the lifecycle.
-type State string
-
-// The job states.
-const (
-	StatePending   State = "pending"
-	StateRunning   State = "running"
-	StateDone      State = "done"
-	StateFailed    State = "failed"
-	StateCancelled State = "cancelled"
-)
-
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
-
-// Spec is what a client submits: the kind of work, the codec parameters,
-// and the content address of the input blob (already stored).
-type Spec struct {
-	Kind   Kind             `json:"kind"`
-	Codec  string           `json:"codec,omitempty"`
-	Format string           `json:"format,omitempty"` // compress: "v2" or "v3" (default)
-	Codecs []string         `json:"codecs,omitempty"` // sweep/flow: the codecs to compare or race
-	Params map[string]int64 `json:"params,omitempty"`
-	Input  artifact.Digest  `json:"input"`
-
-	// Flow-only fields. Benchmark selects a registry circuit to generate
-	// (the input blob is ignored then); empty means the input blob is a
-	// .bench netlist. Tests picks the generation kind ("stuck-at",
-	// default, or "path-delay"); Sample overrides the advisor's race
-	// prefix length.
-	Benchmark string `json:"benchmark,omitempty"`
-	Tests     string `json:"tests,omitempty"`
-	Sample    int    `json:"sample,omitempty"`
-}
-
-// Progress reports how far a running job has come.
-type Progress struct {
-	Patterns int `json:"patterns"`
-	Chunks   int `json:"chunks_completed"`
-}
-
-// Stats is the size accounting of a finished job, mirroring the
-// X-Tcomp-* headers of the synchronous endpoints.
-type Stats = tcomp.ContainerStats
-
-// OutputArtifact is one named extra artifact of a finished job — flow
-// jobs store the winner container and the Verilog decoder next to their
-// JSON report output.
-type OutputArtifact struct {
-	Name   string          `json:"name"`
-	Digest artifact.Digest `json:"digest"`
-	Size   int64           `json:"size"`
-}
-
-// Job is one job record — the unit the journal persists and the API
-// serves.
-type Job struct {
-	ID         string          `json:"id"`
-	Spec       Spec            `json:"spec"`
-	State      State           `json:"state"`
-	Created    time.Time       `json:"created"`
-	Started    time.Time       `json:"started"`
-	Finished   time.Time       `json:"finished"`
-	Progress   Progress        `json:"progress"`
-	Output     artifact.Digest `json:"output,omitempty"`
-	OutputSize int64           `json:"output_size,omitempty"`
-	Stats      *Stats          `json:"stats,omitempty"`
-	// Artifacts lists a flow job's named extra outputs ("container",
-	// "verilog"), journalled like Output so they survive a restart.
-	Artifacts []OutputArtifact `json:"artifacts,omitempty"`
-	Error     string           `json:"error,omitempty"`
-	// ErrorCode carries the HTTP taxonomy code of a failed job (the code
-	// the synchronous endpoint would have answered with), so an async
-	// client can classify the failure exactly like a sync one.
-	ErrorCode string `json:"error_code,omitempty"`
-	// RequestID is the X-Request-Id of the HTTP request that submitted the
-	// job, linking the async record back to the submitting request's
-	// trace. Journalled, so the link survives a restart.
-	RequestID string `json:"request_id,omitempty"`
-	// TraceParent is the W3C trace context of the submitting request, so
-	// the job's worker spans join the submitter's distributed trace.
-	// Journalled: a job re-run after a daemon restart still exports its
-	// spans under the original trace ID.
-	TraceParent string `json:"traceparent,omitempty"`
-}
 
 // Sentinel errors of the Manager API.
 var (
@@ -191,15 +105,10 @@ type Config struct {
 	// daemon: a job holds one token for its entire execution, exactly
 	// like a synchronous request. Nil means the process-wide default.
 	Limiter *pipeline.Limiter
-	// ErrorCode classifies a failed job's error into the HTTP taxonomy.
-	// Nil means the built-in classifier (contained panics are
-	// internal_panic, bad decompress input is corrupt_container,
-	// everything else is unprocessable).
-	ErrorCode func(kind Kind, err error) string
 	// Observe, when set, is called (without locks held) with a snapshot
 	// after every state transition of a live job — the daemon's metrics
 	// hook. Journal recovery does not replay old transitions.
-	Observe func(j Job)
+	Observe func(j tcomp.JobStatus)
 	// FlowObserve, when set, receives each flow stage's wall-clock
 	// duration while a flow job runs — the tcompd_flow_stage_seconds
 	// hook. Called from worker goroutines; must be concurrency-safe.
@@ -219,7 +128,7 @@ type Config struct {
 
 // state is the Manager's record of one job.
 type state struct {
-	job       Job
+	job       tcomp.JobStatus
 	cancel    context.CancelFunc // set while running
 	cancelled bool               // user asked for cancellation
 }
@@ -256,9 +165,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	if cfg.MaxQueued <= 0 {
 		cfg.MaxQueued = 64
-	}
-	if cfg.ErrorCode == nil {
-		cfg.ErrorCode = defaultErrorCode
 	}
 	lim := cfg.Limiter
 	if lim == nil {
@@ -340,7 +246,7 @@ func (m *Manager) Close() error {
 
 // Submit validates the spec, journals the new pending job, and queues
 // it. It returns ErrQueueFull when the backlog is at MaxQueued.
-func (m *Manager) Submit(spec Spec) (Job, error) {
+func (m *Manager) Submit(spec tcomp.JobSpec) (tcomp.JobStatus, error) {
 	return m.SubmitCtx(context.Background(), spec)
 }
 
@@ -349,14 +255,14 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 // on the job record, linking the async job back to the HTTP request that
 // created it. The context does not bound the job's execution — jobs
 // outlive their submitting request by design.
-func (m *Manager) SubmitCtx(ctx context.Context, spec Spec) (Job, error) {
+func (m *Manager) SubmitCtx(ctx context.Context, spec tcomp.JobSpec) (tcomp.JobStatus, error) {
 	if err := m.validate(&spec); err != nil {
-		return Job{}, err
+		return tcomp.JobStatus{}, err
 	}
-	j := Job{
+	j := tcomp.JobStatus{
 		ID:          newID(),
 		Spec:        spec,
-		State:       StatePending,
+		State:       tcomp.JobPending,
 		Created:     time.Now(),
 		RequestID:   obs.RequestID(ctx),
 		TraceParent: obs.TraceparentFromContext(ctx),
@@ -364,13 +270,13 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec Spec) (Job, error) {
 	m.mu.Lock()
 	if m.closing {
 		m.mu.Unlock()
-		return Job{}, ErrClosed
+		return tcomp.JobStatus{}, ErrClosed
 	}
 	select {
 	case m.queue <- j.ID:
 	default:
 		m.mu.Unlock()
-		return Job{}, fmt.Errorf("jobs: %d jobs already queued: %w", cap(m.queue), ErrQueueFull)
+		return tcomp.JobStatus{}, fmt.Errorf("jobs: %d jobs already queued: %w", cap(m.queue), ErrQueueFull)
 	}
 	m.jobs[j.ID] = &state{job: j}
 	m.order = append(m.order, j.ID)
@@ -381,7 +287,7 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec Spec) (Job, error) {
 }
 
 // validate normalizes and checks a spec before it is accepted.
-func (m *Manager) validate(spec *Spec) error {
+func (m *Manager) validate(spec *tcomp.JobSpec) error {
 	switch spec.Kind {
 	case KindCompress:
 		if _, err := tcomp.Lookup(spec.Codec); err != nil {
@@ -441,31 +347,32 @@ func (m *Manager) validate(spec *Spec) error {
 		// A generated-benchmark flow has no input blob to check.
 		return nil
 	}
-	if !spec.Input.Valid() {
+	input := artifact.Digest(spec.Input)
+	if !input.Valid() {
 		return fmt.Errorf("jobs: input %q is not a valid digest", spec.Input)
 	}
-	if _, err := m.cfg.Store.Stat(spec.Input); err != nil {
+	if _, err := m.cfg.Store.Stat(input); err != nil {
 		return fmt.Errorf("jobs: input artifact: %w", err)
 	}
 	return nil
 }
 
 // Get returns a snapshot of the job.
-func (m *Manager) Get(id string) (Job, error) {
+func (m *Manager) Get(id string) (tcomp.JobStatus, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st, ok := m.jobs[id]
 	if !ok {
-		return Job{}, ErrNotFound
+		return tcomp.JobStatus{}, ErrNotFound
 	}
 	return st.job, nil
 }
 
 // List returns snapshots of all jobs in creation order.
-func (m *Manager) List() []Job {
+func (m *Manager) List() []tcomp.JobStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Job, 0, len(m.order))
+	out := make([]tcomp.JobStatus, 0, len(m.order))
 	for _, id := range m.order {
 		if st, ok := m.jobs[id]; ok {
 			out = append(out, st.job)
@@ -484,16 +391,16 @@ func (m *Manager) Cancel(id string) error {
 		m.mu.Unlock()
 		return ErrNotFound
 	}
-	var snap Job
+	var snap tcomp.JobStatus
 	switch st.job.State {
-	case StatePending:
+	case tcomp.JobPending:
 		// Not running yet: transition directly; the runner skips any
 		// queued ID whose state is no longer pending.
 		st.cancelled = true
-		st.job.State = StateCancelled
+		st.job.State = tcomp.JobCancelled
 		st.job.Finished = time.Now()
 		snap = st.job
-	case StateRunning:
+	case tcomp.JobRunning:
 		st.cancelled = true
 		if st.cancel != nil {
 			st.cancel() // the runner records the cancelled transition
@@ -517,7 +424,7 @@ func (m *Manager) Remove(id string) error {
 		m.mu.Unlock()
 		return ErrNotFound
 	}
-	if !st.job.State.Terminal() {
+	if !st.job.Terminal() {
 		m.mu.Unlock()
 		return ErrActive
 	}
@@ -539,65 +446,33 @@ func (m *Manager) Remove(id string) error {
 	return nil
 }
 
-// OpenResult returns a reader over a done job's output artifact plus the
-// job snapshot. ErrNotDone for unfinished/failed jobs, ErrGone when GC
-// already collected the artifact.
-func (m *Manager) OpenResult(id string) (rc io.ReadCloser, j Job, err error) {
-	m.mu.Lock()
-	st, ok := m.jobs[id]
-	if ok {
-		j = st.job
-	}
-	m.mu.Unlock()
-	if !ok {
-		return nil, Job{}, ErrNotFound
-	}
-	if j.State != StateDone {
-		return nil, j, fmt.Errorf("jobs: job %s is %s: %w", id, j.State, ErrNotDone)
-	}
-	r, err := m.cfg.Store.Open(j.Output)
-	if err != nil {
-		if errors.Is(err, artifact.ErrNotFound) {
-			return nil, j, fmt.Errorf("jobs: job %s: %w", id, ErrGone)
-		}
-		return nil, j, err
-	}
-	return r, j, nil
-}
-
-// OpenArtifact returns a reader over one of a done job's named extra
-// artifacts (flow jobs: "container", "verilog") plus its record and the
-// job snapshot. Unknown names answer ErrNotFound; a GC'd blob answers
+// Open returns a reader over one blob of a done job, with the blob's
+// record and the job snapshot: the job's output when name is "",
+// otherwise the named extra artifact (flow jobs: "container",
+// "verilog"). An unknown job or artifact name answers ErrNotFound, a
+// job without a result ErrNotDone, and a blob GC already collected
 // ErrGone.
-func (m *Manager) OpenArtifact(id, name string) (rc io.ReadCloser, a OutputArtifact, j Job, err error) {
-	m.mu.Lock()
-	st, ok := m.jobs[id]
-	if ok {
-		j = st.job
-	}
-	m.mu.Unlock()
-	if !ok {
-		return nil, OutputArtifact{}, Job{}, ErrNotFound
-	}
-	if j.State != StateDone {
-		return nil, OutputArtifact{}, j, fmt.Errorf("jobs: job %s is %s: %w", id, j.State, ErrNotDone)
-	}
-	for _, cand := range j.Artifacts {
-		if cand.Name == name {
-			a = cand
-		}
-	}
-	if a.Name == "" {
-		return nil, OutputArtifact{}, j, fmt.Errorf("jobs: job %s has no artifact %q: %w", id, name, ErrNotFound)
-	}
-	r, err := m.cfg.Store.Open(a.Digest)
+func (m *Manager) Open(id, name string) (io.ReadCloser, tcomp.JobArtifact, tcomp.JobStatus, error) {
+	j, err := m.Get(id)
 	if err != nil {
-		if errors.Is(err, artifact.ErrNotFound) {
-			return nil, a, j, fmt.Errorf("jobs: job %s artifact %s: %w", id, name, ErrGone)
-		}
-		return nil, a, j, err
+		return nil, tcomp.JobArtifact{}, j, err
 	}
-	return r, a, j, nil
+	if j.State != tcomp.JobDone {
+		return nil, tcomp.JobArtifact{}, j, fmt.Errorf("jobs: job %s is %s: %w", id, j.State, ErrNotDone)
+	}
+	blob := tcomp.JobArtifact{Digest: j.Output, Size: j.OutputSize}
+	if name != "" {
+		i := slices.IndexFunc(j.Artifacts, func(a tcomp.JobArtifact) bool { return a.Name == name })
+		if i < 0 {
+			return nil, tcomp.JobArtifact{}, j, fmt.Errorf("jobs: job %s has no artifact %q: %w", id, name, ErrNotFound)
+		}
+		blob = j.Artifacts[i]
+	}
+	r, err := m.cfg.Store.Open(artifact.Digest(blob.Digest))
+	if errors.Is(err, artifact.ErrNotFound) {
+		err = fmt.Errorf("jobs: job %s: %w", id, ErrGone)
+	}
+	return r, blob, j, err
 }
 
 // run executes one queued job end to end. It never returns an error to
@@ -605,13 +480,13 @@ func (m *Manager) OpenArtifact(id, name string) (rc io.ReadCloser, a OutputArtif
 func (m *Manager) run(ctx context.Context, id string) {
 	m.mu.Lock()
 	st, ok := m.jobs[id]
-	if !ok || st.job.State != StatePending {
+	if !ok || st.job.State != tcomp.JobPending {
 		m.mu.Unlock()
 		return // cancelled (or removed) while queued
 	}
 	jctx, jcancel := context.WithCancel(ctx)
 	st.cancel = jcancel
-	st.job.State = StateRunning
+	st.job.State = tcomp.JobRunning
 	st.job.Started = time.Now()
 	snap := st.job
 	m.mu.Unlock()
@@ -629,7 +504,7 @@ func (m *Manager) run(ctx context.Context, id string) {
 			parentTC = &tc
 		}
 	}
-	jctx, jobSpan := m.cfg.Tracer.StartRoot(jctx, "job "+string(snap.Spec.Kind), parentTC)
+	jctx, jobSpan := m.cfg.Tracer.StartRoot(jctx, "job "+snap.Spec.Kind, parentTC)
 	jobSpan.SetAttrs(obs.String("job_id", id))
 	if snap.RequestID != "" {
 		jobSpan.SetAttrs(obs.String("request_id", snap.RequestID))
@@ -641,45 +516,45 @@ func (m *Manager) run(ctx context.Context, id string) {
 	st.cancel = nil
 	switch {
 	case err == nil:
-		st.job.State = StateDone
-		st.job.Output = out.digest
+		st.job.State = tcomp.JobDone
+		st.job.Output = string(out.digest)
 		st.job.OutputSize = out.size
 		st.job.Stats = out.stats
 		st.job.Artifacts = out.artifacts
-		st.job.Progress = Progress{Patterns: out.stats.Patterns, Chunks: out.stats.Chunks}
+		st.job.Progress = tcomp.JobProgress{Patterns: out.stats.Patterns, Chunks: out.stats.Chunks}
 	case st.cancelled:
-		st.job.State = StateCancelled
+		st.job.State = tcomp.JobCancelled
 		st.job.Error = "cancelled"
 	case jctx.Err() != nil && m.closing:
 		// Daemon shutdown, not failure: park the job for the next start.
 		// Re-running from scratch is sound — output is a pure function of
 		// (input, params) — and the journal write below makes it durable.
-		st.job.State = StatePending
+		st.job.State = tcomp.JobPending
 		st.job.Started = time.Time{}
-		st.job.Progress = Progress{}
+		st.job.Progress = tcomp.JobProgress{}
 	default:
-		st.job.State = StateFailed
+		st.job.State = tcomp.JobFailed
 		st.job.Error = err.Error()
-		st.job.ErrorCode = m.cfg.ErrorCode(st.job.Spec.Kind, err)
+		st.job.ErrorCode = errorCode(st.job.Spec.Kind, err)
 	}
-	if st.job.State != StatePending {
+	if st.job.State != tcomp.JobPending {
 		st.job.Finished = time.Now()
 	}
 	snap = st.job
 	m.mu.Unlock()
-	jobSpan.SetAttrs(obs.String("state", string(snap.State)))
-	if snap.State == StateFailed {
+	jobSpan.SetAttrs(obs.String("state", snap.State))
+	if snap.State == tcomp.JobFailed {
 		jobSpan.SetError(err)
 	}
 	jobSpan.End()
 	m.journal(id)
-	if snap.State != StatePending {
+	if snap.State != tcomp.JobPending {
 		m.observe(snap)
 	}
 	attrs := []any{
 		slog.String("job_id", id),
-		slog.String("kind", string(snap.Spec.Kind)),
-		slog.String("state", string(snap.State)),
+		slog.String("kind", snap.Spec.Kind),
+		slog.String("state", snap.State),
 	}
 	if snap.RequestID != "" {
 		attrs = append(attrs, slog.String("request_id", snap.RequestID))
@@ -688,10 +563,10 @@ func (m *Manager) run(ctx context.Context, id string) {
 		attrs = append(attrs, slog.Duration("duration", snap.Finished.Sub(snap.Started)))
 	}
 	switch snap.State {
-	case StateFailed:
+	case tcomp.JobFailed:
 		attrs = append(attrs, slog.String("error", snap.Error), slog.String("error_code", snap.ErrorCode))
 		m.log.Error("job finished", attrs...)
-	case StatePending:
+	case tcomp.JobPending:
 		// Shutdown parked the job; it re-runs on the next start.
 		m.log.Info("job parked for restart", attrs...)
 	default:
@@ -703,25 +578,26 @@ func (m *Manager) run(ctx context.Context, id string) {
 // memory only: the journal is written on state transitions, and a job
 // reloaded from it restarts from scratch, so a journalled progress
 // would never be read back.
-func (m *Manager) setProgress(id string, p Progress) {
+func (m *Manager) setProgress(id string, p tcomp.JobProgress) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if st, ok := m.jobs[id]; ok && st.job.State == StateRunning {
+	if st, ok := m.jobs[id]; ok && st.job.State == tcomp.JobRunning {
 		st.job.Progress = p
 	}
 }
 
 // observe invokes the metrics hook with no locks held.
-func (m *Manager) observe(j Job) {
+func (m *Manager) observe(j tcomp.JobStatus) {
 	if m.cfg.Observe != nil {
 		m.cfg.Observe(j)
 	}
 }
 
-// defaultErrorCode is the built-in taxonomy classifier; it mirrors the
-// synchronous endpoints' mapping (serve's own classifier adds nothing
-// for jobs, whose inputs are already fully stored blobs).
-func defaultErrorCode(kind Kind, err error) string {
+// errorCode gives a failed job its taxonomy code, the code the
+// synchronous endpoint would answer for the same error. serve's
+// request_too_large never applies: a job reads its input from the
+// store, not from a size-capped request body.
+func errorCode(kind string, err error) string {
 	if errors.Is(err, pipeline.ErrPanic) {
 		return "internal_panic"
 	}
@@ -754,7 +630,7 @@ func (m *Manager) journal(id string) {
 	defer m.journalMu.Unlock()
 	m.mu.Lock()
 	st, ok := m.jobs[id]
-	var snap Job
+	var snap tcomp.JobStatus
 	if ok {
 		snap = st.job
 	}
@@ -803,7 +679,7 @@ func (m *Manager) loadJournal() ([]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("jobs: reading journal entry %s: %w", name, err)
 		}
-		var j Job
+		var j tcomp.JobStatus
 		if err := json.Unmarshal(b, &j); err != nil {
 			// A torn or foreign file: skip it rather than refuse to start.
 			m.log.Warn("skipping unreadable journal entry", slog.String("entry", name), slog.Any("error", err))
@@ -813,11 +689,11 @@ func (m *Manager) loadJournal() ([]string, error) {
 			m.log.Warn("skipping journal entry with mismatched ID", slog.String("entry", name), slog.String("id", j.ID))
 			continue
 		}
-		if j.State == StateRunning || j.State == StatePending {
+		if j.State == tcomp.JobRunning || j.State == tcomp.JobPending {
 			// Interrupted (crash or shutdown): back to the start line.
-			j.State = StatePending
+			j.State = tcomp.JobPending
 			j.Started = time.Time{}
-			j.Progress = Progress{}
+			j.Progress = tcomp.JobProgress{}
 		}
 		m.jobs[id] = &state{job: j}
 		m.order = append(m.order, id)
@@ -831,7 +707,7 @@ func (m *Manager) loadJournal() ([]string, error) {
 	})
 	var requeue []string
 	for _, id := range m.order {
-		if m.jobs[id].job.State == StatePending {
+		if m.jobs[id].job.State == tcomp.JobPending {
 			m.journal(id) // persist the running→pending rewrite
 			requeue = append(requeue, id)
 		}

@@ -140,7 +140,7 @@ func putBlob(t *testing.T, s artifact.Store, content string) artifact.Digest {
 
 // waitState polls until the job reaches want (or any terminal state) and
 // returns the snapshot.
-func waitState(t *testing.T, m *Manager, id string, want State) Job {
+func waitState(t *testing.T, m *Manager, id string, want string) tcomp.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -151,7 +151,7 @@ func waitState(t *testing.T, m *Manager, id string, want State) Job {
 		if j.State == want {
 			return j
 		}
-		if j.State.Terminal() {
+		if j.Terminal() {
 			t.Fatalf("job %s ended %s (error %q, code %q), want %s", id, j.State, j.Error, j.ErrorCode, want)
 		}
 		if time.Now().After(deadline) {
@@ -169,17 +169,17 @@ func TestSubmitPollFetch(t *testing.T) {
 	input := testPatterns(64, 32)
 	d := putBlob(t, store, input)
 
-	j, err := m.Submit(Spec{
-		Kind: KindCompress, Codec: "golomb", Input: d,
+	j, err := m.Submit(tcomp.JobSpec{
+		Kind: KindCompress, Codec: "golomb", Input: string(d),
 		Params: map[string]int64{"seed": 7, "chunk": 16},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.State != StatePending || j.ID == "" {
+	if j.State != tcomp.JobPending || j.ID == "" {
 		t.Fatalf("fresh job %+v", j)
 	}
-	done := waitState(t, m, j.ID, StateDone)
+	done := waitState(t, m, j.ID, tcomp.JobDone)
 	if done.Output == "" || done.Stats == nil {
 		t.Fatalf("done job missing output/stats: %+v", done)
 	}
@@ -190,13 +190,13 @@ func TestSubmitPollFetch(t *testing.T) {
 		t.Fatalf("final progress %+v, want 4 chunks", done.Progress)
 	}
 
-	rc, fetched, err := m.OpenResult(j.ID)
+	rc, _, fetched, err := m.Open(j.ID, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rc.Close()
 	if fetched.Output != done.Output {
-		t.Fatalf("OpenResult job snapshot disagrees: %s vs %s", fetched.Output, done.Output)
+		t.Fatalf("Open job snapshot disagrees: %s vs %s", fetched.Output, done.Output)
 	}
 	body, err := io.ReadAll(rc)
 	if err != nil {
@@ -230,18 +230,18 @@ func TestDecompressJob(t *testing.T) {
 	input := testPatterns(40, 24)
 	d := putBlob(t, store, input)
 
-	cj, err := m.Submit(Spec{Kind: KindCompress, Codec: "rl", Input: d})
+	cj, err := m.Submit(tcomp.JobSpec{Kind: KindCompress, Codec: "rl", Input: string(d)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdone := waitState(t, m, cj.ID, StateDone)
+	cdone := waitState(t, m, cj.ID, tcomp.JobDone)
 
-	dj, err := m.Submit(Spec{Kind: KindDecompress, Input: cdone.Output})
+	dj, err := m.Submit(tcomp.JobSpec{Kind: KindDecompress, Input: cdone.Output})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ddone := waitState(t, m, dj.ID, StateDone)
-	rc, _, err := m.OpenResult(dj.ID)
+	ddone := waitState(t, m, dj.ID, tcomp.JobDone)
+	rc, _, _, err := m.Open(dj.ID, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,31 +277,31 @@ func TestBinaryInputMatchesText(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := []artifact.Digest{putBlob(t, store, text), putBlob(t, store, bin.String())}
-	specs := []Spec{
+	specs := []tcomp.JobSpec{
 		{Kind: KindCompress, Codec: "fdr", Format: "v2"},
 		{Kind: KindCompress, Codec: "fdr", Format: "v3", Params: map[string]int64{"chunk": 16}},
 		{Kind: KindSweep, Codecs: []string{"golomb", "rl"}},
 	}
 	for _, spec := range specs {
-		var done []Job
+		var done []tcomp.JobStatus
 		for _, in := range inputs {
-			spec.Input = in
+			spec.Input = string(in)
 			j, err := m.Submit(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			done = append(done, waitState(t, m, j.ID, StateDone))
+			done = append(done, waitState(t, m, j.ID, tcomp.JobDone))
 		}
 		if done[0].Output != done[1].Output || *done[0].Stats != *done[1].Stats {
 			t.Fatalf("%s %s: binary input gave %s %+v, text %s %+v", spec.Kind, spec.Format,
 				done[1].Output, done[1].Stats, done[0].Output, done[0].Stats)
 		}
 	}
-	j, err := m.Submit(Spec{Kind: KindCompress, Codec: "fdr", Input: putBlob(t, store, "TSET\x01garbage")})
+	j, err := m.Submit(tcomp.JobSpec{Kind: KindCompress, Codec: "fdr", Input: string(putBlob(t, store, "TSET\x01garbage"))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := waitState(t, m, j.ID, StateFailed); !strings.Contains(got.Error, "bad binary test set") {
+	if got := waitState(t, m, j.ID, tcomp.JobFailed); !strings.Contains(got.Error, "bad binary test set") {
 		t.Fatalf("corrupt binary input failed with %q", got.Error)
 	}
 }
@@ -310,12 +310,12 @@ func TestBinaryInputMatchesText(t *testing.T) {
 func TestSweepJob(t *testing.T) {
 	m, store := newTestManager(t, Config{})
 	d := putBlob(t, store, testPatterns(48, 24))
-	j, err := m.Submit(Spec{Kind: KindSweep, Codecs: []string{"golomb", "rl"}, Input: d})
+	j, err := m.Submit(tcomp.JobSpec{Kind: KindSweep, Codecs: []string{"golomb", "rl"}, Input: string(d)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := waitState(t, m, j.ID, StateDone)
-	rc, _, err := m.OpenResult(j.ID)
+	done := waitState(t, m, j.ID, tcomp.JobDone)
+	rc, _, _, err := m.Open(j.ID, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,11 +344,11 @@ func TestCancelMidRun(t *testing.T) {
 	defer testGate.release()
 	m, store := newTestManager(t, Config{})
 	d := putBlob(t, store, testPatterns(8, 16))
-	j, err := m.Submit(Spec{Kind: KindCompress, Codec: "testgate", Input: d})
+	j, err := m.Submit(tcomp.JobSpec{Kind: KindCompress, Codec: "testgate", Input: string(d)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, m, j.ID, StateRunning)
+	waitState(t, m, j.ID, tcomp.JobRunning)
 	if err := m.Cancel(j.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -358,8 +358,8 @@ func TestCancelMidRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.State.Terminal() {
-			if got.State != StateCancelled {
+		if got.Terminal() {
+			if got.State != tcomp.JobCancelled {
 				t.Fatalf("job ended %s (%s), want cancelled", got.State, got.Error)
 			}
 			break
@@ -373,8 +373,8 @@ func TestCancelMidRun(t *testing.T) {
 	if err := m.Cancel(j.ID); err != nil {
 		t.Fatalf("cancel of terminal job: %v", err)
 	}
-	if _, _, err := m.OpenResult(j.ID); !errors.Is(err, ErrNotDone) {
-		t.Fatalf("OpenResult on cancelled job = %v, want ErrNotDone", err)
+	if _, _, _, err := m.Open(j.ID, ""); !errors.Is(err, ErrNotDone) {
+		t.Fatalf("Open on cancelled job = %v, want ErrNotDone", err)
 	}
 }
 
@@ -385,12 +385,12 @@ func TestCancelQueued(t *testing.T) {
 	m, store := newTestManager(t, Config{Workers: 1})
 	d := putBlob(t, store, testPatterns(8, 16))
 	// Fill the single worker with a gated job, then queue one more.
-	blocker, err := m.Submit(Spec{Kind: KindCompress, Codec: "testgate", Input: d})
+	blocker, err := m.Submit(tcomp.JobSpec{Kind: KindCompress, Codec: "testgate", Input: string(d)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, m, blocker.ID, StateRunning)
-	queued, err := m.Submit(Spec{Kind: KindCompress, Codec: "golomb", Input: d})
+	waitState(t, m, blocker.ID, tcomp.JobRunning)
+	queued, err := m.Submit(tcomp.JobSpec{Kind: KindCompress, Codec: "golomb", Input: string(d)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,11 +401,11 @@ func TestCancelQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != StateCancelled {
+	if got.State != tcomp.JobCancelled {
 		t.Fatalf("queued job state %s after cancel, want cancelled", got.State)
 	}
 	testGate.release()
-	waitState(t, m, blocker.ID, StateDone)
+	waitState(t, m, blocker.ID, tcomp.JobDone)
 }
 
 // TestFailedJobCarriesTaxonomyCode: a decompress job over garbage input
@@ -414,18 +414,18 @@ func TestCancelQueued(t *testing.T) {
 func TestFailedJobCarriesTaxonomyCode(t *testing.T) {
 	m, store := newTestManager(t, Config{})
 	d := putBlob(t, store, "this is not a container")
-	j, err := m.Submit(Spec{Kind: KindDecompress, Input: d})
+	j, err := m.Submit(tcomp.JobSpec{Kind: KindDecompress, Input: string(d)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	var got Job
+	var got tcomp.JobStatus
 	for {
 		got, err = m.Get(j.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.State.Terminal() {
+		if got.Terminal() {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -433,7 +433,7 @@ func TestFailedJobCarriesTaxonomyCode(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got.State != StateFailed {
+	if got.State != tcomp.JobFailed {
 		t.Fatalf("job ended %s, want failed", got.State)
 	}
 	if got.ErrorCode != "corrupt_container" {
@@ -454,21 +454,21 @@ func TestPanicContained(t *testing.T) {
 	m, store := newTestManager(t, Config{})
 	d := putBlob(t, store, testPatterns(8, 16))
 	for _, format := range []string{"v2", "v3"} {
-		j, err := m.Submit(Spec{Kind: KindCompress, Codec: "jobspanic", Format: format, Input: d})
+		j, err := m.Submit(tcomp.JobSpec{Kind: KindCompress, Codec: "jobspanic", Format: format, Input: string(d)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := waitState(t, m, j.ID, StateFailed)
+		got := waitState(t, m, j.ID, tcomp.JobFailed)
 		if got.ErrorCode != "internal_panic" {
 			t.Fatalf("%s: error code %q, want internal_panic", format, got.ErrorCode)
 		}
 	}
 	// The manager still runs jobs after the panics.
-	j, err := m.Submit(Spec{Kind: KindCompress, Codec: "golomb", Input: d})
+	j, err := m.Submit(tcomp.JobSpec{Kind: KindCompress, Codec: "golomb", Input: string(d)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, m, j.ID, StateDone)
+	waitState(t, m, j.ID, tcomp.JobDone)
 }
 
 // TestQueueFull: with one gated worker and a tiny backlog bound, repeated
@@ -480,7 +480,7 @@ func TestQueueFull(t *testing.T) {
 	d := putBlob(t, store, testPatterns(8, 16))
 	var full bool
 	for i := 0; i < 10; i++ {
-		_, err := m.Submit(Spec{Kind: KindCompress, Codec: "testgate", Input: d})
+		_, err := m.Submit(tcomp.JobSpec{Kind: KindCompress, Codec: "testgate", Input: string(d)})
 		if errors.Is(err, ErrQueueFull) {
 			full = true
 			break
@@ -498,16 +498,16 @@ func TestQueueFull(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	m, store := newTestManager(t, Config{})
 	d := putBlob(t, store, testPatterns(4, 8))
-	cases := []Spec{
-		{Kind: "mine", Input: d},
-		{Kind: KindCompress, Codec: "no-such-codec", Input: d},
-		{Kind: KindCompress, Codec: "golomb", Format: "v9", Input: d},
+	cases := []tcomp.JobSpec{
+		{Kind: "mine", Input: string(d)},
+		{Kind: KindCompress, Codec: "no-such-codec", Input: string(d)},
+		{Kind: KindCompress, Codec: "golomb", Format: "v9", Input: string(d)},
 		{Kind: KindCompress, Codec: "golomb", Input: "not-a-digest"},
-		{Kind: KindCompress, Codec: "golomb", Input: artifact.SumBytes([]byte("never stored"))},
-		{Kind: KindCompress, Codec: "golomb", Input: d, Params: map[string]int64{"volume": 11}},
-		{Kind: KindCompress, Codec: "golomb", Input: d, Params: map[string]int64{"k": 9999}},
-		{Kind: KindDecompress, Input: d, Params: map[string]int64{"k": 4}},
-		{Kind: KindSweep, Input: d},
+		{Kind: KindCompress, Codec: "golomb", Input: string(artifact.SumBytes([]byte("never stored")))},
+		{Kind: KindCompress, Codec: "golomb", Input: string(d), Params: map[string]int64{"volume": 11}},
+		{Kind: KindCompress, Codec: "golomb", Input: string(d), Params: map[string]int64{"k": 9999}},
+		{Kind: KindDecompress, Input: string(d), Params: map[string]int64{"k": 4}},
+		{Kind: KindSweep, Input: string(d)},
 	}
 	for i, spec := range cases {
 		if _, err := m.Submit(spec); err == nil {
@@ -540,19 +540,19 @@ func TestRestartRecovery(t *testing.T) {
 	}
 
 	// Job A completes before the restart.
-	ja, err := m1.Submit(Spec{Kind: KindCompress, Codec: "golomb", Input: d})
+	ja, err := m1.Submit(tcomp.JobSpec{Kind: KindCompress, Codec: "golomb", Input: string(d)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jaDone := waitState(t, m1, ja.ID, StateDone)
+	jaDone := waitState(t, m1, ja.ID, tcomp.JobDone)
 
 	// Job B is gated mid-run when the daemon stops.
 	testGate.block()
-	jb, err := m1.Submit(Spec{Kind: KindCompress, Codec: "testgate", Input: d})
+	jb, err := m1.Submit(tcomp.JobSpec{Kind: KindCompress, Codec: "testgate", Input: string(d)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, m1, jb.ID, StateRunning)
+	waitState(t, m1, jb.ID, tcomp.JobRunning)
 	if err := m1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -574,10 +574,10 @@ func TestRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("done job lost across restart: %v", err)
 	}
-	if gotA.State != StateDone || gotA.Output != jaDone.Output {
+	if gotA.State != tcomp.JobDone || gotA.Output != jaDone.Output {
 		t.Fatalf("recovered job A = %+v, want done with output %s", gotA, jaDone.Output)
 	}
-	rc, _, err := m2.OpenResult(ja.ID)
+	rc, _, _, err := m2.Open(ja.ID, "")
 	if err != nil {
 		t.Fatalf("done job's artifact not fetchable after restart: %v", err)
 	}
@@ -586,17 +586,17 @@ func TestRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if artifact.SumBytes(body) != jaDone.Output {
+	if string(artifact.SumBytes(body)) != jaDone.Output {
 		t.Fatal("artifact bytes changed across restart")
 	}
 
 	// B was parked pending and now runs to completion.
-	gotB := waitState(t, m2, jb.ID, StateDone)
+	gotB := waitState(t, m2, jb.ID, tcomp.JobDone)
 	if gotB.Output != jaDone.Output {
 		// Same input, same codec family via the gate's golomb delegate, but
 		// different codec name in the header — outputs differ; just check
 		// it decodes.
-		rc, _, err := m2.OpenResult(jb.ID)
+		rc, _, _, err := m2.Open(jb.ID, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -625,11 +625,11 @@ func TestRemove(t *testing.T) {
 	dir := t.TempDir()
 	m, store := newTestManager(t, Config{Dir: dir})
 	d := putBlob(t, store, testPatterns(8, 16))
-	j, err := m.Submit(Spec{Kind: KindCompress, Codec: "golomb", Input: d})
+	j, err := m.Submit(tcomp.JobSpec{Kind: KindCompress, Codec: "golomb", Input: string(d)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, m, j.ID, StateDone)
+	waitState(t, m, j.ID, tcomp.JobDone)
 	if err := m.Remove(j.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -650,23 +650,23 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-// TestResultGone: GC'ing the output artifact turns OpenResult into
+// TestResultGone: GC'ing the output artifact turns Open into
 // ErrGone while the job record stays intact.
 func TestResultGone(t *testing.T) {
 	m, store := newTestManager(t, Config{})
 	d := putBlob(t, store, testPatterns(8, 16))
-	j, err := m.Submit(Spec{Kind: KindCompress, Codec: "golomb", Input: d})
+	j, err := m.Submit(tcomp.JobSpec{Kind: KindCompress, Codec: "golomb", Input: string(d)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := waitState(t, m, j.ID, StateDone)
-	if err := store.Delete(done.Output); err != nil {
+	done := waitState(t, m, j.ID, tcomp.JobDone)
+	if err := store.Delete(artifact.Digest(done.Output)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.OpenResult(j.ID); !errors.Is(err, ErrGone) {
-		t.Fatalf("OpenResult after GC = %v, want ErrGone", err)
+	if _, _, _, err := m.Open(j.ID, ""); !errors.Is(err, ErrGone) {
+		t.Fatalf("Open after GC = %v, want ErrGone", err)
 	}
-	if got, err := m.Get(j.ID); err != nil || got.State != StateDone {
+	if got, err := m.Get(j.ID); err != nil || got.State != tcomp.JobDone {
 		t.Fatalf("job record damaged by artifact GC: %+v, %v", got, err)
 	}
 }
@@ -678,11 +678,11 @@ func TestSharedLimiter(t *testing.T) {
 	lim := pipeline.NewLimiter(1)
 	m, store := newTestManager(t, Config{Workers: 4, Limiter: lim})
 	d := putBlob(t, store, testPatterns(8, 16))
-	j, err := m.Submit(Spec{Kind: KindCompress, Codec: "testgate", Input: d})
+	j, err := m.Submit(tcomp.JobSpec{Kind: KindCompress, Codec: "testgate", Input: string(d)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, m, j.ID, StateRunning)
+	waitState(t, m, j.ID, tcomp.JobRunning)
 	// Busy-wait until the runner actually holds the token (Acquire happens
 	// just after the running transition).
 	deadline := time.Now().Add(5 * time.Second)
@@ -694,7 +694,7 @@ func TestSharedLimiter(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	testGate.release()
-	waitState(t, m, j.ID, StateDone)
+	waitState(t, m, j.ID, tcomp.JobDone)
 	if !lim.TryAcquire() {
 		t.Fatal("finished job did not release the shared limiter token")
 	}
@@ -706,7 +706,7 @@ func TestSharedLimiter(t *testing.T) {
 func TestContentAddressedDedup(t *testing.T) {
 	m, store := newTestManager(t, Config{})
 	d := putBlob(t, store, testPatterns(16, 16))
-	spec := Spec{Kind: KindCompress, Codec: "golomb", Input: d, Params: map[string]int64{"seed": 3}}
+	spec := tcomp.JobSpec{Kind: KindCompress, Codec: "golomb", Input: string(d), Params: map[string]int64{"seed": 3}}
 	j1, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -715,8 +715,8 @@ func TestContentAddressedDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := waitState(t, m, j1.ID, StateDone)
-	d2 := waitState(t, m, j2.ID, StateDone)
+	d1 := waitState(t, m, j1.ID, tcomp.JobDone)
+	d2 := waitState(t, m, j2.ID, tcomp.JobDone)
 	if d1.Output != d2.Output {
 		t.Fatalf("identical submissions produced different outputs: %s vs %s", d1.Output, d2.Output)
 	}
@@ -737,7 +737,7 @@ func TestJournalKeepsLatestState(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		id := newID()
 		m.mu.Lock()
-		m.jobs[id] = &state{job: Job{ID: id, Spec: Spec{Kind: KindCompress, Codec: "golomb"}, State: StateRunning, Created: time.Now()}}
+		m.jobs[id] = &state{job: tcomp.JobStatus{ID: id, Spec: tcomp.JobSpec{Kind: KindCompress, Codec: "golomb"}, State: tcomp.JobRunning, Created: time.Now()}}
 		m.order = append(m.order, id)
 		m.mu.Unlock()
 		const writers, steps = 8, 25
@@ -759,7 +759,7 @@ func TestJournalKeepsLatestState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var onDisk Job
+		var onDisk tcomp.JobStatus
 		if err := json.Unmarshal(b, &onDisk); err != nil {
 			t.Fatal(err)
 		}

@@ -20,8 +20,8 @@ import (
 type outcome struct {
 	digest    artifact.Digest
 	size      int64
-	stats     *Stats
-	artifacts []OutputArtifact // flow jobs: the container and the decoder
+	stats     *tcomp.ContainerStats
+	artifacts []tcomp.JobArtifact // flow jobs: the container and the decoder
 }
 
 // execute runs one job's work while holding a token of the shared worker
@@ -29,7 +29,7 @@ type outcome struct {
 // CPU allowance instead of stacking on top of each other. A panic in a
 // codec is contained here — it becomes a failed job (internal_panic),
 // never a runner that silently leaves the job in "running" forever.
-func (m *Manager) execute(ctx context.Context, id string, j Job) (out *outcome, err error) {
+func (m *Manager) execute(ctx context.Context, id string, j tcomp.JobStatus) (out *outcome, err error) {
 	if err := m.lim.Acquire(ctx); err != nil {
 		return nil, err
 	}
@@ -61,7 +61,7 @@ func (m *Manager) execute(ctx context.Context, id string, j Job) (out *outcome, 
 // a pipe, so job results are written at O(chunk) memory with no
 // intermediate file. The producer's error wins over the store's: if the
 // producer failed, whatever Put saw downstream is a symptom.
-func (m *Manager) produceTo(produce func(w io.Writer) (*Stats, error)) (*outcome, error) {
+func (m *Manager) produceTo(produce func(w io.Writer) (*tcomp.ContainerStats, error)) (*outcome, error) {
 	pr, pw := io.Pipe()
 	type putRes struct {
 		d   artifact.Digest
@@ -80,7 +80,7 @@ func (m *Manager) produceTo(produce func(w io.Writer) (*Stats, error)) (*outcome
 		pr.CloseWithError(err)
 		putc <- putRes{d, n, err}
 	}()
-	stats, perr := func() (*Stats, error) {
+	stats, perr := func() (*tcomp.ContainerStats, error) {
 		// A panicking producer must still release the store goroutine
 		// (close the pipe, join) before the panic unwinds to execute's
 		// containment — otherwise the Put goroutine leaks, blocked on a
@@ -109,8 +109,8 @@ func (m *Manager) produceTo(produce func(w io.Writer) (*Stats, error)) (*outcome
 // tcomp.CompressTo, sniffing the TSET binary magic: a binary set is
 // in-memory-sized by construction and is decoded whole, a textual one
 // is scanned a pattern at a time.
-func (m *Manager) openPatterns(input artifact.Digest) (width int, next func() (tcomp.Vector, error), closer io.Closer, err error) {
-	rc, err := m.cfg.Store.Open(input)
+func (m *Manager) openPatterns(input string) (width int, next func() (tcomp.Vector, error), closer io.Closer, err error) {
+	rc, err := m.cfg.Store.Open(artifact.Digest(input))
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("jobs: input artifact: %w", err)
 	}
@@ -140,7 +140,7 @@ func (m *Manager) openPatterns(input artifact.Digest) (width int, next func() (t
 
 // runCompress compresses the input pattern blob into a container blob.
 // Progress counts the chunk frames as the writer writes them.
-func (m *Manager) runCompress(ctx context.Context, id string, spec Spec) (*outcome, error) {
+func (m *Manager) runCompress(ctx context.Context, id string, spec tcomp.JobSpec) (*outcome, error) {
 	opts, err := tcomp.ParamOptions(spec.Params)
 	if err != nil {
 		return nil, err
@@ -151,9 +151,9 @@ func (m *Manager) runCompress(ctx context.Context, id string, spec Spec) (*outco
 	}
 	defer closer.Close()
 	progress := func(st tcomp.ContainerStats) {
-		m.setProgress(id, Progress{Patterns: st.Patterns, Chunks: st.Chunks})
+		m.setProgress(id, tcomp.JobProgress{Patterns: st.Patterns, Chunks: st.Chunks})
 	}
-	return m.produceTo(func(w io.Writer) (*Stats, error) {
+	return m.produceTo(func(w io.Writer) (*tcomp.ContainerStats, error) {
 		st, err := tcomp.CompressTo(ctx, w, spec.Codec, spec.Format, width, next, progress, opts...)
 		if err != nil {
 			return nil, err
@@ -164,8 +164,8 @@ func (m *Manager) runCompress(ctx context.Context, id string, spec Spec) (*outco
 
 // runDecompress expands a container blob (any version) into a textual
 // pattern blob — the exact bytes the synchronous endpoint would answer.
-func (m *Manager) runDecompress(ctx context.Context, id string, spec Spec) (*outcome, error) {
-	rc, err := m.cfg.Store.Open(spec.Input)
+func (m *Manager) runDecompress(ctx context.Context, id string, spec tcomp.JobSpec) (*outcome, error) {
+	rc, err := m.cfg.Store.Open(artifact.Digest(spec.Input))
 	if err != nil {
 		return nil, fmt.Errorf("jobs: input artifact: %w", err)
 	}
@@ -174,7 +174,7 @@ func (m *Manager) runDecompress(ctx context.Context, id string, spec Spec) (*out
 	if err != nil {
 		return nil, err
 	}
-	return m.produceTo(func(w io.Writer) (*Stats, error) {
+	return m.produceTo(func(w io.Writer) (*tcomp.ContainerStats, error) {
 		pw, err := testset.NewPatternWriter(w, sr.Width(), sr.Expected())
 		if err != nil {
 			return nil, err
@@ -196,14 +196,14 @@ func (m *Manager) runDecompress(ctx context.Context, id string, spec Spec) (*out
 			}
 			if c := sr.ChunkIndex(); c != chunk {
 				chunk = c
-				m.setProgress(id, Progress{Patterns: pw.Patterns(), Chunks: chunk})
+				m.setProgress(id, tcomp.JobProgress{Patterns: pw.Patterns(), Chunks: chunk})
 			}
 		}
 		if err := pw.Close(); err != nil {
 			return nil, err
 		}
 		n := pw.Patterns()
-		return &Stats{Patterns: n, Chunks: sr.ChunkIndex(), OriginalBits: n * sr.Width(), CompressedBits: sr.CompressedBits()}, nil
+		return &tcomp.ContainerStats{Patterns: n, Chunks: sr.ChunkIndex(), OriginalBits: n * sr.Width(), CompressedBits: sr.CompressedBits()}, nil
 	})
 }
 
@@ -227,7 +227,7 @@ type SweepCodecStat struct {
 // runSweep streams the input through every requested codec (re-opening
 // the blob per codec, so memory stays O(chunk)) and stores the rate
 // comparison as a JSON report.
-func (m *Manager) runSweep(ctx context.Context, id string, spec Spec) (*outcome, error) {
+func (m *Manager) runSweep(ctx context.Context, id string, spec tcomp.JobSpec) (*outcome, error) {
 	opts, err := tcomp.ParamOptions(spec.Params)
 	if err != nil {
 		return nil, err
@@ -259,18 +259,18 @@ func (m *Manager) runSweep(ctx context.Context, id string, spec Spec) (*outcome,
 		if best == 0 || st.CompressedBits < best {
 			best = st.CompressedBits
 		}
-		m.setProgress(id, Progress{Patterns: st.Patterns, Chunks: i + 1})
+		m.setProgress(id, tcomp.JobProgress{Patterns: st.Patterns, Chunks: i + 1})
 	}
 	b, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	b = append(b, '\n')
-	return m.produceTo(func(w io.Writer) (*Stats, error) {
+	return m.produceTo(func(w io.Writer) (*tcomp.ContainerStats, error) {
 		if _, err := io.Copy(w, bytes.NewReader(b)); err != nil {
 			return nil, err
 		}
-		return &Stats{
+		return &tcomp.ContainerStats{
 			Patterns: report.Patterns, Chunks: len(report.Codecs),
 			OriginalBits:   report.Patterns * report.Width,
 			CompressedBits: best,
@@ -278,19 +278,11 @@ func (m *Manager) runSweep(ctx context.Context, id string, spec Spec) (*outcome,
 	})
 }
 
-// FlowReport is the JSON artifact a flow job produces: the flow result
-// (minus the binary blobs) plus the digests of the stored container and
-// decoder, so the report alone is a complete receipt.
-type FlowReport struct {
-	*tcomp.FlowResult
-	Artifacts []OutputArtifact `json:"artifacts"`
-}
-
 // runFlow runs the full hardware-test pipeline (circuit → test
 // generation → codec advisor race → winner container + Verilog decoder)
-// and stores three blobs: the JSON report as the job output, plus the
-// container and decoder as named artifacts on the job record.
-func (m *Manager) runFlow(ctx context.Context, id string, spec Spec) (*outcome, error) {
+// and stores three blobs: the JSON tcomp.FlowReport as the job output,
+// plus the container and decoder as named artifacts on the job record.
+func (m *Manager) runFlow(ctx context.Context, id string, spec tcomp.JobSpec) (*outcome, error) {
 	opts, err := tcomp.ParamOptions(spec.Params)
 	if err != nil {
 		return nil, err
@@ -311,7 +303,7 @@ func (m *Manager) runFlow(ctx context.Context, id string, spec Spec) (*outcome, 
 				m.cfg.FlowObserve(stage, seconds)
 			}
 			stages++
-			m.setProgress(id, Progress{Chunks: stages})
+			m.setProgress(id, tcomp.JobProgress{Chunks: stages})
 		}),
 	}
 	if len(spec.Codecs) > 0 {
@@ -330,7 +322,7 @@ func (m *Manager) runFlow(ctx context.Context, id string, spec Spec) (*outcome, 
 		c, err = flow.GenerateCircuit(ctx, spec.Benchmark)
 	} else {
 		var rc io.ReadCloser
-		rc, err = m.cfg.Store.Open(spec.Input)
+		rc, err = m.cfg.Store.Open(artifact.Digest(spec.Input))
 		if err != nil {
 			return nil, fmt.Errorf("jobs: input artifact: %w", err)
 		}
@@ -349,12 +341,12 @@ func (m *Manager) runFlow(ctx context.Context, id string, spec Spec) (*outcome, 
 		m.cfg.FlowCoverage(res.Tests.CoveragePercent)
 	}
 
-	store := func(name string, blob []byte) (OutputArtifact, error) {
+	store := func(name string, blob []byte) (tcomp.JobArtifact, error) {
 		d, n, err := m.cfg.Store.Put(bytes.NewReader(blob))
 		if err != nil {
-			return OutputArtifact{}, fmt.Errorf("jobs: storing flow %s: %w", name, err)
+			return tcomp.JobArtifact{}, fmt.Errorf("jobs: storing flow %s: %w", name, err)
 		}
-		return OutputArtifact{Name: name, Digest: d, Size: n}, nil
+		return tcomp.JobArtifact{Name: name, Digest: string(d), Size: n}, nil
 	}
 	cArt, err := store("container", res.ContainerBytes)
 	if err != nil {
@@ -364,17 +356,17 @@ func (m *Manager) runFlow(ctx context.Context, id string, spec Spec) (*outcome, 
 	if err != nil {
 		return nil, err
 	}
-	report := FlowReport{FlowResult: res, Artifacts: []OutputArtifact{cArt, vArt}}
+	report := tcomp.FlowReport{FlowResult: *res, Artifacts: []tcomp.JobArtifact{cArt, vArt}}
 	b, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	b = append(b, '\n')
-	out, err := m.produceTo(func(w io.Writer) (*Stats, error) {
+	out, err := m.produceTo(func(w io.Writer) (*tcomp.ContainerStats, error) {
 		if _, err := w.Write(b); err != nil {
 			return nil, err
 		}
-		return &Stats{
+		return &tcomp.ContainerStats{
 			Patterns: res.Tests.Patterns, Chunks: res.Container.Chunks,
 			OriginalBits:   res.Container.OriginalBits,
 			CompressedBits: res.Container.CompressedBits,

@@ -8,7 +8,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Ordered is the engine's incremental counterpart to Stream: jobs are
+// Ordered is the engine's incremental counterpart to Run: jobs are
 // submitted one at a time (the full job list need not exist up front, so
 // a producer reading from a pipe can feed it), run on a bounded worker
 // pool, and delivered to a single sink callback strictly in submission
@@ -18,7 +18,7 @@ import (
 // Backpressure is structural: at most window results are in flight, so a
 // fast producer over a slow sink (or one slow job) holds O(window) job
 // inputs and outputs in memory, never the whole stream. Seeds derive from
-// (RootSeed, submission index) exactly as in Stream, so a parallel run is
+// (RootSeed, submission index) exactly as in Run, so a parallel run is
 // byte-identical to a serial one.
 type Ordered[T any] struct {
 	ctx     context.Context

@@ -54,7 +54,7 @@ func TestOrderedDelivery(t *testing.T) {
 
 // TestOrderedJobError checks that a failing job surfaces from Submit
 // (eventually) and Close, and that delivery stops at the failing index:
-// results past it are dropped, exactly like the batch engine's FailFast.
+// results past it are dropped, exactly like Run stops after a failure.
 func TestOrderedJobError(t *testing.T) {
 	boom := errors.New("boom")
 	var delivered atomic.Int64

@@ -9,8 +9,9 @@ import (
 )
 
 // TestStreamContainsJobPanic pins the crash-containment contract: a job
-// that panics on a worker goroutine becomes a job error carrying the
-// panic value and stack — the process (and the other jobs) survive.
+// that panics on a worker goroutine becomes that job's error carrying
+// the panic value and stack — the process, and the jobs dispatched
+// before it, survive.
 func TestStreamContainsJobPanic(t *testing.T) {
 	jobs := make([]Job[int], 8)
 	for i := range jobs {
@@ -22,12 +23,13 @@ func TestStreamContainsJobPanic(t *testing.T) {
 			return i, nil
 		}}
 	}
-	results := Collect(Stream(context.Background(), Config{Workers: 4}, jobs))
+	results, _ := Run(context.Background(), Config{Workers: 4}, jobs)
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results, want %d", len(results), len(jobs))
 	}
 	for _, r := range results {
-		if r.Index == 3 {
+		switch {
+		case r.Index == 3:
 			if !errors.Is(r.Err, ErrPanic) {
 				t.Fatalf("panicked job err=%v, want ErrPanic", r.Err)
 			}
@@ -41,8 +43,15 @@ func TestStreamContainsJobPanic(t *testing.T) {
 			if !bytes.Contains(pe.Stack, []byte("goroutine")) {
 				t.Fatalf("stack not captured: %q", pe.Stack)
 			}
-		} else if r.Err != nil {
-			t.Fatalf("job %d err=%v, want nil", r.Index, r.Err)
+		case r.Index < 3:
+			if r.Err != nil || r.Value != r.Index {
+				t.Fatalf("job %d value=%d err=%v, want %d, nil", r.Index, r.Value, r.Err, r.Index)
+			}
+		default:
+			// Trailing jobs either ran or were aborted by fail-fast.
+			if r.Err != nil && !errors.Is(r.Err, ErrAborted) {
+				t.Fatalf("job %d err=%v, want nil or ErrAborted", r.Index, r.Err)
+			}
 		}
 	}
 }

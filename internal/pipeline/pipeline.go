@@ -1,8 +1,8 @@
 // Package pipeline is the repo's batch-execution engine: it shards a
 // slice of independent jobs (circuit × coder × parameters in the paper's
 // sweep) across a bounded worker pool, derives a deterministic RNG seed
-// for every job from a single root seed, streams results as they finish,
-// and aggregates them into an index-sorted, reproducible report.
+// for every job from a single root seed, and writes each job's result
+// into that job's slot of an index-ordered, reproducible report.
 //
 // The non-negotiable invariant is determinism: given the same root seed
 // and job list, a run with N workers produces results byte-identical to a
@@ -23,17 +23,15 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
-// ErrAborted marks jobs the engine skipped because an earlier job failed
-// under Config.FailFast. An aborted job's index is always higher than
-// the failing job's (dispatch follows index order), so Run's
-// lowest-index-error guarantee always surfaces a real error.
+// ErrAborted marks jobs Run skipped because an earlier job failed. An
+// aborted job's index is always higher than the lowest failing job's,
+// so Run's lowest-index-error guarantee always surfaces a real error.
 var ErrAborted = errors.New("pipeline: job aborted after earlier job error")
 
 // Seed derives the RNG seed for job index from root using an splitmix64
@@ -162,14 +160,6 @@ type Config struct {
 	// nil means Default(). The first worker never needs a token, so a
 	// saturated limiter degrades to serial execution, never to deadlock.
 	Limiter *Limiter
-	// FailFast stops dispatching new jobs once any job returns an error;
-	// skipped jobs complete immediately with Err = ErrAborted. Which
-	// trailing jobs get aborted depends on scheduling, so FailFast
-	// trades the worker-count-independent result slice for not wasting
-	// compute after a failure — Run (whose callers discard results on
-	// error) always sets it; use Stream directly for run-to-completion
-	// semantics.
-	FailFast bool
 }
 
 func (c Config) workers(n int) int {
@@ -246,66 +236,41 @@ func runIndexed(lim *Limiter, n, workers int, body func(i int)) {
 	wg.Wait()
 }
 
-// Stream executes jobs on the pool and returns a channel delivering one
-// Result per job in completion order. The channel is buffered to
-// len(jobs) and closed when all jobs are accounted for, so consumers may
-// drain lazily. When ctx is cancelled, jobs not yet started complete
-// immediately with Err = ctx.Err(); under Config.FailFast, jobs
-// dispatched after another job's failure complete with Err = ErrAborted.
-func Stream[T any](ctx context.Context, cfg Config, jobs []Job[T]) <-chan Result[T] {
-	out := make(chan Result[T], len(jobs))
-	if len(jobs) == 0 {
-		close(out)
-		return out
-	}
-	workers := cfg.workers(len(jobs))
-	lim := cfg.limiter()
-
-	var failed atomic.Bool
-	go func() {
-		runIndexed(lim, len(jobs), workers, func(i int) {
-			res := Result[T]{Index: i, Name: jobs[i].Name, Seed: Seed(cfg.RootSeed, i)}
-			if err := ctx.Err(); err != nil {
-				res.Err = err
-			} else if cfg.FailFast && failed.Load() {
-				res.Err = ErrAborted
-			} else {
-				// safeRun contains job panics: a panicking Run becomes a
-				// *PanicError on this result instead of tearing down the
-				// process hosting every other request.
-				res.Value, res.Err = safeRun(func() (T, error) { return jobs[i].Run(ctx, res.Seed) })
-				if res.Err != nil {
-					failed.Store(true)
+// Run executes jobs on the pool and returns their results in job order
+// plus the lowest-index error (nil if every job succeeded). The result
+// slice always has len(jobs) entries, also under cancellation and
+// errors, so a report built from it has a deterministic shape: jobs not
+// yet started when ctx is cancelled get Err = ctx.Err(). Run is
+// fail-fast — like the serial loops it replaces, it stops dispatching
+// new jobs after the first failure rather than burning hours on a
+// doomed batch. Which trailing jobs get Err = ErrAborted depends on
+// scheduling, but the returned error is always a real job error, never
+// ErrAborted.
+func Run[T any](ctx context.Context, cfg Config, jobs []Job[T]) ([]Result[T], error) {
+	results := make([]Result[T], len(jobs))
+	// failedAt is the lowest failing index, len(jobs) while none failed.
+	// Only higher indices abort: a job claimed just before the failing
+	// one may reach this check after the failure, and must still run.
+	var failedAt atomic.Int64
+	failedAt.Store(int64(len(jobs)))
+	runIndexed(cfg.limiter(), len(jobs), cfg.workers(len(jobs)), func(i int) {
+		res := &results[i]
+		*res = Result[T]{Index: i, Name: jobs[i].Name, Seed: Seed(cfg.RootSeed, i)}
+		if err := ctx.Err(); err != nil {
+			res.Err = err
+		} else if int64(i) > failedAt.Load() {
+			res.Err = ErrAborted
+		} else {
+			// safeRun contains job panics: a panicking Run becomes a
+			// *PanicError on this result instead of tearing down the
+			// process hosting every other request.
+			res.Value, res.Err = safeRun(func() (T, error) { return jobs[i].Run(ctx, res.Seed) })
+			if res.Err != nil {
+				for f := failedAt.Load(); int64(i) < f && !failedAt.CompareAndSwap(f, int64(i)); f = failedAt.Load() {
 				}
 			}
-			out <- res
-		})
-		close(out)
-	}()
-	return out
-}
-
-// Collect drains a Stream channel and returns the results sorted by job
-// index — the canonical reproducible aggregation.
-func Collect[T any](ch <-chan Result[T]) []Result[T] {
-	var results []Result[T]
-	for r := range ch {
-		results = append(results, r)
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Index < results[j].Index })
-	return results
-}
-
-// Run executes jobs and returns index-sorted results plus the
-// lowest-index error (nil if every job succeeded). The result slice
-// always has len(jobs) entries, also under cancellation and errors, so a
-// report built from it has a deterministic shape. Run is fail-fast —
-// like the serial loops it replaces, it stops dispatching new jobs after
-// the first failure rather than burning hours on a doomed batch — and
-// the returned error is always a real job error, never ErrAborted.
-func Run[T any](ctx context.Context, cfg Config, jobs []Job[T]) ([]Result[T], error) {
-	cfg.FailFast = true
-	results := Collect(Stream(ctx, cfg, jobs))
+		}
+	})
 	for _, r := range results {
 		if r.Err != nil {
 			return results, r.Err

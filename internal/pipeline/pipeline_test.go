@@ -160,29 +160,6 @@ func TestRunFailFastAbortsTrailingJobs(t *testing.T) {
 	}
 }
 
-func TestStreamWithoutFailFastRunsEverything(t *testing.T) {
-	boom := errors.New("boom")
-	var ran atomic.Int32
-	jobs := make([]Job[int], 20)
-	for i := range jobs {
-		i := i
-		jobs[i] = Job[int]{Run: func(context.Context, int64) (int, error) {
-			ran.Add(1)
-			if i == 3 {
-				return 0, boom
-			}
-			return i, nil
-		}}
-	}
-	results := Collect(Stream(context.Background(), Config{Workers: 2}, jobs))
-	if n := ran.Load(); int(n) != len(jobs) {
-		t.Fatalf("stream ran %d jobs, want all %d", n, len(jobs))
-	}
-	if !errors.Is(results[3].Err, boom) {
-		t.Fatalf("failing job's error lost: %v", results[3].Err)
-	}
-}
-
 // TestPoolPicksUpFreedTokens asserts a batch started under a saturated
 // limiter gains parallelism once tokens free up mid-batch, instead of
 // staying serial for its whole lifetime. The batch starts serial because
@@ -231,7 +208,7 @@ func TestPoolPicksUpFreedTokens(t *testing.T) {
 	}
 }
 
-func TestStreamEmptyJobList(t *testing.T) {
+func TestRunEmptyJobList(t *testing.T) {
 	results, err := Run[int](context.Background(), Config{}, nil)
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty job list: results=%v err=%v", results, err)

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,8 +25,8 @@ import (
 // parseFlowQuery translates the flow submit query into a job spec. The
 // compression parameters mirror /v1/compress; benchmark/tests/sample
 // are flow-specific.
-func parseFlowQuery(q url.Values) (jobs.Spec, error) {
-	spec := jobs.Spec{Kind: jobs.KindFlow}
+func parseFlowQuery(q url.Values) (tcomp.JobSpec, error) {
+	spec := tcomp.JobSpec{Kind: jobs.KindFlow}
 	params, _, err := parseParams(q, "benchmark", "tests", "sample", "codecs")
 	if err != nil {
 		return spec, err
@@ -55,7 +54,7 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		s.handleFlowSubmit(w, r)
 	case http.MethodGet:
-		out := []jobs.Job{}
+		out := []tcomp.JobStatus{}
 		for _, j := range s.jobs.List() {
 			if j.Spec.Kind == jobs.KindFlow {
 				out = append(out, j)
@@ -99,28 +98,9 @@ func (s *Server) handleFlowSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, bodyErrorCode(err, CodeBadRequest), "storing netlist: %v", err)
 			return
 		}
-		spec.Input = d
+		spec.Input = string(d)
 	}
-	j, err := s.jobs.SubmitCtx(r.Context(), spec)
-	if err != nil {
-		switch {
-		case errors.Is(err, tcomp.ErrInvalidCircuit):
-			writeError(w, CodeFlowInvalidCircuit, "%v", err)
-		case errors.Is(err, jobs.ErrQueueFull):
-			s.metrics.Jobs.Add("queue_full", 1)
-			writeError(w, CodeQueueFull, "%v", err)
-		case errors.Is(err, jobs.ErrClosed):
-			writeError(w, CodeUnavailable, "%v", err)
-		default:
-			writeError(w, CodeBadRequest, "%v", err)
-		}
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json; charset=utf-8")
-	h.Set("Location", "/v1/flows/"+j.ID)
-	w.WriteHeader(http.StatusAccepted)
-	_ = json.NewEncoder(w).Encode(j) // client gone: nothing to do
+	s.submit(w, r, spec, "/v1/flows/")
 }
 
 // handleFlowByID routes the per-flow endpoints: the record, the JSON
@@ -149,13 +129,13 @@ func (s *Server) handleFlowByID(w http.ResponseWriter, r *http.Request) {
 			writeError(w, CodeMethodNotAllowed, "use GET")
 			return
 		}
-		s.handleJobResult(w, id)
+		s.handleJobBlob(w, id, "")
 	case "artifacts":
 		if r.Method != http.MethodGet {
 			writeError(w, CodeMethodNotAllowed, "use GET")
 			return
 		}
-		s.handleFlowArtifact(w, id, artName)
+		s.handleJobBlob(w, id, artName)
 	default:
 		switch r.Method {
 		case http.MethodGet:
@@ -167,38 +147,6 @@ func (s *Server) handleFlowByID(w http.ResponseWriter, r *http.Request) {
 			writeError(w, CodeMethodNotAllowed, "use GET or DELETE")
 		}
 	}
-}
-
-// handleFlowArtifact streams one named artifact of a done flow.
-func (s *Server) handleFlowArtifact(w http.ResponseWriter, id, name string) {
-	rc, a, j, err := s.jobs.OpenArtifact(id, name)
-	if err != nil {
-		switch {
-		case errors.Is(err, jobs.ErrNotFound):
-			writeError(w, CodeJobNotFound, "flow %s: no artifact %q", id, name)
-		case errors.Is(err, jobs.ErrGone):
-			writeError(w, CodeJobNotFound, "flow %s: artifact %q expired (GC)", id, name)
-		case errors.Is(err, jobs.ErrNotDone):
-			if j.State == jobs.StateFailed {
-				writeError(w, CodeJobNotDone, "flow %s failed (%s): %s", id, j.ErrorCode, j.Error)
-			} else {
-				writeError(w, CodeJobNotDone, "flow %s is %s", id, j.State)
-			}
-		default:
-			writeError(w, CodeInternalPanic, "opening artifact: %v", err)
-		}
-		return
-	}
-	defer rc.Close()
-	h := w.Header()
-	ct := "application/octet-stream"
-	if name == "verilog" {
-		ct = "text/plain; charset=utf-8"
-	}
-	h.Set("Content-Type", ct)
-	h.Set("Content-Length", strconv.FormatInt(a.Size, 10))
-	h.Set("X-Tcomp-Job-Id", j.ID)
-	_, _ = io.Copy(&countingWriter{w: w, n: s.metrics.BytesOut}, rc) // client gone: nothing to do
 }
 
 // handleBenchmarks serves the ISCAS-style registry: the rows of the

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	tcomp "repro"
 	"repro/internal/jobs"
 )
 
@@ -31,15 +32,15 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // parseJobQuery translates the submit query into a job spec. The
 // parameter vocabulary mirrors /v1/compress (same keys, same shared
 // range table — enforced again by the manager) plus kind and codecs.
-func parseJobQuery(q url.Values) (jobs.Spec, error) {
-	spec := jobs.Spec{Kind: jobs.KindCompress}
+func parseJobQuery(q url.Values) (tcomp.JobSpec, error) {
+	spec := tcomp.JobSpec{Kind: jobs.KindCompress}
 	params, _, err := parseParams(q, "kind", "codec", "format", "codecs")
 	if err != nil {
 		return spec, err
 	}
 	spec.Params = params
 	if k := q.Get("kind"); k != "" {
-		spec.Kind = jobs.Kind(k)
+		spec.Kind = k
 	}
 	spec.Codec = q.Get("codec")
 	spec.Format = q.Get("format")
@@ -53,8 +54,7 @@ func parseJobQuery(q url.Values) (jobs.Spec, error) {
 }
 
 // handleJobSubmit stores the request body as the input artifact and
-// queues the job: the 202 answer carries the job record, and the rest
-// of the work happens in the background.
+// queues the job.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, err := parseJobQuery(r.URL.Query())
 	if err != nil {
@@ -67,10 +67,19 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, bodyErrorCode(err, CodeBadRequest), "storing input: %v", err)
 		return
 	}
-	spec.Input = d
+	spec.Input = string(d)
+	s.submit(w, r, spec, "/v1/jobs/")
+}
+
+// submit queues a job spec whose input is already stored. The 202
+// answer carries the job record, with its Location under prefix
+// (/v1/jobs/ or /v1/flows/); the work happens in the background.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, spec tcomp.JobSpec, prefix string) {
 	j, err := s.jobs.SubmitCtx(r.Context(), spec)
 	if err != nil {
 		switch {
+		case errors.Is(err, tcomp.ErrInvalidCircuit):
+			writeError(w, CodeFlowInvalidCircuit, "%v", err)
 		case errors.Is(err, jobs.ErrQueueFull):
 			s.metrics.Jobs.Add("queue_full", 1)
 			writeError(w, CodeQueueFull, "%v", err)
@@ -83,7 +92,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json; charset=utf-8")
-	h.Set("Location", "/v1/jobs/"+j.ID)
+	h.Set("Location", prefix+j.ID)
 	w.WriteHeader(http.StatusAccepted)
 	_ = json.NewEncoder(w).Encode(j) // client gone: nothing to do
 }
@@ -105,7 +114,7 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 			writeError(w, CodeMethodNotAllowed, "use GET")
 			return
 		}
-		s.handleJobResult(w, id)
+		s.handleJobBlob(w, id, "")
 		return
 	}
 	switch r.Method {
@@ -124,33 +133,40 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJobResult streams a done job's artifact with the same stats
-// headers the synchronous endpoints use.
-func (s *Server) handleJobResult(w http.ResponseWriter, id string) {
-	rc, j, err := s.jobs.OpenResult(id)
+// handleJobBlob streams one blob of a done job: its output (name "")
+// with the same stats headers the synchronous endpoints use, or a flow
+// job's named artifact.
+func (s *Server) handleJobBlob(w http.ResponseWriter, id, name string) {
+	rc, blob, j, err := s.jobs.Open(id, name)
 	if err != nil {
+		what := "result"
+		if name != "" {
+			what = fmt.Sprintf("artifact %q", name)
+		}
 		switch {
 		case errors.Is(err, jobs.ErrNotFound):
-			writeError(w, CodeJobNotFound, "job %s: not found", id)
+			writeError(w, CodeJobNotFound, "job %s: %s not found", id, what)
 		case errors.Is(err, jobs.ErrGone):
-			writeError(w, CodeJobNotFound, "job %s: result artifact expired (GC)", id)
+			writeError(w, CodeJobNotFound, "job %s: %s expired (GC)", id, what)
+		case errors.Is(err, jobs.ErrNotDone) && j.State == tcomp.JobFailed:
+			writeError(w, CodeJobNotDone, "job %s failed (%s): %s", id, j.ErrorCode, j.Error)
 		case errors.Is(err, jobs.ErrNotDone):
-			if j.State == jobs.StateFailed {
-				writeError(w, CodeJobNotDone, "job %s failed (%s): %s", id, j.ErrorCode, j.Error)
-			} else {
-				writeError(w, CodeJobNotDone, "job %s is %s", id, j.State)
-			}
+			writeError(w, CodeJobNotDone, "job %s is %s", id, j.State)
 		default:
-			writeError(w, CodeInternalPanic, "opening result: %v", err)
+			writeError(w, CodeInternalPanic, "opening %s: %v", what, err)
 		}
 		return
 	}
 	defer rc.Close()
+	ct := "application/octet-stream"
+	if name == "verilog" {
+		ct = "text/plain; charset=utf-8"
+	}
 	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("Content-Length", strconv.FormatInt(j.OutputSize, 10))
+	h.Set("Content-Type", ct)
+	h.Set("Content-Length", strconv.FormatInt(blob.Size, 10))
 	h.Set("X-Tcomp-Job-Id", j.ID)
-	if st := j.Stats; st != nil {
+	if st := j.Stats; st != nil && name == "" {
 		h.Set("X-Tcomp-Patterns", strconv.Itoa(st.Patterns))
 		h.Set("X-Tcomp-Chunks", strconv.Itoa(st.Chunks))
 		h.Set("X-Tcomp-Original-Bits", strconv.Itoa(st.OriginalBits))
@@ -169,7 +185,7 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, id string) {
 		writeError(w, CodeJobNotFound, "job %s: not found", id)
 		return
 	}
-	if j.State.Terminal() {
+	if j.Terminal() {
 		if err := s.jobs.Remove(id); err != nil && !errors.Is(err, jobs.ErrNotFound) {
 			if errors.Is(err, jobs.ErrActive) {
 				// Raced a resubmission-free transition; treat as cancel.

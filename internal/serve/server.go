@@ -191,16 +191,15 @@ func New(cfg Config) (*Server, error) {
 		Limiter:   s.lim,
 		Logger:    logger,
 		Tracer:    cfg.Tracer,
-		ErrorCode: jobTaxonomyCode,
-		Observe: func(j jobs.Job) {
+		Observe: func(j tcomp.JobStatus) {
 			switch j.State {
-			case jobs.StatePending:
+			case tcomp.JobPending:
 				s.metrics.Jobs.Add("submitted", 1)
-			case jobs.StateDone:
+			case tcomp.JobDone:
 				s.metrics.Jobs.Add("done", 1)
-			case jobs.StateFailed:
+			case tcomp.JobFailed:
 				s.metrics.Jobs.Add("failed", 1)
-			case jobs.StateCancelled:
+			case tcomp.JobCancelled:
 				s.metrics.Jobs.Add("cancelled", 1)
 			}
 		},
@@ -224,19 +223,6 @@ func New(cfg Config) (*Server, error) {
 	mux.Handle("/metrics/prometheus", s.instrument("/metrics/prometheus", s.metrics.Prometheus().ServeHTTP))
 	s.mux = mux
 	return s, nil
-}
-
-// jobTaxonomyCode classifies a failed job's error exactly like the
-// synchronous endpoints would have (jobs cannot import serve, so the
-// mapping is injected here).
-func jobTaxonomyCode(kind jobs.Kind, err error) string {
-	if errors.Is(err, tcomp.ErrInvalidCircuit) {
-		return CodeFlowInvalidCircuit
-	}
-	if kind == jobs.KindDecompress {
-		return decodeErrorCode(err)
-	}
-	return compressErrorCode(err)
 }
 
 // Handler returns the service's HTTP handler tree.

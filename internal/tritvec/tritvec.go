@@ -94,15 +94,6 @@ func MustFromString(s string) Vector {
 	return v
 }
 
-// FromTrits builds a vector from a trit slice.
-func FromTrits(ts []Trit) Vector {
-	v := New(len(ts))
-	for i, t := range ts {
-		v.Set(i, t)
-	}
-	return v
-}
-
 // Len returns the number of positions.
 func (v Vector) Len() int { return v.n }
 
