@@ -17,8 +17,9 @@
 //	tdecompress -remote http://localhost:8077 -async < tests.tcmp > expanded.txt
 //
 // -fsm decodes a v1/v2 block-codec container (ea, 9c, 9chc) through the
-// hardware decoder FSM model instead of the software codec and reports
-// its cycle count and area. With -remote the expansion is delegated to
+// hardware decoder FSM model, which runs the codec's one block decoder
+// and reports the decode's blocks, payload bits and cycles and the
+// decoder's area. With -remote the expansion is delegated to
 // a tcompd daemon: the container streams up, the textual patterns
 // stream back, and -verify still checks the result locally against the
 // original. Adding -async submits the expansion as a background job
@@ -108,8 +109,9 @@ func expand(r io.Reader, out, verify string, stderr io.Writer) error {
 }
 
 // expandFSM decodes a v1/v2 block-codec container through the hardware
-// decoder model. Such artifacts carry the MV table and codeword list as
-// their parameter blob.
+// decoder model, which reports the cycles of the one block decoder.
+// Such artifacts carry the MV table and codeword list as their
+// parameter blob.
 func expandFSM(r io.Reader, out, verify string, stderr io.Writer) error {
 	art, err := tcomp.Open(r)
 	if err != nil {
@@ -125,16 +127,14 @@ func expandFSM(r io.Reader, out, verify string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	total := art.Width * art.Patterns
-	nblocks := (total + set.K - 1) / set.K
-	blocks, st, err := dec.Run(art.BitReader(), nblocks)
+	flat, st, err := dec.Run(art.BitReader(), art.Width*art.Patterns)
 	if err != nil {
 		return err
 	}
 	area := dec.Area()
 	fmt.Fprintf(stderr, "fsm: %d blocks, %d input bits, %d cycles, %d states, %.0f GE\n",
 		st.Blocks, st.InputBits, st.Cycles, area.States, area.GateEquivalents)
-	ts, err := testset.FromFlat(tritvec.Concat(blocks...).Slice(0, total), art.Width)
+	ts, err := testset.FromFlat(flat, art.Width)
 	if err != nil {
 		return err
 	}

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/bitstream"
 	"repro/internal/blockcode"
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/ninec"
 	"repro/internal/testset"
-	"repro/internal/tritvec"
 )
 
 // blockCodec adapts the three block-structured schemes — the paper's EA
@@ -59,22 +57,10 @@ func (c *blockCodec) Decompress(a *Artifact) (*TestSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := a.Width * a.Patterns
-	nblocks := (total + set.K - 1) / set.K
-	// Every block costs at least one payload bit (its codeword), so a
-	// header demanding more blocks than the payload has bits describes a
-	// decode that must run dry — reject it before allocating anything.
-	// This also bounds the decoder's memory by the attacker's actual
-	// upload rather than by two header integers.
-	if nblocks > a.NBits {
-		return nil, fmt.Errorf("tcomp: %s container declares %d blocks but ships %d payload bits: %w",
-			c.name, nblocks, a.NBits, bitstream.ErrEOS)
-	}
-	blocks, err := blockcode.Decode(a.BitReader(), set, code, nblocks)
+	flat, err := blockcode.Decode(a.BitReader(), set, code, a.Width*a.Patterns)
 	if err != nil {
 		return nil, err
 	}
-	flat := tritvec.Concat(blocks...).Slice(0, total)
 	return testset.FromFlat(flat, a.Width)
 }
 

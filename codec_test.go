@@ -7,11 +7,15 @@ package tcomp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/bitstream"
+	"repro/internal/container"
 	"repro/internal/testset"
 )
 
@@ -164,6 +168,41 @@ func TestCodecConformance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBlockDecodeHostileArtifact: a block-codec header may declare the
+// largest legal test set over a one-byte payload whose NBits claims far
+// more. The block decoder allocates its output whole, so it must see the
+// payload cannot pay for it before allocating: the decode fails wrapping
+// ErrBitCount or ErrEOS, and the heap grows by nowhere near the 256 MiB
+// a MaxTotalBits output takes.
+func TestBlockDecodeHostileArtifact(t *testing.T) {
+	ts, err := ParseTestSet("01X10X01", "1X0X1X0X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := Lookup("9c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := codec.Compress(context.Background(), ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art.Width, art.Patterns = 1<<15, container.MaxTotalBits>>15
+	art.Payload, art.NBits = art.Payload[:1], container.MaxTotalBits
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = Decompress(art)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, bitstream.ErrBitCount) && !errors.Is(err, bitstream.ErrEOS) {
+		t.Fatalf("hostile artifact decoded with %v, want an error wrapping ErrBitCount or ErrEOS", err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 16<<20 {
+		t.Fatalf("decoding a hostile artifact allocated %d MiB", grown>>20)
 	}
 }
 

@@ -83,7 +83,6 @@ type flowOptions struct {
 	codecs   []string
 	tests    string
 	sample   int
-	maxBT    int
 	maxPaths int
 	codecOpt []Option
 	observe  func(stage string, seconds float64)
@@ -115,10 +114,6 @@ func FlowTests(kind string) FlowOption { return func(o *flowOptions) { o.tests =
 // advisor races the codecs on (default 128; 0 or more than the set
 // races the full set).
 func FlowSamplePatterns(n int) FlowOption { return func(o *flowOptions) { o.sample = n } }
-
-// FlowMaxBacktracks bounds the per-fault (or per-path) search budget of
-// the test generators (default 2000).
-func FlowMaxBacktracks(n int) FlowOption { return func(o *flowOptions) { o.maxBT = n } }
 
 // FlowMaxPaths bounds path enumeration in path-delay mode (default
 // 400).
@@ -261,9 +256,6 @@ func (f *TestFlow) RunATPG(ctx context.Context, c *Circuit) (*FlowTestsResult, e
 	case FlowStuckAt, "":
 		opt := atpg.DefaultOptions()
 		opt.Seed = f.stageSeed(flowStageATPG)
-		if f.o.maxBT > 0 {
-			opt.MaxBacktracks = f.o.maxBT
-		}
 		res, err := atpg.GenerateCtx(ctx, c, opt)
 		if err != nil {
 			sp.SetError(err)
@@ -279,9 +271,6 @@ func (f *TestFlow) RunATPG(ctx context.Context, c *Circuit) (*FlowTestsResult, e
 		opt := delay.DefaultOptions()
 		opt.Seed = f.stageSeed(flowStageATPG)
 		opt.MaxPaths = f.o.maxPaths
-		if f.o.maxBT > 0 {
-			opt.MaxBacktracks = f.o.maxBT
-		}
 		res, err := delay.Generate(c, opt)
 		if err != nil {
 			sp.SetError(err)

@@ -23,7 +23,6 @@ import (
 	"repro/internal/multichain"
 	"repro/internal/ninec"
 	"repro/internal/testset"
-	"repro/internal/tritvec"
 )
 
 func smallEAParams(seed int64, k, l int) core.Params {
@@ -56,17 +55,15 @@ func TestStuckAtFlowPreservesCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := blockcode.Partition(ts, 7)
 	dec, err := blockcode.Decode(bitstream.FromWriter(res.Final.Stream),
-		res.Final.Set, res.Final.Code, len(blocks))
+		res.Final.Set, res.Final.Code, ts.TotalBits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := blockcode.Verify(blocks, dec); err != nil {
+	if err := blockcode.Verify(ts.Flatten(), dec); err != nil {
 		t.Fatal(err)
 	}
-	flat := tritvec.Concat(dec...).Slice(0, ts.TotalBits())
-	decTS, err := testset.FromFlat(flat, ts.Width)
+	decTS, err := testset.FromFlat(dec, ts.Width)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +96,11 @@ func TestPathDelayFlowPreservesRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := blockcode.Partition(ts, 2)
-	dec, err := blockcode.Decode(bitstream.FromWriter(res.Stream), res.Set, res.Code, len(blocks))
+	dec, err := blockcode.Decode(bitstream.FromWriter(res.Stream), res.Set, res.Code, ts.TotalBits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := tritvec.Concat(dec...).Slice(0, ts.TotalBits())
-	decTS, err := testset.FromFlat(flat, ts.Width)
+	decTS, err := testset.FromFlat(dec, ts.Width)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,15 +150,14 @@ func TestContainerThroughFSM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, st, err := fsm.Run(bitstream.NewReader(cf.Payload, cf.NBits), cf.NumBlocks())
+	dec, st, err := fsm.Run(bitstream.NewReader(cf.Payload, cf.NBits), cf.Width*cf.Patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.InputBits != cf.NBits {
 		t.Fatalf("FSM consumed %d of %d payload bits", st.InputBits, cf.NBits)
 	}
-	orig := blockcode.Partition(ts, cf.K)
-	if err := blockcode.Verify(orig, blocks); err != nil {
+	if err := blockcode.Verify(ts.Flatten(), dec); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -222,14 +216,12 @@ func TestMultichainDecodePreservesTestSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocks := blockcode.Partition(ch, 6)
 		dec, err := blockcode.Decode(bitstream.FromWriter(res.Final.Stream),
-			res.Final.Set, res.Final.Code, len(blocks))
+			res.Final.Set, res.Final.Code, ch.TotalBits())
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat := tritvec.Concat(dec...).Slice(0, ch.TotalBits())
-		decChains[i], err = testset.FromFlat(flat, ch.Width)
+		decChains[i], err = testset.FromFlat(dec, ch.Width)
 		if err != nil {
 			t.Fatal(err)
 		}

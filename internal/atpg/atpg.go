@@ -182,7 +182,7 @@ func (p *podem) search() status {
 		return statusUntestable
 	}
 	idx := p.c.InputIndex(pi)
-	for attempt, v := range []tritvec.Trit{piVal, invert(piVal)} {
+	for attempt, v := range []tritvec.Trit{piVal, circuit.Invert(piVal)} {
 		p.assign.Set(idx, v)
 		st := p.search()
 		if st == statusDetected {
@@ -232,7 +232,7 @@ func (p *podem) objective(good, bad []tritvec.Trit) (int, tritvec.Trit, bool) {
 	site := p.fault.Signal
 	if good[site] == tritvec.X {
 		// Excitation: drive the site to the opposite of the stuck value.
-		return site, invert(p.fault.SA), true
+		return site, circuit.Invert(p.fault.SA), true
 	}
 	if good[site] == p.fault.SA {
 		// Site pinned to the stuck value in the good machine: the fault
@@ -243,7 +243,7 @@ func (p *podem) objective(good, bad []tritvec.Trit) (int, tritvec.Trit, bool) {
 	// output in either machine. Objective: set an X side input to the
 	// gate's non-controlling value.
 	for _, id := range p.frontier(good, bad) {
-		nc, hasNC := nonControlling(p.c.Types[id])
+		nc, hasNC := circuit.NonControlling(p.c.Types[id])
 		for _, fin := range p.c.Fanin[id] {
 			if good[fin] == tritvec.X && bad[fin] == tritvec.X {
 				if hasNC {
@@ -302,7 +302,7 @@ func (p *podem) backtrace(sig int, val tritvec.Trit, good []tritvec.Trit) (int, 
 		}
 		switch t {
 		case circuit.Not, circuit.Nand, circuit.Nor, circuit.Xnor:
-			val = invert(val)
+			val = circuit.Invert(val)
 		}
 		switch t {
 		case circuit.And, circuit.Nand:
@@ -316,28 +316,6 @@ func (p *podem) backtrace(sig int, val tritvec.Trit, good []tritvec.Trit) (int, 
 		sig = next
 	}
 	return 0, tritvec.X, false
-}
-
-// nonControlling returns the non-controlling input value for a gate type,
-// or false for parity gates which have none.
-func nonControlling(t circuit.GateType) (tritvec.Trit, bool) {
-	switch t {
-	case circuit.And, circuit.Nand:
-		return tritvec.One, true
-	case circuit.Or, circuit.Nor:
-		return tritvec.Zero, true
-	}
-	return tritvec.X, false
-}
-
-func invert(v tritvec.Trit) tritvec.Trit {
-	switch v {
-	case tritvec.Zero:
-		return tritvec.One
-	case tritvec.One:
-		return tritvec.Zero
-	}
-	return tritvec.X
 }
 
 // maximizeX greedily resets assigned inputs to X while the pattern still

@@ -80,18 +80,16 @@ func (s *MVSet) WithAllU() *MVSet {
 	return out
 }
 
-// CoverOrder selects how covering chooses among multiple matching MVs.
-type CoverOrder int
-
-const (
-	// MinU selects the matching MV with the fewest U positions (the
-	// paper's rule, Section 3.2). Ties break toward the earlier MV.
-	MinU CoverOrder = iota
-	// MinEncoding selects the matching MV minimizing |C(v)| + NU(v); it
-	// requires codeword lengths and is used by the 9C baseline, whose
-	// fixed code makes this computable up front.
-	MinEncoding
-)
+// UPositions returns, for every MV, the ascending indices of its U
+// positions: the order in which Encode writes a block's fill bits and
+// Decode reads them back.
+func (s *MVSet) UPositions() [][]int {
+	upos := make([][]int, len(s.MVs))
+	for i, mv := range s.MVs {
+		upos[i] = mv.XPositions()
+	}
+	return upos
+}
 
 // Covering is the result of assigning each block to an MV.
 type Covering struct {
@@ -221,7 +219,7 @@ func (s *MVSet) BuildHuffman(blocks []tritvec.Vector, originalBits int) (*Result
 func Encode(blocks []tritvec.Vector, res *Result) (*bitstream.Writer, error) {
 	w := bitstream.NewWriter()
 	code := res.Code
-	set := res.Set
+	upos := res.Set.UPositions()
 	for b, blk := range blocks {
 		mv := res.Covering.Assign[b]
 		if mv < 0 {
@@ -231,7 +229,7 @@ func Encode(blocks []tritvec.Vector, res *Result) (*bitstream.Writer, error) {
 			return nil, fmt.Errorf("blockcode: MV %d used but has no codeword", mv)
 		}
 		w.WriteBits(code.Words[mv], code.Lengths[mv])
-		for _, pos := range set.MVs[mv].XPositions() {
+		for _, pos := range upos[mv] {
 			switch blk.Get(pos) {
 			case tritvec.One:
 				w.WriteBit(1)
@@ -247,63 +245,72 @@ func Encode(blocks []tritvec.Vector, res *Result) (*bitstream.Writer, error) {
 	return w, nil
 }
 
-// Decode reconstructs nblocks fully-specified blocks from a bit source,
-// reading it one bit at a time as the hardware decoder does. Each
-// decoded block consists of the MV's specified bits with the transmitted
-// fill bits at its U positions. Truncation errors wrap bitstream.ErrEOS.
-func Decode(r bitstream.Source, set *MVSet, code *huffman.Code, nblocks int) ([]tritvec.Vector, error) {
-	if nblocks < 0 {
-		return nil, fmt.Errorf("blockcode: negative block count %d", nblocks)
+// Decode reconstructs the first totalBits trits of a block-coded
+// test-set string from r, as the hardware decoder does: each block's
+// codeword selects an MV, whose specified bits and then the transmitted
+// fill bits at its U positions go straight into one flat vector. A final
+// partial block's fill bits are read but not stored. Truncation errors
+// wrap bitstream.ErrEOS. A *bitstream.Reader must hold a codeword bit
+// per block before the output is allocated, which bounds the output by
+// K trits per payload bit whatever a container header declares.
+func Decode(r bitstream.Source, set *MVSet, code *huffman.Code, totalBits int) (tritvec.Vector, error) {
+	if totalBits < 0 {
+		return tritvec.Vector{}, fmt.Errorf("blockcode: negative output size %d", totalBits)
 	}
-	dec, err := huffman.NewDecoder(code)
+	dec, err := huffman.NewTableDecoder(code)
 	if err != nil {
-		return nil, err
+		return tritvec.Vector{}, err
 	}
-	// Capacity is bounded, not trusted: nblocks derives from a container
-	// header, and a hostile K=1 × MaxTotalBits header implies 2^30 block
-	// slots (~56 GiB of Vector headers) before a single payload bit is
-	// read. Growth past the cap is paid for by actual input — every
-	// decoded block consumes at least one source bit first.
-	out := make([]tritvec.Vector, 0, min(nblocks, 1<<16))
+	k := set.K
+	nblocks := (totalBits + k - 1) / k
+	if br, ok := r.(*bitstream.Reader); ok {
+		if err := br.Err(); err != nil { // declared bits beyond the buffer
+			return tritvec.Vector{}, fmt.Errorf("blockcode: %w", err)
+		}
+		if nblocks > br.Remaining() {
+			return tritvec.Vector{}, fmt.Errorf("blockcode: %d blocks but only %d payload bits: %w",
+				nblocks, br.Remaining(), bitstream.ErrEOS)
+		}
+	}
+	upos := set.UPositions()
+	out := tritvec.New(totalBits)
 	for b := 0; b < nblocks; b++ {
-		sym, err := dec.Decode(r.ReadBit)
+		sym, err := dec.Decode(r)
 		if err != nil {
-			return nil, fmt.Errorf("blockcode: block %d: %w", b, err)
+			return tritvec.Vector{}, fmt.Errorf("blockcode: block %d: %w", b, err)
 		}
 		if sym < 0 || sym >= len(set.MVs) {
-			return nil, fmt.Errorf("blockcode: decoded invalid MV index %d", sym)
+			return tritvec.Vector{}, fmt.Errorf("blockcode: block %d: decoded invalid MV index %d", b, sym)
 		}
-		blk := set.MVs[sym].Clone()
-		for _, pos := range set.MVs[sym].XPositions() {
+		lo, mv := b*k, set.MVs[sym]
+		if lo+k > totalBits {
+			mv = mv.Slice(0, totalBits-lo) // past totalBits is the encoder's X padding
+		}
+		out.CopyFrom(mv, lo)
+		for _, pos := range upos[sym] {
 			bit, err := r.ReadBit()
 			if err != nil {
-				return nil, fmt.Errorf("blockcode: block %d fill: %w", b, err)
+				return tritvec.Vector{}, fmt.Errorf("blockcode: block %d fill: %w", b, err)
 			}
-			if bit == 1 {
-				blk.Set(pos, tritvec.One)
-			} else {
-				blk.Set(pos, tritvec.Zero)
+			if lo+pos < totalBits {
+				out.SetWordMSB(lo+pos, uint64(bit), 1)
 			}
 		}
-		out = append(out, blk)
 	}
 	return out, nil
 }
 
-// Verify checks losslessness: every original block's specified bits are
-// preserved in the decoded block, and decoded blocks are fully specified.
-func Verify(original, decoded []tritvec.Vector) error {
-	if len(original) != len(decoded) {
-		return fmt.Errorf("blockcode: block count mismatch %d vs %d", len(original), len(decoded))
+// Verify checks losslessness on a flat test-set string: decoded is
+// fully specified and keeps every specified bit of original.
+func Verify(original, decoded tritvec.Vector) error {
+	if original.Len() != decoded.Len() {
+		return fmt.Errorf("blockcode: decoded %d trits, original has %d", decoded.Len(), original.Len())
 	}
-	for i := range original {
-		if decoded[i].CountX() != 0 {
-			return fmt.Errorf("blockcode: decoded block %d not fully specified", i)
-		}
-		if !original[i].Subsumes(decoded[i]) {
-			return fmt.Errorf("blockcode: block %d: decoded %s incompatible with original %s",
-				i, decoded[i], original[i])
-		}
+	if decoded.CountX() != 0 {
+		return fmt.Errorf("blockcode: decoded string not fully specified")
+	}
+	if !original.Subsumes(decoded) {
+		return fmt.Errorf("blockcode: decoded string incompatible with original")
 	}
 	return nil
 }

@@ -145,28 +145,51 @@ func TestEncodeDecodeVerify(t *testing.T) {
 	if res.Stream == nil || res.Stream.Len() != res.CompressedBits {
 		t.Fatal("stream size mismatch")
 	}
-	blocks := Partition(ts, 8)
-	dec, err := Decode(bitstream.FromWriter(res.Stream), set, res.Code, len(blocks))
+	dec, err := Decode(bitstream.FromWriter(res.Stream), set, res.Code, ts.TotalBits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(blocks, dec); err != nil {
+	if err := Verify(ts.Flatten(), dec); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestVerifyFailures(t *testing.T) {
-	orig := []tritvec.Vector{tritvec.MustFromString("1X")}
-	if err := Verify(orig, []tritvec.Vector{}); err == nil {
-		t.Fatal("count mismatch accepted")
+// TestDecodeAllocatesPerCall pins Decode's allocations to a constant
+// per call: the output, the code table and the U positions, never
+// anything per block. 1 Ki and 8 Ki blocks decode under one MV set and
+// code with the same count.
+func TestDecodeAllocatesPerCall(t *testing.T) {
+	const k = 8
+	ts := testset.Random(64, 1024, 0.35, rand.New(rand.NewSource(5))) // 8 Ki blocks
+	set := mvset(t, k, "UUUUUUUU", "00000000", "11111111", "0000UUUU", "UU11UU00")
+	res, err := CompressHuffman(ts, set)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := Verify(orig, []tritvec.Vector{tritvec.MustFromString("1X")}); err == nil {
+	allocs := func(blocks int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Decode(bitstream.FromWriter(res.Stream), set, res.Code, blocks*k); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1<<10), allocs(8<<10); small != large {
+		t.Fatalf("Decode allocates %v times for 1 Ki blocks, %v for 8 Ki: per-block allocation", small, large)
+	}
+}
+
+func TestVerifyFailures(t *testing.T) {
+	orig := tritvec.MustFromString("1X")
+	if err := Verify(orig, tritvec.MustFromString("1")); err == nil {
+		t.Fatal("length mismatch accepted")
+	}
+	if err := Verify(orig, tritvec.MustFromString("1X")); err == nil {
 		t.Fatal("non-fully-specified decode accepted")
 	}
-	if err := Verify(orig, []tritvec.Vector{tritvec.MustFromString("00")}); err == nil {
+	if err := Verify(orig, tritvec.MustFromString("00")); err == nil {
 		t.Fatal("incompatible decode accepted")
 	}
-	if err := Verify(orig, []tritvec.Vector{tritvec.MustFromString("10")}); err != nil {
+	if err := Verify(orig, tritvec.MustFromString("10")); err != nil {
 		t.Fatalf("valid decode rejected: %v", err)
 	}
 }
@@ -237,7 +260,7 @@ func TestQuickLossless(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		k := r.Intn(10) + 2
-		width := k * (r.Intn(3) + 1)
+		width := r.Intn(3*k) + 1 // a partial final block when k does not divide the bit count
 		ts := testset.Random(width, r.Intn(30)+1, r.Float64(), r)
 		// Random MV set + all-U.
 		var mvs []tritvec.Vector
@@ -253,12 +276,11 @@ func TestQuickLossless(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		blocks := Partition(ts, k)
-		dec, err := Decode(bitstream.FromWriter(res.Stream), set, res.Code, len(blocks))
+		dec, err := Decode(bitstream.FromWriter(res.Stream), set, res.Code, ts.TotalBits())
 		if err != nil {
 			return false
 		}
-		return Verify(blocks, dec) == nil
+		return Verify(ts.Flatten(), dec) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -105,11 +105,11 @@ func TestBuildHuffmanOptEndToEnd(t *testing.T) {
 	if _, err := Encode(blocks, opt); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decode(bitstream.FromWriter(opt.Stream), opt.Set, opt.Code, len(blocks))
+	dec, err := Decode(bitstream.FromWriter(opt.Stream), opt.Set, opt.Code, ts.TotalBits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(blocks, dec); err != nil {
+	if err := Verify(ts.Flatten(), dec); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -194,30 +194,31 @@ func eval3(t GateType, in []tritvec.Trit) tritvec.Trit {
 	case Buf:
 		return in[0]
 	case Not:
-		return not3(in[0])
+		return Invert(in[0])
 	case And, Nand:
 		v := and3(in)
 		if t == Nand {
-			v = not3(v)
+			v = Invert(v)
 		}
 		return v
 	case Or, Nor:
 		v := or3(in)
 		if t == Nor {
-			v = not3(v)
+			v = Invert(v)
 		}
 		return v
 	case Xor, Xnor:
 		v := xor3(in)
 		if t == Xnor {
-			v = not3(v)
+			v = Invert(v)
 		}
 		return v
 	}
 	panic("circuit: eval3 on input")
 }
 
-func not3(a tritvec.Trit) tritvec.Trit {
+// Invert is three-valued NOT: 0 and 1 swap, X stays X.
+func Invert(a tritvec.Trit) tritvec.Trit {
 	switch a {
 	case tritvec.Zero:
 		return tritvec.One
@@ -225,6 +226,18 @@ func not3(a tritvec.Trit) tritvec.Trit {
 		return tritvec.Zero
 	}
 	return tritvec.X
+}
+
+// NonControlling returns the non-controlling input value for a gate type,
+// or false for gates which have none (parity gates, buffers, inverters).
+func NonControlling(t GateType) (tritvec.Trit, bool) {
+	switch t {
+	case And, Nand:
+		return tritvec.One, true
+	case Or, Nor:
+		return tritvec.Zero, true
+	}
+	return tritvec.X, false
 }
 
 func and3(in []tritvec.Trit) tritvec.Trit {
@@ -266,7 +279,7 @@ func xor3(in []tritvec.Trit) tritvec.Trit {
 			return tritvec.X
 		}
 		if a == tritvec.One {
-			parity = not3(parity)
+			parity = Invert(parity)
 		}
 	}
 	return parity

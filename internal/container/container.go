@@ -213,9 +213,3 @@ func readV1Body(r io.Reader) (*File, error) {
 	}
 	return f, nil
 }
-
-// NumBlocks returns the input-block count implied by the dimensions.
-func (f *File) NumBlocks() int {
-	total := f.Width * f.Patterns
-	return (total + f.K - 1) / f.K
-}

@@ -48,18 +48,24 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 	// Decoding through the container must reproduce the test set.
-	blocks := blockcode.Partition(ts, f.K)
-	dec, err := blockcode.Decode(bitstream.NewReader(f.Payload, f.NBits), f.Set, f.Code, f.NumBlocks())
+	dec, err := blockcode.Decode(bitstream.NewReader(f.Payload, f.NBits), f.Set, f.Code, f.Width*f.Patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := blockcode.Verify(blocks, dec); err != nil {
+	if err := blockcode.Verify(ts.Flatten(), dec); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestNumBlocksPadding: the dimensions alone size the decode. With a bit
+// count K does not divide, the payload carries ⌈bits/K⌉ blocks, the last
+// one padded, and decoding Width·Patterns trits consumes all of it.
 func TestNumBlocksPadding(t *testing.T) {
-	ts, res := sample(t, 2)
+	ts := testset.Random(13, 7, 0.3, rand.New(rand.NewSource(2)))
+	res, err := ninec.Compress(ts, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := Write(&buf, Method9C, ts.Width, ts.NumPatterns(), res); err != nil {
 		t.Fatal(err)
@@ -68,8 +74,19 @@ func TestNumBlocksPadding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumBlocks() != len(blockcode.Partition(ts, 8)) {
-		t.Fatal("NumBlocks disagrees with Partition")
+	if len(blockcode.Partition(ts, f.K))*f.K == ts.TotalBits() {
+		t.Fatalf("%d bits fill whole %d-blocks: no padding to test", ts.TotalBits(), f.K)
+	}
+	r := bitstream.NewReader(f.Payload, f.NBits)
+	dec, err := blockcode.Decode(r, f.Set, f.Code, f.Width*f.Patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := blockcode.Verify(ts.Flatten(), dec); err != nil {
+		t.Fatal(err)
+	}
+	if r.Remaining() != 0 {
+		t.Fatalf("%d payload bits left after the padded final block", r.Remaining())
 	}
 }
 
@@ -159,11 +176,11 @@ func TestReadAnyV1(t *testing.T) {
 			t.Fatalf("MV %d changed across v1 conversion", i)
 		}
 	}
-	blocks, err := blockcode.Decode(bitstream.NewReader(c.Payload, c.NBits), set, code, len(blockcode.Partition(ts, set.K)))
+	dec, err := blockcode.Decode(bitstream.NewReader(c.Payload, c.NBits), set, code, ts.TotalBits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := blockcode.Verify(blockcode.Partition(ts, set.K), blocks); err != nil {
+	if err := blockcode.Verify(ts.Flatten(), dec); err != nil {
 		t.Fatal(err)
 	}
 }

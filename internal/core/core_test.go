@@ -69,12 +69,11 @@ func TestCompressRoundTripAndVerify(t *testing.T) {
 	if res.Final == nil || res.Final.Stream == nil {
 		t.Fatal("no final stream")
 	}
-	blocks := blockcode.Partition(ts, res.Params.K)
-	dec, err := blockcode.Decode(bitstream.FromWriter(res.Final.Stream), res.Final.Set, res.Final.Code, len(blocks))
+	dec, err := blockcode.Decode(bitstream.FromWriter(res.Final.Stream), res.Final.Set, res.Final.Code, ts.TotalBits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := blockcode.Verify(blocks, dec); err != nil {
+	if err := blockcode.Verify(ts.Flatten(), dec); err != nil {
 		t.Fatal(err)
 	}
 	if res.BestRate < res.AverageRate-1e-9 {

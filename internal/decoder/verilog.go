@@ -23,8 +23,9 @@ func (f *FSM) WriteVerilog(w io.Writer, moduleName string) error {
 	nStates := f.trie.NumNodes()
 	stateBits := bitsFor(nStates + 1)
 	mvBits := bitsFor(len(f.set.MVs))
+	uPos := f.set.UPositions()
 	maxU := 0
-	for _, u := range f.uPos {
+	for _, u := range uPos {
 		if len(u) > maxU {
 			maxU = len(u)
 		}
@@ -87,7 +88,7 @@ func (f *FSM) WriteVerilog(w io.Writer, moduleName string) error {
 			}
 		}
 		fmt.Fprintf(bw, "      %d'd%d: begin mv_bits = %d'b%0*b; mv_ucount = %d'd%d; end\n",
-			mvBits, i, k, k, bits, cntBits, len(f.uPos[i]))
+			mvBits, i, k, k, bits, cntBits, len(uPos[i]))
 	}
 	fmt.Fprintf(bw, "      default: begin mv_bits = %d'd0; mv_ucount = %d'd0; end\n", k, cntBits)
 	fmt.Fprintf(bw, "    endcase\n")
@@ -99,7 +100,7 @@ func (f *FSM) WriteVerilog(w io.Writer, moduleName string) error {
 	fmt.Fprintf(bw, "  reg [%d:0] upos;\n", posBits-1)
 	fmt.Fprintf(bw, "  always @(*) begin\n")
 	fmt.Fprintf(bw, "    case ({mv, fill_idx})\n")
-	for i, ups := range f.uPos {
+	for i, ups := range uPos {
 		for idx, pos := range ups {
 			fmt.Fprintf(bw, "      {%d'd%d, %d'd%d}: upos = %d'd%d;\n",
 				mvBits, i, cntBits, idx, posBits, k-1-pos)

@@ -154,7 +154,7 @@ func robustTest(c *circuit.Circuit, path Path, initial tritvec.Trit, maxBT int, 
 	for i := 1; i < len(path.Signals); i++ {
 		gate := path.Signals[i]
 		onPath := path.Signals[i-1]
-		nc, hasNC := nonControlling(c.Types[gate])
+		nc, hasNC := circuit.NonControlling(c.Types[gate])
 		for _, fin := range c.Fanin[gate] {
 			if fin == onPath {
 				continue
@@ -184,7 +184,7 @@ func robustTest(c *circuit.Circuit, path Path, initial tritvec.Trit, maxBT int, 
 	v1 := j.assign.Clone()
 	v2 := j.assign.Clone()
 	v1.Set(idx, initial)
-	v2.Set(idx, invert(initial))
+	v2.Set(idx, circuit.Invert(initial))
 	if VerifyRobust(c, path, v1, v2) != nil {
 		return tritvec.Vector{}, tritvec.Vector{}, false
 	}
@@ -215,7 +215,7 @@ func VerifyRobust(c *circuit.Circuit, path Path, v1, v2 tritvec.Vector) error {
 		}
 		gate := sig
 		onPath := path.Signals[i-1]
-		nc, hasNC := nonControlling(c.Types[gate])
+		nc, hasNC := circuit.NonControlling(c.Types[gate])
 		for _, fin := range c.Fanin[gate] {
 			if fin == onPath {
 				continue
@@ -279,11 +279,11 @@ func (j *justifier) justify(sig int, val tritvec.Trit) bool {
 	case circuit.Buf:
 		return j.justify(fin[0], val)
 	case circuit.Not:
-		return j.justify(fin[0], invert(val))
+		return j.justify(fin[0], circuit.Invert(val))
 	case circuit.And, circuit.Nand:
 		goal := val
 		if t == circuit.Nand {
-			goal = invert(val)
+			goal = circuit.Invert(val)
 		}
 		if goal == tritvec.One {
 			for _, f := range fin {
@@ -297,7 +297,7 @@ func (j *justifier) justify(sig int, val tritvec.Trit) bool {
 	case circuit.Or, circuit.Nor:
 		goal := val
 		if t == circuit.Nor {
-			goal = invert(val)
+			goal = circuit.Invert(val)
 		}
 		if goal == tritvec.Zero {
 			for _, f := range fin {
@@ -311,7 +311,7 @@ func (j *justifier) justify(sig int, val tritvec.Trit) bool {
 	case circuit.Xor, circuit.Xnor:
 		goal := val
 		if t == circuit.Xnor {
-			goal = invert(val)
+			goal = circuit.Invert(val)
 		}
 		if len(fin) != 2 {
 			return false // wide parity gates: not justified structurally
@@ -322,7 +322,7 @@ func (j *justifier) justify(sig int, val tritvec.Trit) bool {
 		}
 		j.undo(mark)
 		j.bt++
-		if j.justify(fin[0], tritvec.One) && j.justify(fin[1], invert(goal)) {
+		if j.justify(fin[0], tritvec.One) && j.justify(fin[1], circuit.Invert(goal)) {
 			return true
 		}
 		j.undo(mark)
@@ -365,24 +365,4 @@ func maximizeX(c *circuit.Circuit, path Path, v1, v2 tritvec.Vector) (tritvec.Ve
 		}
 	}
 	return o1, o2
-}
-
-func nonControlling(t circuit.GateType) (tritvec.Trit, bool) {
-	switch t {
-	case circuit.And, circuit.Nand:
-		return tritvec.One, true
-	case circuit.Or, circuit.Nor:
-		return tritvec.Zero, true
-	}
-	return tritvec.X, false
-}
-
-func invert(v tritvec.Trit) tritvec.Trit {
-	switch v {
-	case tritvec.Zero:
-		return tritvec.One
-	case tritvec.One:
-		return tritvec.Zero
-	}
-	return tritvec.X
 }

@@ -93,12 +93,11 @@ func TestCompressRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := blockcode.Partition(ts, 8)
-	dec, err := blockcode.Decode(bitstream.FromWriter(res.Stream), res.Set, res.Code, len(blocks))
+	dec, err := blockcode.Decode(bitstream.FromWriter(res.Stream), res.Set, res.Code, ts.TotalBits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := blockcode.Verify(blocks, dec); err != nil {
+	if err := blockcode.Verify(ts.Flatten(), dec); err != nil {
 		t.Fatal(err)
 	}
 }

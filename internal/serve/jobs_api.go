@@ -32,6 +32,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // parseJobQuery translates the submit query into a job spec. The
 // parameter vocabulary mirrors /v1/compress (same keys, same shared
 // range table — enforced again by the manager) plus kind and codecs.
+// Flows have their own submit path, POST /v1/flows, which parses the
+// netlist before it queues anything.
 func parseJobQuery(q url.Values) (tcomp.JobSpec, error) {
 	spec := tcomp.JobSpec{Kind: jobs.KindCompress}
 	params, _, err := parseParams(q, "kind", "codec", "format", "codecs")
@@ -41,6 +43,9 @@ func parseJobQuery(q url.Values) (tcomp.JobSpec, error) {
 	spec.Params = params
 	if k := q.Get("kind"); k != "" {
 		spec.Kind = k
+	}
+	if spec.Kind == jobs.KindFlow {
+		return spec, fmt.Errorf("kind=flow is not submitted here: use POST /v1/flows")
 	}
 	spec.Codec = q.Get("codec")
 	spec.Format = q.Get("format")

@@ -423,7 +423,8 @@ func TestAsyncJobErrors(t *testing.T) {
 	waitJobCounter(t, s, "failed", 1)
 
 	// Bad submissions: unknown codec, unknown parameter, out-of-range
-	// parameter, unknown kind — all 400, no record left behind.
+	// parameter, unknown kind, and a flow, whose one submit path is
+	// /v1/flows — all 400, no record left behind.
 	bad := []string{
 		"kind=compress&codec=nope",
 		"kind=compress&codec=golomb&bogus=1",
@@ -431,10 +432,15 @@ func TestAsyncJobErrors(t *testing.T) {
 		"kind=frobnicate",
 		"kind=sweep",
 		"kind=decompress&codec=golomb",
+		"kind=flow",
 	}
 	h := s.Handler()
 	for _, q := range bad {
-		req := httptest.NewRequest("POST", "/v1/jobs?"+q, bytes.NewReader(textOf(t, randomSet(8, 2, 1))))
+		body := textOf(t, randomSet(8, 2, 1))
+		if q == "kind=flow" {
+			body = []byte("this is not a netlist")
+		}
+		req := httptest.NewRequest("POST", "/v1/jobs?"+q, bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != 400 {
@@ -442,6 +448,9 @@ func TestAsyncJobErrors(t *testing.T) {
 		}
 		if got := rec.Header().Get("X-Tcomp-Error-Code"); got != CodeBadRequest {
 			t.Fatalf("submission %q: error code %q, want bad_request", q, got)
+		}
+		if q == "kind=flow" && !strings.Contains(rec.Body.String(), "POST /v1/flows") {
+			t.Fatalf("flow submission to /v1/jobs: %s does not name POST /v1/flows", rec.Body.String())
 		}
 	}
 	list, err := client.Jobs(ctx)

@@ -328,23 +328,6 @@ func sliceWords(src []uint64, lo, n int) []uint64 {
 	return out
 }
 
-// Concat returns the concatenation of the given vectors.
-func Concat(vs ...Vector) Vector {
-	total := 0
-	for _, v := range vs {
-		total += v.n
-	}
-	out := New(total)
-	off := 0
-	for _, v := range vs {
-		for i := 0; i < v.n; i++ {
-			out.Set(off+i, v.Get(i))
-		}
-		off += v.n
-	}
-	return out
-}
-
 // insertBits overwrites k (<= 64) bits of a plane at bit offset off
 // with the low k bits of x (LSB-first position order).
 func insertBits(dst []uint64, off int, x uint64, k int) {

@@ -174,12 +174,15 @@ func TestSliceConcat(t *testing.T) {
 	if s.String() != "X10" {
 		t.Fatalf("Slice got %q", s.String())
 	}
-	c := Concat(v.Slice(0, 2), v.Slice(2, 8))
+	// Slices copied back end to end rebuild the original.
+	c := New(v.Len())
+	c.CopyFrom(v.Slice(0, 2), 0)
+	c.CopyFrom(v.Slice(2, 8), 2)
 	if !c.Equal(v) {
-		t.Fatalf("Concat of slices != original: %s vs %s", c, v)
+		t.Fatalf("concatenated slices != original: %s vs %s", c, v)
 	}
-	if Concat().Len() != 0 {
-		t.Fatal("empty Concat should have length 0")
+	if v.Slice(3, 3).Len() != 0 {
+		t.Fatal("empty Slice should have length 0")
 	}
 }
 

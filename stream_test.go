@@ -4,8 +4,9 @@ package tcomp
 // registered codec, the chunked stream path must agree with the buffered
 // path — byte-identical payloads and decodes when the chunking is
 // aligned, specified-bit-preserving decodes under arbitrary chunking —
-// and the hardware FSM model must consume exactly the payload a block
-// codec wrote and decode the blocks the software decoder does.
+// and the hardware FSM model, which decodes through the one block
+// decoder, must consume exactly the payload a block codec wrote and
+// report its cycles.
 
 import (
 	"bytes"
@@ -199,16 +200,18 @@ func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFSMMatchesBlockDecode cross-checks the hardware FSM model against
-// the software block decoder: decoding a block-codec payload, the FSM
-// must consume exactly the payload's bits and produce the same blocks
-// as blockcode.Decode.
+// TestFSMMatchesBlockDecode runs each block codec's payload through the
+// hardware FSM model on a set whose bit count K does not divide. The
+// model decodes through the one block decoder, so it must return what
+// the codec's Decompress does and keep every specified bit; it must
+// also consume exactly the payload and report ⌈bits/K⌉ blocks and
+// InputBits + K·Blocks cycles.
 func TestFSMMatchesBlockDecode(t *testing.T) {
 	for _, name := range []string{"ea", "9c", "9chc"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
-			ts := testset.Random(20, 30, 0.3, rng)
+			ts := testset.Random(21, 31, 0.3, rng)
 			codec, err := Lookup(name)
 			if err != nil {
 				t.Fatal(err)
@@ -221,31 +224,36 @@ func TestFSMMatchesBlockDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			bits := ts.TotalBits()
+			if bits%set.K == 0 {
+				t.Fatalf("K=%d divides %d bits: no partial final block", set.K, bits)
+			}
 			fsm, err := decoder.New(set, code)
 			if err != nil {
 				t.Fatal(err)
 			}
-			total := art.Width * art.Patterns
-			nblocks := (total + set.K - 1) / set.K
-
-			fsmBlocks, stats, err := fsm.Run(art.BitReader(), nblocks)
+			flat, st, err := fsm.Run(art.BitReader(), bits)
 			if err != nil {
 				t.Fatalf("FSM: %v", err)
 			}
-			if stats.InputBits != art.NBits {
-				t.Fatalf("FSM consumed %d bits, payload has %d", stats.InputBits, art.NBits)
-			}
-			swBlocks, err := blockcode.Decode(art.BitReader(), set, code, nblocks)
+			want, err := codec.Decompress(art)
 			if err != nil {
-				t.Fatalf("software decode: %v", err)
+				t.Fatalf("codec decode: %v", err)
 			}
-			if len(fsmBlocks) != len(swBlocks) {
-				t.Fatalf("block counts diverge: FSM %d, software %d", len(fsmBlocks), len(swBlocks))
+			if !flat.Equal(want.Flatten()) {
+				t.Fatal("FSM output differs from the codec's decode")
 			}
-			for i := range fsmBlocks {
-				if !fsmBlocks[i].Equal(swBlocks[i]) {
-					t.Fatalf("block %d diverges between FSM and software decode", i)
-				}
+			if err := blockcode.Verify(ts.Flatten(), flat); err != nil {
+				t.Fatal(err)
+			}
+			if st.InputBits != art.NBits {
+				t.Fatalf("FSM consumed %d bits, payload has %d", st.InputBits, art.NBits)
+			}
+			if blocks := (bits + set.K - 1) / set.K; st.Blocks != blocks {
+				t.Fatalf("FSM reports %d blocks, want %d", st.Blocks, blocks)
+			}
+			if st.Cycles != st.InputBits+set.K*st.Blocks {
+				t.Fatalf("FSM reports %d cycles, want %d input bits + %d·%d", st.Cycles, st.InputBits, set.K, st.Blocks)
 			}
 		})
 	}

@@ -74,7 +74,9 @@ func CompressEA(ts *TestSet, p EAParams) (*EAResult, error) { return core.Compre
 func VerifyLossless(original, decoded *TestSet) bool { return original.Compatible(decoded) }
 
 // NewDecoderFSM synthesizes the on-chip decoder model for a compression
-// result.
+// result: its Run decodes a payload through the same block decoder as
+// the codec and reports the hardware's cycles, and its Area and
+// WriteVerilog give the decoder's cost and RTL.
 func NewDecoderFSM(res *BlockResult) (*decoder.FSM, error) {
 	return decoder.New(res.Set, res.Code)
 }
