@@ -21,6 +21,38 @@ func compressed(t *testing.T, seed int64) (*blockcode.Result, *testset.TestSet) 
 	return res, ts
 }
 
+// TestFSMMatchesSoftwareDecode checks that the FSM model returns what
+// blockcode.Decode returns, keeps every specified bit, consumes exactly
+// the stream and reports one block per K bits.
+func TestFSMMatchesSoftwareDecode(t *testing.T) {
+	res, ts := compressed(t, 1)
+	fsm, err := New(res.Set, res.Code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := ts.TotalBits()
+	hw, st, err := fsm.Run(bitstream.FromWriter(res.Stream), bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := blockcode.Decode(bitstream.FromWriter(res.Stream), res.Set, res.Code, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hw.Equal(sw) {
+		t.Fatalf("hardware %s vs software %s", hw, sw)
+	}
+	if err := blockcode.Verify(ts.Flatten(), hw); err != nil {
+		t.Fatal(err)
+	}
+	if st.InputBits != res.CompressedBits {
+		t.Fatalf("consumed %d bits, stream has %d", st.InputBits, res.CompressedBits)
+	}
+	if blocks := len(blockcode.Partition(ts, res.Set.K)); st.Blocks != blocks {
+		t.Fatalf("FSM reports %d blocks, want %d", st.Blocks, blocks)
+	}
+}
+
 func TestCycleModel(t *testing.T) {
 	res, ts := compressed(t, 2)
 	fsm, err := New(res.Set, res.Code)
