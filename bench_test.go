@@ -1,6 +1,8 @@
 // Benchmarks regenerating the paper's exhibits. One bench per table and
-// figure (see DESIGN.md §3), plus ablations for the design choices called
-// out in DESIGN.md §5 and micro-benchmarks for the hot paths.
+// figure (Tables 1 and 2, the Figure 1 EA loop, the (K,L) sweep behind
+// the EA-Best column), plus ablations for the choices the paper leaves
+// open (subsumption post-pass, covering order, crossover operator) and
+// micro-benchmarks for the hot paths.
 //
 // The per-iteration work uses scaled test sets (tables.QuickConfig) so the
 // suite completes in minutes; `cmd/experiments` regenerates the complete
@@ -17,6 +19,7 @@ import (
 	"runtime"
 	"testing"
 
+	tcomp "repro"
 	"repro/internal/blockcode"
 	"repro/internal/core"
 	"repro/internal/ea"
@@ -109,6 +112,31 @@ func BenchmarkEAConvergence(b *testing.B) {
 	b.ReportMetric(float64(res.Runs[0].Evals), "evals")
 }
 
+// BenchmarkEACompress times the paper's compressor at its defaults
+// (K=12, L=64, S=10, C=5, 5 runs) on a full Table 1 set, with a fixed
+// 100 generations a run so every iteration does the same work: ns/op
+// and allocs/op ratchet the EA engine and its fitness kernel.
+func BenchmarkEACompress(b *testing.B) {
+	m, err := iscasgen.Find("s5378", iscasgen.StuckAt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts, err := iscasgen.Generate(m, iscasgen.GenOptions{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := tcomp.DefaultEAParams(1)
+	p.EA.MaxGenerations = 100
+	p.EA.MaxNoImprove = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Compress(ts, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSweepKL backs the EA-Best column and the paper's stability
 // remark: rates across a (K,L) grid stay within a narrow band.
 func BenchmarkSweepKL(b *testing.B) {
@@ -144,10 +172,8 @@ func BenchmarkSweepKL(b *testing.B) {
 }
 
 // benchmarkSweepWorkers times the (K,L) sweep at a fixed pipeline worker
-// count. EA-internal parallelism is pinned to 1 so the comparison
-// isolates job-level sharding; the work is bit-for-bit identical at
-// every worker count (see core.SweepCtx), so Serial vs Parallel is a
-// pure wall-clock comparison.
+// count. The work is bit-for-bit identical at every worker count (see
+// core.SweepCtx), so Serial vs Parallel is a pure wall-clock comparison.
 func benchmarkSweepWorkers(b *testing.B, workers int) {
 	m, err := iscasgen.Find("s298", iscasgen.StuckAt)
 	if err != nil {
@@ -161,7 +187,6 @@ func benchmarkSweepWorkers(b *testing.B, workers int) {
 	base.Runs = 1
 	base.EA.MaxGenerations = 25
 	base.EA.MaxNoImprove = 10
-	base.EA.Workers = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _, err := core.SweepCtx(context.Background(), ts, base,

@@ -172,37 +172,44 @@ func TestCodecConformance(t *testing.T) {
 }
 
 // TestBlockDecodeHostileArtifact: a block-codec header may declare the
-// largest legal test set over a one-byte payload whose NBits claims far
-// more. The block decoder allocates its output whole, so it must see the
-// payload cannot pay for it before allocating: the decode fails wrapping
-// ErrBitCount or ErrEOS, and the heap grows by nowhere near the 256 MiB
-// a MaxTotalBits output takes.
+// largest legal test set over a one-byte payload, with an NBits that
+// claims far more than the byte or one that is honest. The block
+// decoders (9c and selective Huffman) allocate their output whole, so
+// they must see the payload cannot pay for it before allocating: the
+// decode fails wrapping ErrBitCount or ErrEOS, and the heap grows by
+// nowhere near the 256 MiB a MaxTotalBits output takes.
 func TestBlockDecodeHostileArtifact(t *testing.T) {
 	ts, err := ParseTestSet("01X10X01", "1X0X1X0X")
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec, err := Lookup("9c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err := codec.Compress(context.Background(), ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	art.Width, art.Patterns = 1<<15, container.MaxTotalBits>>15
-	art.Payload, art.NBits = art.Payload[:1], container.MaxTotalBits
+	for _, name := range []string{"9c", "selhuff"} {
+		for _, nbits := range []int{container.MaxTotalBits, 8} {
+			t.Run(fmt.Sprintf("%s/nbits=%d", name, nbits), func(t *testing.T) {
+				codec, err := Lookup(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				art, err := codec.Compress(context.Background(), ts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				art.Width, art.Patterns = 1<<15, container.MaxTotalBits>>15
+				art.Payload, art.NBits = art.Payload[:1], nbits
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, err = Decompress(art)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, bitstream.ErrBitCount) && !errors.Is(err, bitstream.ErrEOS) {
-		t.Fatalf("hostile artifact decoded with %v, want an error wrapping ErrBitCount or ErrEOS", err)
-	}
-	if grown := after.TotalAlloc - before.TotalAlloc; grown > 16<<20 {
-		t.Fatalf("decoding a hostile artifact allocated %d MiB", grown>>20)
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				_, err = Decompress(art)
+				runtime.ReadMemStats(&after)
+				if !errors.Is(err, bitstream.ErrBitCount) && !errors.Is(err, bitstream.ErrEOS) {
+					t.Fatalf("hostile artifact decoded with %v, want an error wrapping ErrBitCount or ErrEOS", err)
+				}
+				if grown := after.TotalAlloc - before.TotalAlloc; grown > 16<<20 {
+					t.Fatalf("decoding a hostile artifact allocated %d MiB", grown>>20)
+				}
+			})
+		}
 	}
 }
 

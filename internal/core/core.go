@@ -123,7 +123,8 @@ type problem struct {
 	origBits  int
 	forceAllU bool
 	// sizers holds clones of one blockcode.Sizer built per compression:
-	// the EA calls Fitness concurrently, and each call needs scratch.
+	// the EA runs share the problem and call Fitness concurrently, and
+	// each call needs scratch.
 	sizers sync.Pool
 }
 

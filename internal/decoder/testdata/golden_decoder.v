@@ -33,6 +33,7 @@ module tcomp_flow_decoder (
   end
 
   // Matching-vector ROM.
+  wire [3:0] mv_sel = hit ? hit_mv : mv;
   reg [3:0] mv_bits;
   reg [2:0] mv_ucount;
   always @(*) begin
@@ -49,7 +50,6 @@ module tcomp_flow_decoder (
       default: begin mv_bits = 4'd0; mv_ucount = 3'd0; end
     endcase
   end
-  wire [3:0] mv_sel = hit ? hit_mv : mv;
 
   reg [1:0] upos;
   always @(*) begin

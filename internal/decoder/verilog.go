@@ -76,6 +76,7 @@ func (f *FSM) WriteVerilog(w io.Writer, moduleName string) error {
 
 	// MV ROM: specified bits, U mask, fill counts and U position tables.
 	fmt.Fprintf(bw, "  // Matching-vector ROM.\n")
+	fmt.Fprintf(bw, "  wire [%d:0] mv_sel = hit ? hit_mv : mv;\n", mvBits-1)
 	fmt.Fprintf(bw, "  reg [%d:0] mv_bits;\n", k-1)
 	fmt.Fprintf(bw, "  reg [%d:0] mv_ucount;\n", cntBits-1)
 	fmt.Fprintf(bw, "  always @(*) begin\n")
@@ -92,8 +93,7 @@ func (f *FSM) WriteVerilog(w io.Writer, moduleName string) error {
 	}
 	fmt.Fprintf(bw, "      default: begin mv_bits = %d'd0; mv_ucount = %d'd0; end\n", k, cntBits)
 	fmt.Fprintf(bw, "    endcase\n")
-	fmt.Fprintf(bw, "  end\n")
-	fmt.Fprintf(bw, "  wire [%d:0] mv_sel = hit ? hit_mv : mv;\n\n", mvBits-1)
+	fmt.Fprintf(bw, "  end\n\n")
 
 	// U-position table: for (mv, fill_idx) -> bit position within block.
 	posBits := bitsFor(k)

@@ -5,17 +5,21 @@
 // termination on a fitness-stagnation window or an evaluation budget.
 //
 // The engine is problem-agnostic: individuals are genomes over a small
-// integer alphabet and fitness is supplied by the caller. Fitness
-// evaluations of a generation's children run in parallel.
+// integer alphabet and fitness is supplied by the caller. A run is
+// serial and allocates its genomes once: each generation writes its
+// children into the buffers of the previous generation's losers and
+// calls Fitness only for children whose genome is new to the generation.
+// Independent runs execute in parallel one level up, as pipeline jobs
+// (core.CompressCtx).
 package ea
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
-
-	"repro/internal/pipeline"
+	"slices"
 )
 
 // Gene is one genome symbol; the paper's alphabet is {0, 1, U}.
@@ -28,8 +32,11 @@ type Problem interface {
 	// Alphabet returns the number of gene values; genes take values
 	// 0..Alphabet()-1.
 	Alphabet() int
-	// Fitness evaluates a genome; higher is better. Must be safe for
-	// concurrent calls.
+	// Fitness evaluates a genome; higher is better. It must be a function
+	// of the genome alone: a child that repeats a member of its
+	// population, or an earlier child of its generation, takes that
+	// genome's fitness without a call. Runs sharing a Problem call it
+	// concurrently.
 	Fitness(genes []Gene) float64
 	// Repair normalizes a genome in place after random init or an
 	// operator application (e.g. re-pinning the all-U matching vector).
@@ -65,12 +72,12 @@ type Config struct {
 	MaxNoImprove int
 	// MaxGenerations is a hard cap on generations (0 = unlimited).
 	MaxGenerations int
-	// MaxEvals bounds the number of fitness evaluations, the paper's
-	// "limit on the number of generated legal solutions" (0 = unlimited).
+	// MaxEvals bounds the number of individuals generated (Result.Evals),
+	// the paper's "limit on the number of generated legal solutions"
+	// (0 = unlimited).
 	MaxEvals int
 
-	Seed    int64
-	Workers int // parallel fitness evaluations; 0 = GOMAXPROCS-sized default
+	Seed int64
 }
 
 // DefaultConfig returns the parameters reported in Section 4: S=10, C=5,
@@ -87,7 +94,6 @@ func DefaultConfig(seed int64) Config {
 		MaxGenerations: 5000,
 		MaxEvals:       0,
 		Seed:           seed,
-		Workers:        0,
 	}
 }
 
@@ -119,36 +125,34 @@ type Individual struct {
 	Fitness float64
 }
 
-func (ind Individual) clone() Individual {
-	return Individual{Genes: append([]Gene(nil), ind.Genes...), Fitness: ind.Fitness}
-}
-
 // GenStats records one generation for convergence analysis (the data behind
 // Figure 1's loop).
 type GenStats struct {
 	Generation int
 	Best       float64
 	Mean       float64
-	Evals      int // cumulative fitness evaluations
+	Evals      int // cumulative individuals generated (see Result.Evals)
 }
 
 // Result is the outcome of a run.
 type Result struct {
 	Best        Individual
 	Generations int
-	Evals       int
-	History     []GenStats
+	// Evals counts the individuals generated: the initial population
+	// and every child, also those whose fitness was not recomputed.
+	Evals   int
+	History []GenStats
 }
 
 // Run executes the EA on problem with config cfg. Deterministic given
-// cfg.Seed (parallel evaluation does not perturb the evolution order).
+// cfg.Seed.
 func Run(cfg Config, problem Problem, seedIndividuals ...[]Gene) (*Result, error) {
 	return RunCtx(context.Background(), cfg, problem, seedIndividuals...)
 }
 
 // RunCtx is Run with cancellation: when ctx is cancelled the EA stops at
-// the next evaluation boundary and returns ctx's error alongside the
-// best-so-far result (which may be nil if no generation completed).
+// the next generation boundary and returns ctx's error alongside the
+// best-so-far result (nil if the initial population was not evaluated).
 func RunCtx(ctx context.Context, cfg Config, problem Problem, seedIndividuals ...[]Gene) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -158,35 +162,50 @@ func RunCtx(ctx context.Context, cfg Config, problem Problem, seedIndividuals ..
 	if n <= 0 || alpha < 2 {
 		return nil, fmt.Errorf("ea: degenerate problem (len=%d alphabet=%d)", n, alpha)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	pop := make([]Individual, 0, cfg.PopSize+cfg.Children)
 	for _, s := range seedIndividuals {
 		if len(s) != n {
 			return nil, fmt.Errorf("ea: seed individual has length %d, want %d", len(s), n)
 		}
-		g := append([]Gene(nil), s...)
-		problem.Repair(g)
-		pop = append(pop, Individual{Genes: g})
 	}
-	for len(pop) < cfg.PopSize {
-		g := make([]Gene, n)
-		for i := range g {
-			g[i] = Gene(rng.Intn(alpha))
-		}
-		problem.Repair(g)
-		pop = append(pop, Individual{Genes: g})
-	}
-	pop = pop[:cfg.PopSize]
-
-	evals := 0
-	if err := cfg.evaluate(ctx, problem, pop); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	evals += len(pop)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+
+	// One allocation holds every genome of the run: S+C working
+	// individuals, a spare for the second child of a crossover that
+	// would overflow C, and Best. all[:S] is the population, sorted;
+	// all[S:] are this generation's children, written over the buffers
+	// of the previous generation's losers.
+	s, c := cfg.PopSize, cfg.Children
+	arena := make([]Gene, (s+c+2)*n)
+	genome := func(i int) []Gene { return arena[i*n : (i+1)*n : (i+1)*n] }
+	all := make([]Individual, s+c)
+	for i := range all {
+		all[i].Genes = genome(i)
+	}
+	spare := genome(s + c)
+	pop, kids := all[:s], all[s:]
+
+	for i := range pop {
+		g := pop[i].Genes
+		if i < len(seedIndividuals) {
+			copy(g, seedIndividuals[i])
+		} else {
+			for j := range g {
+				g[j] = Gene(rng.Intn(alpha))
+			}
+		}
+		problem.Repair(g)
+	}
+	for i := range pop {
+		pop[i].Fitness = problem.Fitness(pop[i].Genes)
+	}
+	evals := s
 	sortPop(pop)
 
-	res := &Result{Best: pop[0].clone()}
+	res := &Result{Best: Individual{Genes: genome(s + c + 1), Fitness: pop[0].Fitness}}
+	copy(res.Best.Genes, pop[0].Genes)
 	res.History = append(res.History, stats(0, pop, evals))
 
 	noImprove := 0
@@ -205,46 +224,40 @@ func RunCtx(ctx context.Context, cfg Config, problem Problem, seedIndividuals ..
 			break
 		}
 
-		children := make([]Individual, 0, cfg.Children)
-		for len(children) < cfg.Children {
-			op := pickOperator(rng, cfg)
-			switch op {
+		for i := 0; i < c; {
+			switch pickOperator(rng, cfg) {
 			case opCross:
-				a := pop[rng.Intn(len(pop))]
-				b := pop[rng.Intn(len(pop))]
-				c1, c2 := crossover(rng, cfg.Crossover, a.Genes, b.Genes)
-				problem.Repair(c1)
-				children = append(children, Individual{Genes: c1})
-				if len(children) < cfg.Children {
-					problem.Repair(c2)
-					children = append(children, Individual{Genes: c2})
+				a := pop[rng.Intn(s)].Genes
+				b := pop[rng.Intn(s)].Genes
+				c2 := spare
+				if i+1 < c {
+					c2 = kids[i+1].Genes
 				}
+				crossover(rng, cfg.Crossover, kids[i].Genes, c2, a, b)
+				problem.Repair(kids[i].Genes)
+				if i+1 < c {
+					problem.Repair(c2)
+				}
+				i += 2
 			case opMut:
-				p := pop[rng.Intn(len(pop))]
-				c := mutate(rng, p.Genes, alpha)
-				problem.Repair(c)
-				children = append(children, Individual{Genes: c})
+				mutate(rng, kids[i].Genes, pop[rng.Intn(s)].Genes, alpha)
+				problem.Repair(kids[i].Genes)
+				i++
 			case opInv:
-				p := pop[rng.Intn(len(pop))]
-				c := invert(rng, p.Genes)
-				problem.Repair(c)
-				children = append(children, Individual{Genes: c})
+				invert(rng, kids[i].Genes, pop[rng.Intn(s)].Genes)
+				problem.Repair(kids[i].Genes)
+				i++
 			}
 		}
-
-		if err := cfg.evaluate(ctx, problem, children); err != nil {
-			res.Generations = gen
-			res.Evals = evals
-			return res, err
+		for i := s; i < len(all); i++ {
+			all[i].Fitness = fitness(problem, all[i].Genes, all[:i])
 		}
-		evals += len(children)
+		evals += c
 
-		pop = append(pop, children...)
-		sortPop(pop)
-		pop = pop[:cfg.PopSize]
-
+		sortPop(all)
 		if pop[0].Fitness > res.Best.Fitness {
-			res.Best = pop[0].clone()
+			copy(res.Best.Genes, pop[0].Genes)
+			res.Best.Fitness = pop[0].Fitness
 			noImprove = 0
 		} else {
 			noImprove++
@@ -259,6 +272,17 @@ func RunCtx(ctx context.Context, cfg Config, problem Problem, seedIndividuals ..
 	res.Generations = gen
 	res.Evals = evals
 	return res, nil
+}
+
+// fitness returns the fitness of genes, taken from the first of known
+// with the same genome, so a generation evaluates each new genome once.
+func fitness(problem Problem, genes []Gene, known []Individual) float64 {
+	for _, k := range known {
+		if bytes.Equal(k.Genes, genes) {
+			return k.Fitness
+		}
+	}
+	return problem.Fitness(genes)
 }
 
 type operator int
@@ -281,70 +305,55 @@ func pickOperator(rng *rand.Rand, cfg Config) operator {
 	return opInv
 }
 
-func crossover(rng *rand.Rand, kind CrossoverKind, a, b []Gene) ([]Gene, []Gene) {
-	n := len(a)
-	c1 := append([]Gene(nil), a...)
-	c2 := append([]Gene(nil), b...)
+// crossover writes the children of parents a and b into c1 and c2,
+// which must not overlap a or b.
+func crossover(rng *rand.Rand, kind CrossoverKind, c1, c2, a, b []Gene) {
 	switch kind {
 	case TwoPointCrossover:
-		i, j := rng.Intn(n), rng.Intn(n)
+		copy(c1, a)
+		copy(c2, b)
+		i, j := rng.Intn(len(a)), rng.Intn(len(a))
 		if i > j {
 			i, j = j, i
 		}
-		for k := i; k <= j; k++ {
-			c1[k], c2[k] = c2[k], c1[k]
-		}
+		copy(c1[i:j+1], b[i:j+1])
+		copy(c2[i:j+1], a[i:j+1])
 	default: // UniformCrossover
-		for k := 0; k < n; k++ {
-			if rng.Intn(2) == 0 {
-				c1[k], c2[k] = c2[k], c1[k]
-			}
+		c1, c2, b = c1[:len(a)], c2[:len(a)], b[:len(a)]
+		for k, x := range a {
+			// rng.Int63()>>32&1 is the value rng.Intn(2) returns from
+			// the same draw; 0 swaps the gene between the children.
+			swap := Gene(rng.Int63()>>32&1) - 1
+			d := (x ^ b[k]) & swap
+			c1[k] = x ^ d
+			c2[k] = b[k] ^ d
 		}
 	}
-	return c1, c2
 }
 
-// mutate replaces one randomly selected gene by a random value (the paper's
-// mutation operator).
-func mutate(rng *rand.Rand, a []Gene, alphabet int) []Gene {
-	c := append([]Gene(nil), a...)
-	i := rng.Intn(len(c))
-	c[i] = Gene(rng.Intn(alphabet))
-	return c
+// mutate writes parent into child with one randomly selected gene
+// replaced by a random value (the paper's mutation operator).
+func mutate(rng *rand.Rand, child, parent []Gene, alphabet int) {
+	copy(child, parent)
+	i := rng.Intn(len(child))
+	child[i] = Gene(rng.Intn(alphabet))
 }
 
-// invert reverses the gene order between two random positions (the paper's
-// inversion operator).
-func invert(rng *rand.Rand, a []Gene) []Gene {
-	c := append([]Gene(nil), a...)
-	i, j := rng.Intn(len(c)), rng.Intn(len(c))
+// invert writes parent into child with the gene order reversed between
+// two random positions (the paper's inversion operator).
+func invert(rng *rand.Rand, child, parent []Gene) {
+	copy(child, parent)
+	i, j := rng.Intn(len(child)), rng.Intn(len(child))
 	if i > j {
 		i, j = j, i
 	}
-	for i < j {
-		c[i], c[j] = c[j], c[i]
-		i++
-		j--
-	}
-	return c
-}
-
-// evaluate fills in fitness for individuals on the shared worker pool
-// (pipeline.Default's limiter, so fitness helpers compose with job-level
-// parallelism without oversubscription). ForEach clamps Workers to
-// len(inds) so tiny populations never spawn idle goroutines, and <= 0
-// selects the GOMAXPROCS-sized default. Writes are index-disjoint, so
-// the outcome is identical for any worker count.
-func (c Config) evaluate(ctx context.Context, problem Problem, inds []Individual) error {
-	return pipeline.ForEach(ctx, nil, len(inds), c.Workers, func(i int) {
-		inds[i].Fitness = problem.Fitness(inds[i].Genes)
-	})
+	slices.Reverse(child[i : j+1])
 }
 
 // sortPop orders by descending fitness, stable so earlier individuals win
 // ties (deterministic runs).
 func sortPop(pop []Individual) {
-	sort.SliceStable(pop, func(i, j int) bool { return pop[i].Fitness > pop[j].Fitness })
+	slices.SortStableFunc(pop, func(a, b Individual) int { return cmp.Compare(b.Fitness, a.Fitness) })
 }
 
 func stats(gen int, pop []Individual, evals int) GenStats {

@@ -1,6 +1,7 @@
 package ea
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -73,7 +74,6 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	cfg := DefaultConfig(7)
 	cfg.MaxGenerations = 50
 	cfg.MaxNoImprove = 50
-	cfg.Workers = 4 // parallel eval must not perturb evolution
 	a, err := Run(cfg, oneMax{n: 20, alpha: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,8 @@ func TestTwoPointCrossover(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	c1, c2 := crossover(rng, TwoPointCrossover, a, b)
+	c1, c2 := make([]Gene, 10), make([]Gene, 10)
+	crossover(rng, TwoPointCrossover, c1, c2, a, b)
 	// children must be complementary and contain a contiguous swapped
 	// segment
 	for i := range c1 {
@@ -191,7 +192,8 @@ func TestUniformCrossoverPreservesMultiset(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := []Gene{0, 0, 0, 0, 0}
 	b := []Gene{1, 1, 1, 1, 1}
-	c1, c2 := crossover(rng, UniformCrossover, a, b)
+	c1, c2 := make([]Gene, 5), make([]Gene, 5)
+	crossover(rng, UniformCrossover, c1, c2, a, b)
 	for i := range c1 {
 		if c1[i]+c2[i] != 1 {
 			t.Fatal("uniform crossover must exchange positionwise")
@@ -199,14 +201,53 @@ func TestUniformCrossoverPreservesMultiset(t *testing.T) {
 	}
 }
 
+// referenceUniformCrossover is uniform crossover as the engine wrote it
+// before children went into reused buffers: fresh copies of the parents
+// and one rng.Intn(2) per gene, 0 swapping the gene.
+func referenceUniformCrossover(rng *rand.Rand, a, b []Gene) ([]Gene, []Gene) {
+	c1 := append([]Gene(nil), a...)
+	c2 := append([]Gene(nil), b...)
+	for k := range c1 {
+		if rng.Intn(2) == 0 {
+			c1[k], c2[k] = c2[k], c1[k]
+		}
+	}
+	return c1, c2
+}
+
+// TestUniformCrossoverMatchesReference: the branch-free crossover makes
+// the reference's children and leaves the generator where the reference
+// leaves it, so every later draw of a run is unchanged too.
+func TestUniformCrossoverMatchesReference(t *testing.T) {
+	ref, got := rand.New(rand.NewSource(29)), rand.New(rand.NewSource(29))
+	parents := rand.New(rand.NewSource(31))
+	const n = 768
+	a, b := make([]Gene, n), make([]Gene, n)
+	c1, c2 := make([]Gene, n), make([]Gene, n)
+	for iter := 0; iter < 100; iter++ {
+		for i := range a {
+			a[i], b[i] = Gene(parents.Intn(3)), Gene(parents.Intn(3))
+		}
+		w1, w2 := referenceUniformCrossover(ref, a, b)
+		crossover(got, UniformCrossover, c1, c2, a, b)
+		if !bytes.Equal(c1, w1) || !bytes.Equal(c2, w2) {
+			t.Fatalf("crossover %d: children differ from the reference", iter)
+		}
+	}
+	if ref.Int63() != got.Int63() {
+		t.Fatal("crossover consumed a different number of draws than the reference")
+	}
+}
+
 func TestMutateChangesAtMostOneGene(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	c := make([]Gene, 8)
 	for iter := 0; iter < 100; iter++ {
 		a := make([]Gene, 8)
 		for i := range a {
 			a[i] = Gene(rng.Intn(3))
 		}
-		c := mutate(rng, a, 3)
+		mutate(rng, c, a, 3)
 		diff := 0
 		for i := range a {
 			if a[i] != c[i] {
@@ -222,9 +263,10 @@ func TestMutateChangesAtMostOneGene(t *testing.T) {
 func TestInvertIsReversal(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := []Gene{0, 1, 2, 3, 4, 5, 6, 7}
+	c := make([]Gene, len(a))
 	// Property: inversion preserves the multiset of genes.
 	for iter := 0; iter < 50; iter++ {
-		c := invert(rng, a)
+		invert(rng, c, a)
 		var countA, countC [8]int
 		for i := range a {
 			countA[a[i]]++
@@ -278,29 +320,6 @@ func TestPickOperatorDistribution(t *testing.T) {
 	}
 }
 
-func TestWorkerCountDoesNotPerturbResults(t *testing.T) {
-	// Oversized, tiny, and default worker counts must all give the same
-	// run — evaluate clamps workers to the population and GOMAXPROCS.
-	runWith := func(workers int) *Result {
-		cfg := DefaultConfig(13)
-		cfg.MaxGenerations = 40
-		cfg.MaxNoImprove = 40
-		cfg.Workers = workers
-		res, err := Run(cfg, oneMax{n: 20, alpha: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	want := runWith(1)
-	for _, workers := range []int{0, 2, 64} {
-		got := runWith(workers)
-		if got.Best.Fitness != want.Best.Fitness || got.Generations != want.Generations || got.Evals != want.Evals {
-			t.Fatalf("workers=%d diverged: %+v vs %+v", workers, got, want)
-		}
-	}
-}
-
 func TestRunCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -308,5 +327,97 @@ func TestRunCtxCancelled(t *testing.T) {
 	_, err := RunCtx(ctx, cfg, oneMax{n: 20, alpha: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// flat gives every genome the same fitness. Truncation keeps population
+// members ahead of the children they tie with, so the population stays
+// the initial one for the whole run.
+type flat struct{ oneMax }
+
+func (flat) Fitness([]Gene) float64 { return 0 }
+
+// counting records the genome and generation of every Fitness call.
+// Repair runs once per individual created, S times for the initial
+// population and C times per generation, each before that generation's
+// Fitness calls, so the repairs so far give the generation.
+type counting struct {
+	Problem
+	s, c    int
+	repairs int
+	calls   []evaluation
+}
+
+type evaluation struct {
+	gen   int
+	genes string
+}
+
+func (p *counting) Repair(g []Gene) {
+	p.repairs++
+	p.Problem.Repair(g)
+}
+
+func (p *counting) Fitness(g []Gene) float64 {
+	p.calls = append(p.calls, evaluation{(p.repairs - p.s) / p.c, string(g)})
+	return p.Problem.Fitness(g)
+}
+
+// TestEvaluatesEachNewGenomeOnce: a child that repeats a member of its
+// population or an earlier child of its generation is not evaluated
+// again, while Evals still counts it.
+func TestEvaluatesEachNewGenomeOnce(t *testing.T) {
+	cfg := DefaultConfig(23)
+	cfg.MaxGenerations = 200
+	cfg.MaxNoImprove = 0
+	p := &counting{Problem: flat{oneMax{n: 4, alpha: 2}}, s: cfg.PopSize, c: cfg.Children}
+	res, err := Run(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.calls) >= res.Evals {
+		t.Fatalf("%d fitness calls for %d individuals generated", len(p.calls), res.Evals)
+	}
+	pop := map[string]bool{}
+	seen := map[evaluation]bool{}
+	for _, e := range p.calls {
+		if e.gen == 0 {
+			pop[e.genes] = true
+			continue
+		}
+		if pop[e.genes] {
+			t.Fatalf("generation %d evaluated a genome of its population", e.gen)
+		}
+		if seen[e] {
+			t.Fatalf("generation %d evaluated one genome twice", e.gen)
+		}
+		seen[e] = true
+	}
+
+	one := &counting{Problem: oneMax{n: 30, alpha: 2}, s: cfg.PopSize, c: cfg.Children}
+	if res, err = Run(DefaultConfig(23), one); err != nil {
+		t.Fatal(err)
+	}
+	if len(one.calls) >= res.Evals {
+		t.Fatalf("oneMax: %d fitness calls for %d individuals generated", len(one.calls), res.Evals)
+	}
+}
+
+// TestGenerationsAllocateNothing: a run allocates its genomes up front,
+// so 100 times more generations cost only History's regrowths.
+func TestGenerationsAllocateNothing(t *testing.T) {
+	allocs := func(gens int) float64 {
+		cfg := DefaultConfig(19)
+		cfg.MaxGenerations = gens
+		cfg.MaxNoImprove = 0
+		return testing.AllocsPerRun(1, func() {
+			if _, err := Run(cfg, oneMax{n: 768, alpha: 3}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(100), allocs(10000)
+	if long > short+16 {
+		t.Fatalf("%.0f allocations at 10000 generations, %.0f at 100", long, short)
 	}
 }

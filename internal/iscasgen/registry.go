@@ -3,7 +3,7 @@
 // published compression rates) and generates deterministic synthetic test
 // sets with matching dimensions and calibrated compressibility.
 //
-// Substitution note (see DESIGN.md §4): the actual ISCAS-85/89 netlists
+// Substitution note: the actual ISCAS-85/89 netlists
 // and the Kajihara/Miyase and TIP test sets are third-party artifacts
 // that cannot be shipped here. The compressors under study only consume a
 // {0,1,X} string, so a generator that reproduces (a) the exact test-set

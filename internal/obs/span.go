@@ -23,9 +23,9 @@ import (
 // configured — adds its duration to the context's Trace when it ends,
 // so the request-completion log line lists the request's top-level
 // stages even when no exporter is configured; nested spans (a codec
-// call, a chunk, a parallel region) stay off it. Exporting — handing
-// the finished span to a SpanExporter — requires that the span's trace
-// is sampled and a Tracer with an exporter started the root.
+// call, a chunk) stay off it. Exporting — handing the finished span to a
+// SpanExporter — requires that the span's trace is sampled and a Tracer
+// with an exporter started the root.
 type Span struct {
 	name   string
 	tc     TraceContext

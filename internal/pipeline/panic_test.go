@@ -100,21 +100,3 @@ func TestOrderedContainsJobPanic(t *testing.T) {
 		t.Fatalf("delivered err=%v, want ErrPanic", panicErr)
 	}
 }
-
-// TestForEachContainsPanic: a panicking fn is recovered, the remaining
-// indices still run, and the first panic comes back as the error.
-func TestForEachContainsPanic(t *testing.T) {
-	var ran atomic.Int64
-	err := ForEach(context.Background(), nil, 16, 4, func(i int) {
-		ran.Add(1)
-		if i == 5 {
-			panic("fitness function bug")
-		}
-	})
-	if !errors.Is(err, ErrPanic) {
-		t.Fatalf("err=%v, want ErrPanic", err)
-	}
-	if got := ran.Load(); got != 16 {
-		t.Fatalf("ran %d of 16 indices; a panic must not abort the batch", got)
-	}
-}

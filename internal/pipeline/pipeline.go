@@ -12,11 +12,10 @@
 // order. Anything nondeterministic (wall-clock timing) is kept out of the
 // comparable part of a Result.
 //
-// Nested parallel regions (a parallel sweep whose jobs each run a
-// parallel EA fitness evaluation) compose through a shared Limiter: inner
-// regions only spawn helper goroutines when a token is free and otherwise
-// run inline, so the machine is never oversubscribed and nesting can never
-// deadlock.
+// Nested runs (a parallel sweep whose points each run their EA runs as
+// jobs) compose through a shared Limiter: inner runs only spawn helper
+// goroutines when a token is free and otherwise run inline, so the
+// machine is never oversubscribed and nesting can never deadlock.
 package pipeline
 
 import (
@@ -49,10 +48,10 @@ func Seed(root int64, index int) int64 {
 }
 
 // Limiter is a counting semaphore bounding the number of helper
-// goroutines across all parallel regions that share it. Acquisition is
-// always non-blocking (TryAcquire): a region that cannot get a token runs
-// the work inline on its own goroutine, which keeps nested regions
-// deadlock-free by construction.
+// goroutines across all runs that share it. Acquisition is always
+// non-blocking (TryAcquire): a run that cannot get a token runs the work
+// inline on its own goroutine, which keeps nested runs deadlock-free by
+// construction.
 type Limiter struct {
 	tokens chan struct{}
 }
@@ -116,10 +115,9 @@ func (l *Limiter) Cap() int { return cap(l.tokens) }
 var defaultLimiter = NewLimiter(runtime.GOMAXPROCS(0))
 
 // Default returns the process-wide Limiter, sized to GOMAXPROCS so an
-// operator-configured parallelism cap is respected. All engine and
-// ForEach calls that don't supply their own Limiter share it, so
-// independently started parallel regions still respect one global
-// concurrency bound.
+// operator-configured parallelism cap is respected. All runs that don't
+// supply their own Limiter share it, so independently started runs
+// still respect one global concurrency bound.
 func Default() *Limiter { return defaultLimiter }
 
 // Job is one unit of batch work. Run receives a context for cancellation
@@ -287,50 +285,4 @@ func Values[T any](results []Result[T]) []T {
 		vals[i] = r.Value
 	}
 	return vals
-}
-
-// ForEach runs fn(i) for every i in [0, n) using the calling goroutine
-// plus up to workers-1 helpers gated on lim (nil = Default()). Indices
-// are handed out atomically; fn must write only to index-disjoint state,
-// which makes the aggregate effect independent of the worker count.
-// workers <= 0 selects runtime.GOMAXPROCS(0) and is clamped to n. When
-// ctx is cancelled, remaining indices are skipped and ctx.Err() is
-// returned; fn calls already in flight complete. A panicking fn is
-// recovered on its worker goroutine: remaining indices still run, and
-// the first panic is returned as a *PanicError (wrapping ErrPanic)
-// instead of crashing the process.
-func ForEach(ctx context.Context, lim *Limiter, n, workers int, fn func(i int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if lim == nil {
-		lim = Default()
-	}
-	_, sp := obs.StartSpan(ctx, "parallel region")
-	defer sp.End()
-	sp.SetAttrs(obs.Int("tasks", int64(n)), obs.Int("workers", int64(workers)))
-	var panicked atomic.Pointer[PanicError]
-	runIndexed(lim, n, workers, func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		if _, err := safeRun(func() (struct{}, error) { fn(i); return struct{}{}, nil }); err != nil {
-			var pe *PanicError
-			if errors.As(err, &pe) {
-				panicked.CompareAndSwap(nil, pe)
-			}
-		}
-	})
-	if pe := panicked.Load(); pe != nil {
-		sp.SetError(pe)
-		return pe
-	}
-	sp.SetError(ctx.Err())
-	return ctx.Err()
 }

@@ -234,63 +234,6 @@ func TestResultsCarryDerivedSeeds(t *testing.T) {
 	}
 }
 
-func TestForEachVisitsEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 3, 16} {
-		n := 500
-		counts := make([]int32, n)
-		err := ForEach(context.Background(), NewLimiter(8), n, workers, func(i int) {
-			atomic.AddInt32(&counts[i], 1)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-func TestForEachCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var done atomic.Int32
-	err := ForEach(ctx, nil, 1000, 2, func(i int) {
-		if done.Add(1) == 10 {
-			cancel()
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if n := done.Load(); n >= 1000 {
-		t.Fatalf("cancellation did not stop the loop early (ran %d)", n)
-	}
-}
-
-// TestNestedForEachNoDeadlock exercises the oversubscription guard: an
-// outer parallel region whose body starts an inner parallel region on the
-// same, deliberately tiny, limiter. TryAcquire semantics mean the inner
-// regions degrade to inline execution instead of deadlocking.
-func TestNestedForEachNoDeadlock(t *testing.T) {
-	lim := NewLimiter(2)
-	var total atomic.Int32
-	err := ForEach(context.Background(), lim, 8, 8, func(i int) {
-		inner := ForEach(context.Background(), lim, 50, 8, func(j int) {
-			total.Add(1)
-		})
-		if inner != nil {
-			t.Error(inner)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total.Load() != 8*50 {
-		t.Fatalf("nested loops ran %d body calls, want %d", total.Load(), 8*50)
-	}
-}
-
 // TestNestedEngineRuns composes the engine with itself through one shared
 // limiter: outer jobs each run an inner batch. Everything must complete
 // and stay deterministic.

@@ -115,7 +115,10 @@ func Compress(ts *testset.TestSet, k, d int) (*Result, error) {
 
 // Decompress reconstructs totalBits bits using the result's dictionary.
 // It accepts any bit source; one that implements bitstream.Peeker takes
-// the fast path.
+// the fast path. Every block spends at least its flag bit, so a
+// *bitstream.Reader must hold one bit per block before the output is
+// allocated: the output is bounded by K trits per payload bit whatever a
+// container header declares.
 func Decompress(r bitstream.Source, res *Result, totalBits int) (tritvec.Vector, error) {
 	if res.K < 1 || res.K > 62 {
 		return tritvec.Vector{}, fmt.Errorf("selhuff: block size %d out of range", res.K)
@@ -130,6 +133,15 @@ func Decompress(r bitstream.Source, res *Result, totalBits int) (tritvec.Vector,
 	dec, err := huffman.NewTableDecoder(res.Code)
 	if err != nil {
 		return tritvec.Vector{}, err
+	}
+	if br, ok := r.(*bitstream.Reader); ok {
+		if err := br.Err(); err != nil { // declared bits beyond the buffer
+			return tritvec.Vector{}, fmt.Errorf("selhuff: %w", err)
+		}
+		if nblocks := (totalBits + res.K - 1) / res.K; nblocks > br.Remaining() {
+			return tritvec.Vector{}, fmt.Errorf("selhuff: %d blocks but only %d payload bits: %w",
+				nblocks, br.Remaining(), bitstream.ErrEOS)
+		}
 	}
 	out := tritvec.New(totalBits)
 	pos := 0

@@ -47,8 +47,9 @@ func (a Ablation) String() string {
 	return s
 }
 
-// AblationCoverOrder compares the paper's min-U covering with
-// encoding-length-aware covering on the 9C MV set (DESIGN.md §5).
+// AblationCoverOrder compares the paper's min-U covering (Section 3.2)
+// with covering each block by the matching MV of least encoding length
+// (codeword plus fill bits), on the 9C MV set and its fixed code.
 func AblationCoverOrder(ts *testset.TestSet, k int) (Ablation, error) {
 	set, err := ninec.MVs(k)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package tables regenerates the paper's experimental exhibits: Table 1
 // (stuck-at test sets) and Table 2 (path-delay test sets), each comparing
 // 9C, 9C+HC and the EA compressor, plus the (K,L) sweep behind the
-// EA-Best column and the ablation studies listed in DESIGN.md.
+// EA-Best column and the ablation studies of ablation.go.
 package tables
 
 import (
