@@ -419,21 +419,7 @@ func (c *Client) DecompressSet(ctx context.Context, a *Artifact) (*TestSet, erro
 	if err := c.Decompress(ctx, &in, &out); err != nil {
 		return nil, err
 	}
-	sc, err := testset.NewScanner(&out)
-	if err != nil {
-		return nil, err
-	}
-	ts := testset.New(sc.Width())
-	for {
-		v, err := sc.Next()
-		if err == io.EOF {
-			return ts, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		ts.Add(v)
-	}
+	return testset.Read(&out)
 }
 
 // Codecs fetches the daemon's registry listing with per-codec parameter

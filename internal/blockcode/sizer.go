@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/huffman"
+	"repro/internal/tritvec"
 )
 
 // Sizer computes the compressed size of a matching-vector set, given as
@@ -182,8 +183,8 @@ func (s *Sizer) Size(genes []uint8) (int, bool) {
 		for c := 0; c < nc; c++ {
 			sh := uint(c&7) * 8
 			care, val := s.mvCare[i*kw+c>>3]>>sh, s.mvVal[i*kw+c>>3]>>sh
-			lanes[c*ng+g] |= spread[byte(val)] << q
-			lanes[(nc+c)*ng+g] |= spread[byte(care&^val)] << q
+			lanes[c*ng+g] |= tritvec.Spread(byte(val)) << q
+			lanes[(nc+c)*ng+g] |= tritvec.Spread(byte(care&^val)) << q
 		}
 	}
 	for b := 0; b < 2; b++ {
@@ -292,16 +293,6 @@ func extract(p []uint64, off, width int) uint64 {
 	}
 	return v
 }
-
-// spread[b] holds bit i of b at bit 8i.
-var spread = func() (t [256]uint64) {
-	for b := range t {
-		for i := 0; i < 8; i++ {
-			t[b] |= uint64(b>>i&1) << (8 * i)
-		}
-	}
-	return t
-}()
 
 // transposeBytes transposes the 8×8 byte matrix whose row g is t[g]:
 // byte i of t[g] becomes byte g of t[i]. Each step swaps the

@@ -1,14 +1,71 @@
 package golomb
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/bitstream"
+	"repro/internal/iscasgen"
 	"repro/internal/testset"
 )
+
+// refCompressBest is CompressBest as a brute force: encode the whole set
+// at each M = 2…256 and keep the first smallest stream.
+func refCompressBest(ts *testset.TestSet) (*Result, error) {
+	var best *Result
+	for m := 2; m <= 256; m *= 2 {
+		res, err := Compress(ts, m)
+		if err != nil {
+			return nil, err
+		}
+		if best == nil || res.CompressedBits < best.CompressedBits {
+			best = res
+		}
+	}
+	return best, nil
+}
+
+// CompressBest's one-pass choice of M gives the brute force's stream,
+// bit for bit, on table sets and on random sets from all-X to all-1.
+func TestCompressBestMatchesBruteForce(t *testing.T) {
+	var sets []*testset.TestSet
+	for _, name := range []string{"s420", "s5378", "s9234", "s38417"} {
+		m, err := iscasgen.Find(name, iscasgen.StuckAt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, err := iscasgen.Generate(m, iscasgen.GenOptions{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, ts)
+	}
+	r := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 200; trial++ {
+		density := []float64{0, 0.01, 0.05, 0.3, 1}[trial%5]
+		sets = append(sets, testset.Random(1+r.Intn(64), 1+r.Intn(40), density, r))
+	}
+	ones, _ := testset.ParseStrings("1111", "1111")
+	sets = append(sets, ones)
+	for i, ts := range sets {
+		got, err := CompressBest(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refCompressBest(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.M != want.M || got.CompressedBits != want.CompressedBits ||
+			!bytes.Equal(got.Stream.Bytes(), want.Stream.Bytes()) {
+			t.Fatalf("set %d (%dx%d): M=%d, %d bits; brute force M=%d, %d bits",
+				i, ts.Width, ts.NumPatterns(), got.M, got.CompressedBits, want.M, want.CompressedBits)
+		}
+	}
+}
 
 // sourceOnly hides the Peeker fast path, forcing the bit-at-a-time
 // fallback the new decoder must stay bit-identical with.

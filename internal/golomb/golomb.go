@@ -84,8 +84,12 @@ func Compress(ts *testset.TestSet, m int) (*Result, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("golomb: M must be >= 1, got %d", m)
 	}
-	flat := runlength.ZeroFill(ts)
-	runs, trailing := runlength.Runs(flat)
+	runs, trailing := runlength.Runs(runlength.ZeroFill(ts))
+	return encode(ts, runs, trailing, m), nil
+}
+
+// encode writes one codeword per run, then one for a trailing run.
+func encode(ts *testset.TestSet, runs []int, trailing, m int) *Result {
 	w := bitstream.NewWriter()
 	for _, n := range runs {
 		encodeRun(w, n, m)
@@ -93,23 +97,30 @@ func Compress(ts *testset.TestSet, m int) (*Result, error) {
 	if trailing > 0 {
 		encodeRun(w, trailing, m)
 	}
-	return &Result{M: m, OriginalBits: ts.TotalBits(), CompressedBits: w.Len(), Stream: w}, nil
+	return &Result{M: m, OriginalBits: ts.TotalBits(), CompressedBits: w.Len(), Stream: w}
 }
 
-// CompressBest tries a range of M values (powers of two up to 256, as in
-// the literature) and returns the best result.
+// CompressBest picks M among the powers of two up to 256, as in the
+// literature, and encodes once. At M = 2^b a run of n zeros costs
+// ⌊n/M⌋ + 1 + b bits, so one pass over the run lengths sizes every
+// candidate; a tie keeps the smaller M.
 func CompressBest(ts *testset.TestSet) (*Result, error) {
-	var best *Result
-	for m := 2; m <= 256; m *= 2 {
-		res, err := Compress(ts, m)
-		if err != nil {
-			return nil, err
+	runs, trailing := runlength.Runs(runlength.ZeroFill(ts))
+	codewords := len(runs)
+	if trailing > 0 {
+		codewords++
+	}
+	best, bestBits := 0, 0
+	for b := 1; b <= 8; b++ {
+		size := trailing>>b + codewords*(1+b)
+		for _, n := range runs {
+			size += n >> b
 		}
-		if best == nil || res.CompressedBits < best.CompressedBits {
-			best = res
+		if best == 0 || size < bestBits {
+			best, bestBits = b, size
 		}
 	}
-	return best, nil
+	return encode(ts, runs, trailing, 1<<best), nil
 }
 
 // Decompress reconstructs totalBits bits from any bit source; one that

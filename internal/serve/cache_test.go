@@ -2,7 +2,12 @@ package serve
 
 import (
 	"fmt"
+	"math/rand"
+	"net/http/httptest"
+	"net/url"
 	"testing"
+
+	"repro/internal/testset"
 )
 
 // sized returns a Result whose body is n bytes.
@@ -94,5 +99,20 @@ func TestCacheDisabled(t *testing.T) {
 		if _, ok := c.Get("a"); ok || c.Len() != 0 {
 			t.Fatalf("maxBytes=%d: cache stored an entry", max)
 		}
+	}
+}
+
+// The cache key hashes the canonical text of the set. Its value for a
+// fixed request is pinned, so a change in how that text is produced
+// cannot move it unnoticed.
+func TestCacheKeyPinned(t *testing.T) {
+	req, ok := parseCompressQuery(httptest.NewRecorder(), url.Values{"codec": {"9chc"}, "seed": {"3"}, "k": {"12"}})
+	if !ok {
+		t.Fatal("query rejected")
+	}
+	ts := testset.Random(37, 20, 0.4, rand.New(rand.NewSource(5)))
+	const want = "b4ce70f562339787415b896afb4c10d8176cc22ec6dfd838a9b1818a0310dba8"
+	if got := req.cacheKey(ts); got != want {
+		t.Fatalf("cache key %s, want %s", got, want)
 	}
 }

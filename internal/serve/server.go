@@ -554,9 +554,10 @@ func (req *compressRequest) cacheKey(ts *testset.TestSet) string {
 	h := sha256.New()
 	_, _ = io.WriteString(h, req.canon) // sha256 writes cannot fail
 	fmt.Fprintf(h, "|w=%d\n", ts.Width)
+	var line []byte
 	for _, p := range ts.Patterns {
-		_, _ = io.WriteString(h, p.String())
-		h.Write([]byte{'\n'})
+		line = append(p.AppendTo(line[:0]), '\n')
+		h.Write(line)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

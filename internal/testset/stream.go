@@ -2,10 +2,11 @@ package testset
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"repro/internal/tritvec"
 )
@@ -27,25 +28,44 @@ type Scanner struct {
 }
 
 // NewScanner parses the header line and returns a Scanner positioned at
-// the first pattern.
+// the first pattern. The line buffer starts small and grows with the
+// longest line, up to maxLine.
 func NewScanner(r io.Reader) (*Scanner, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, maxLine)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := content(sc.Bytes())
+		if line == nil {
 			continue
 		}
-		width, want, err := parseHeader(line)
+		width, want, err := parseHeader(string(line))
 		if err != nil {
 			return nil, err
 		}
 		return &Scanner{sc: sc, width: width, want: want}, nil
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, scanError(err)
 	}
 	return nil, fmt.Errorf("testset: empty input")
+}
+
+// content returns a line without its surrounding white space, or nil
+// for a blank line or a '#' comment.
+func content(line []byte) []byte {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 || line[0] == '#' {
+		return nil
+	}
+	return line
+}
+
+// scanError names the format's line cap when a line exceeds it.
+func scanError(err error) error {
+	if errors.Is(err, bufio.ErrTooLong) {
+		return fmt.Errorf("testset: line longer than %d bytes: %w", maxLine, err)
+	}
+	return err
 }
 
 // MaxHeaderWidth and MaxHeaderPatterns bound the dimensions a textual
@@ -58,6 +78,11 @@ const (
 	MaxHeaderWidth    = 1 << 24
 	MaxHeaderPatterns = 1 << 28
 )
+
+// maxLine caps one line of the textual format, line ending
+// included. It leaves room beyond MaxHeaderWidth for a CRLF ending and
+// blanks around a pattern of the widest width a header may declare.
+const maxLine = MaxHeaderWidth + 4096
 
 func parseHeader(line string) (width, want int, err error) {
 	var n int
@@ -97,11 +122,11 @@ func (s *Scanner) Next() (tritvec.Vector, error) {
 		return tritvec.Vector{}, io.EOF
 	}
 	for s.sc.Scan() {
-		line := strings.TrimSpace(s.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := content(s.sc.Bytes())
+		if line == nil {
 			continue
 		}
-		v, err := tritvec.FromString(line)
+		v, err := tritvec.Parse(line)
 		if err != nil {
 			return tritvec.Vector{}, s.parseOrReadError(err)
 		}
@@ -113,7 +138,7 @@ func (s *Scanner) Next() (tritvec.Vector, error) {
 		return v, nil
 	}
 	if err := s.sc.Err(); err != nil {
-		return tritvec.Vector{}, err
+		return tritvec.Vector{}, scanError(err)
 	}
 	s.done = true
 	if s.want >= 0 && s.seen != s.want {
@@ -138,6 +163,7 @@ func (s *Scanner) parseOrReadError(parseErr error) error {
 // memory. Close flushes; it does not close the underlying writer.
 type PatternWriter struct {
 	bw    *bufio.Writer
+	line  []byte // reused: one pattern line and its '\n'
 	width int
 	n     int
 }
@@ -165,10 +191,8 @@ func (pw *PatternWriter) WritePattern(v tritvec.Vector) error {
 	if v.Len() != pw.width {
 		return fmt.Errorf("testset: pattern length %d != width %d", v.Len(), pw.width)
 	}
-	if _, err := pw.bw.WriteString(v.String()); err != nil {
-		return err
-	}
-	if err := pw.bw.WriteByte('\n'); err != nil {
+	pw.line = append(v.AppendTo(pw.line[:0]), '\n')
+	if _, err := pw.bw.Write(pw.line); err != nil {
 		return err
 	}
 	pw.n++

@@ -5,7 +5,6 @@
 package testset
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math/rand"
@@ -109,22 +108,19 @@ func (ts *TestSet) Compatible(other *TestSet) bool {
 	return true
 }
 
-// Write emits the textual format: a header line "width T", then one line of
-// trit characters per pattern.
+// Write emits the textual format through a PatternWriter: a header line
+// "width T", then one line of trit characters per pattern.
 func (ts *TestSet) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%d %d\n", ts.Width, len(ts.Patterns)); err != nil {
+	pw, err := NewPatternWriter(w, ts.Width, len(ts.Patterns))
+	if err != nil {
 		return err
 	}
 	for _, p := range ts.Patterns {
-		if _, err := bw.WriteString(p.String()); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+		if err := pw.WritePattern(p); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return pw.Close()
 }
 
 // Read parses the textual format produced by Write. Blank lines and lines

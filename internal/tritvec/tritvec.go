@@ -67,22 +67,21 @@ func New(n int) Vector {
 	if n < 0 {
 		panic("tritvec: negative length")
 	}
-	w := words(n)
-	return Vector{n: n, care: make([]uint64, w), val: make([]uint64, w)}
+	return alloc(n)
 }
 
-// FromString parses a vector from a string of trit characters.
-func FromString(s string) (Vector, error) {
-	v := New(len(s))
-	for i := 0; i < len(s); i++ {
-		t, err := ParseTrit(s[i])
-		if err != nil {
-			return Vector{}, err
-		}
-		v.Set(i, t)
-	}
-	return v, nil
+// alloc returns an all-X vector of length n whose two planes share one
+// allocation; the full slice expression keeps the care plane from
+// growing into the value plane.
+func alloc(n int) Vector {
+	w := words(n)
+	p := make([]uint64, 2*w)
+	return Vector{n: n, care: p[:w:w], val: p[w:]}
 }
+
+// FromString parses a vector from a string of trit characters; see
+// Parse.
+func FromString(s string) (Vector, error) { return Parse([]byte(s)) }
 
 // MustFromString is FromString that panics on malformed input. For use in
 // tests and literals.
@@ -200,7 +199,7 @@ func (v Vector) SetWordMSB(pos int, word uint64, k int) {
 
 // Clone returns a deep copy of v.
 func (v Vector) Clone() Vector {
-	c := Vector{n: v.n, care: make([]uint64, len(v.care)), val: make([]uint64, len(v.val))}
+	c := alloc(v.n)
 	copy(c.care, v.care)
 	copy(c.val, v.val)
 	return c
@@ -219,15 +218,8 @@ func (v Vector) Equal(o Vector) bool {
 	return true
 }
 
-// String renders the vector with '0', '1' and 'X'.
-func (v Vector) String() string {
-	var sb strings.Builder
-	sb.Grow(v.n)
-	for i := 0; i < v.n; i++ {
-		sb.WriteString(v.Get(i).String())
-	}
-	return sb.String()
-}
+// String renders the vector with '0', '1' and 'X'; see AppendTo.
+func (v Vector) String() string { return string(v.AppendTo(make([]byte, 0, v.n))) }
 
 // StringU renders the vector with '0', '1' and 'U' (matching-vector
 // notation, as used in the paper).
@@ -305,15 +297,15 @@ func (v Vector) Slice(lo, hi int) Vector {
 	if lo < 0 || hi > v.n || lo > hi {
 		panic(fmt.Sprintf("tritvec: bad slice [%d,%d) of length %d", lo, hi, v.n))
 	}
-	out := Vector{n: hi - lo}
-	out.care = sliceWords(v.care, lo, out.n)
-	out.val = sliceWords(v.val, lo, out.n)
+	out := alloc(hi - lo)
+	sliceWords(out.care, v.care, lo, out.n)
+	sliceWords(out.val, v.val, lo, out.n)
 	return out
 }
 
-// sliceWords extracts n bits of a plane starting at bit offset lo.
-func sliceWords(src []uint64, lo, n int) []uint64 {
-	out := make([]uint64, words(n))
+// sliceWords extracts n bits of a plane starting at bit offset lo into
+// out, which holds words(n) words.
+func sliceWords(out, src []uint64, lo, n int) {
 	w, b := lo>>6, uint(lo&63)
 	for i := range out {
 		x := src[w+i] >> b
@@ -325,7 +317,6 @@ func sliceWords(src []uint64, lo, n int) []uint64 {
 	if r := uint(n & 63); r != 0 {
 		out[len(out)-1] &= 1<<r - 1
 	}
-	return out
 }
 
 // insertBits overwrites k (<= 64) bits of a plane at bit offset off
