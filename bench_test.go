@@ -247,14 +247,14 @@ func BenchmarkAblationCoverOrder(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	blocks := blockcode.Partition(ts, 8)
+	ms := blockcode.Dedup(blockcode.Partition(ts, 8))
 	code := ninec.FixedCode()
 	var minU, minEnc int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		covU := set.Cover(blocks)
+		covU := set.CoverMultiset(ms)
 		minU = set.CompressedBits(covU, code.Lengths)
-		covE := set.CoverByEncoding(blocks, code.Lengths)
+		covE := set.CoverByEncoding(ms, code.Lengths)
 		minEnc = set.CompressedBits(covE, code.Lengths)
 	}
 	b.ReportMetric(blockcode.Rate(ts.TotalBits(), minU), "minU%")

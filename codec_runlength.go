@@ -9,7 +9,6 @@ import (
 	"repro/internal/golomb"
 	"repro/internal/runlength"
 	"repro/internal/testset"
-	"repro/internal/tritvec"
 )
 
 // The run-length-family coders (Golomb, FDR, fixed-block run-length)
@@ -22,12 +21,6 @@ import (
 //	fdr:    —  (empty; the code is parameter-free)
 
 const maxGolombM = 1 << 20
-
-// flatToSet splits a decoded flat string into the artifact's pattern
-// shape.
-func flatToSet(flat tritvec.Vector, a *Artifact) (*TestSet, error) {
-	return testset.FromFlat(flat, a.Width)
-}
 
 type golombCodec struct{}
 
@@ -78,7 +71,7 @@ func (golombCodec) Decompress(a *Artifact) (*TestSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return flatToSet(flat, a)
+	return testset.FromFlat(flat, a.Width)
 }
 
 type fdrCodec struct{}
@@ -113,7 +106,7 @@ func (fdrCodec) Decompress(a *Artifact) (*TestSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return flatToSet(flat, a)
+	return testset.FromFlat(flat, a.Width)
 }
 
 type rlCodec struct{}
@@ -159,7 +152,7 @@ func (rlCodec) Decompress(a *Artifact) (*TestSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return flatToSet(flat, a)
+	return testset.FromFlat(flat, a.Width)
 }
 
 func init() {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/huffman"
 	"repro/internal/selhuff"
+	"repro/internal/testset"
 )
 
 // selhuffCodec adapts selective Huffman coding. Its parameter blob
@@ -61,7 +62,7 @@ func (selhuffCodec) Decompress(a *Artifact) (*TestSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return flatToSet(flat, a)
+	return testset.FromFlat(flat, a.Width)
 }
 
 func encodeSelhuffParams(res *selhuff.Result) ([]byte, error) {

@@ -75,3 +75,112 @@ func TestEAOutputPinned(t *testing.T) {
 		})
 	}
 }
+
+// blockPins are SHA-256 digests of v2 containers written by the other
+// block codecs and by the EA with its post-pass or greedy seeding, on the
+// eaPins sets, keyed by subtest name. They were recorded with the
+// per-block reference path: every block partitioned into its own vector,
+// covered and encoded one by one. 9c, 9chc and selhuff do not depend on
+// the EA's stop rule, so they run on the "budget" entries only. On these
+// sets the subsumption post-pass finds no merge that shrinks the EA's
+// result, so "ea/subsume" matches the plain EA pin; the post-pass's own
+// reassignment is checked in internal/blockcode.
+var blockPins = map[string]string{
+	"s298/budget/9c/K8":       "7871562ff298c54bb92881be166fe511b39491ccaff13be901860110b677d93a",
+	"s298/budget/9c/K12":      "8d5be5a9a448b588e93b5f6875989b3c01503917711b53a7c58c2b8727b439f9",
+	"s298/budget/9chc/K8":     "766ee4ee8ffe2b81e9be77c00f72e0b044ed0a9ef965ca2872b908bc0ff77c0f",
+	"s298/budget/9chc/K12":    "b171f546b099104a634fa1779432b42b6540aa856114d150a2aeeb9357d761b8",
+	"s298/budget/selhuff/K8":  "b1e10deaefb9ce6c2aa39b2e99aab5f2dbf2df5e53b19a32ee7daa14ab8dd7d3",
+	"s298/budget/selhuff/K13": "1c74d96708994150fae858dd0bace803e470e50371fbaf695eabaab96a55c941",
+	"s298/budget/ea/subsume":  "73e9a190b5a18deb1e878115a702fcfc716660a0e3f7fc619a23856c174e8c79",
+	"s298/budget/ea/greedy":   "1220c78cb65843b796207be418df10fcc1bc66938fb0c2452c9840878c2e0fb4",
+	"s298/paper/ea/subsume":   "709645984478bb122b77e81875ed001c84f9c702d96a0942496ee41c4d1c1bf3",
+	"s298/paper/ea/greedy":    "dcb6380e5c852371c21d7b6f54ba029c2058a8f39824578ff5b4a66da002f5c9",
+	"s420/budget/9c/K8":       "b619e0fb7fb13e82a68a99131a4c82b3cff550042ca7f3760f6b13ac56d4b3f6",
+	"s420/budget/9c/K12":      "76721becbf3a863da406e6dcb6c497c2e844c2a3966bbc4a4cdbfd1c153a9636",
+	"s420/budget/9chc/K8":     "83979a44373999463a4cd1ed4905d57b70515e4b0f9cf1ba54f46853c753d858",
+	"s420/budget/9chc/K12":    "391af44763814638392eae6bcd9557dba2b8aae041f5b555d058a9d4cdc51a81",
+	"s420/budget/selhuff/K8":  "622d59dbeaace1843b1ff486a12d3a3d17a61e30f8850d0f3d48512066da4226",
+	"s420/budget/selhuff/K13": "e32e5c54133b7fa73b359b857781d228f694a7c697c5641e646d11546368152f",
+	"s420/budget/ea/subsume":  "a19869227547366d0b435941d541ee4a95ca9a2a6d39f957eb8f72f131e41e9f",
+	"s420/budget/ea/greedy":   "9e0e7de27b0ae1bc7ed59df2ab259bb28b484224beda4fc1cc1affb6b9af0c8e",
+	"s420/paper/ea/subsume":   "28c400e830cfb782730383575eb8a600c0403e4d37f02847a93df48d021ff978",
+	"s420/paper/ea/greedy":    "49c547385feb559ee69d4cc984eba8018a020d8e457185aa386f274543bd7be5",
+	"s444/budget/9c/K8":       "aed87f0a2e3cad3119c0c995888a8f199935ee3cc931601c104cc7c877a52466",
+	"s444/budget/9c/K12":      "b7f786fe5f07f51a00f6d2477cc9824625987e97cf3f5a03b0a072fe886feb88",
+	"s444/budget/9chc/K8":     "c62576600f7597c3da2b2deb8d366c33a141e37d71eac0658b4e4cd977718dff",
+	"s444/budget/9chc/K12":    "317da735d315e4b443e663238fd774308b2c61c9b650f8178dcbbe21267201e6",
+	"s444/budget/selhuff/K8":  "4369164315912832b3793c68ae0451b418039e7b4c490e5612d862d4eff1af56",
+	"s444/budget/selhuff/K13": "0c266246201112b1775944b61c38413fce6a5d3c554051ea399bf7ba4c07a077",
+	"s444/budget/ea/subsume":  "965215e0a7562a4d8768bcb5a48f18b106c2e6d7b594de500f3c246298e56d5d",
+	"s444/budget/ea/greedy":   "ebd1134ddb1e264368ef446168c6db55e3766a3b7ba909eb6735057125e6bca6",
+	"s444/paper/ea/subsume":   "5e3b79c95bb097055bd7569579d0a2791c7ea62ca0f6612c97e3f41d942863ba",
+	"s444/paper/ea/greedy":    "52985f19d1d13f0b38e3a94ecb4b01c186a645ea050243fcae5c1d335cb08391",
+}
+
+// blockPinVariants are the codec configurations blockPins covers.
+var blockPinVariants = []struct {
+	name  string
+	codec string
+	opts  []tcomp.Option
+	tune  func(*tcomp.EAParams) // set for the EA: tunes the pin's parameters
+}{
+	{name: "9c/K8", codec: "9c", opts: []tcomp.Option{tcomp.WithBlockLen(8)}},
+	{name: "9c/K12", codec: "9c", opts: []tcomp.Option{tcomp.WithBlockLen(12)}},
+	{name: "9chc/K8", codec: "9chc", opts: []tcomp.Option{tcomp.WithBlockLen(8)}},
+	{name: "9chc/K12", codec: "9chc", opts: []tcomp.Option{tcomp.WithBlockLen(12)}},
+	{name: "selhuff/K8", codec: "selhuff", opts: []tcomp.Option{tcomp.WithBlockLen(8)}},
+	{name: "selhuff/K13", codec: "selhuff", opts: []tcomp.Option{tcomp.WithBlockLen(13), tcomp.WithDictSize(16)}},
+	{name: "ea/subsume", codec: "ea", tune: func(p *tcomp.EAParams) { p.SubsumeOpt = true }},
+	{name: "ea/greedy", codec: "ea", tune: func(p *tcomp.EAParams) { p.SeedGreedy = true }},
+}
+
+// TestBlockCodecOutputPinned compares the block codecs' container bytes
+// with blockPins, as TestEAOutputPinned does for the plain EA.
+func TestBlockCodecOutputPinned(t *testing.T) {
+	for _, pin := range eaPins {
+		m, err := iscasgen.Find(pin.circuit, pin.kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, err := iscasgen.Generate(m, iscasgen.GenOptions{Seed: pin.seed, MaxBits: 8000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range blockPinVariants {
+			if v.tune == nil && pin.stop != "budget" {
+				continue
+			}
+			name := fmt.Sprintf("%s/%s/%s", pin.circuit, pin.stop, v.name)
+			t.Run(name, func(t *testing.T) {
+				codec, err := tcomp.Lookup(v.codec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := v.opts
+				if v.tune != nil {
+					p := tcomp.DefaultEAParams(pin.seed)
+					p.Runs = 2
+					if pin.stop == "budget" {
+						p.EA.MaxGenerations = 150
+						p.EA.MaxNoImprove = 0
+					}
+					v.tune(&p)
+					opts = append(opts, tcomp.WithEAParams(p))
+				}
+				a, err := codec.Compress(context.Background(), ts, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := tcomp.Write(&buf, a); err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(buf.Bytes())
+				if got, want := hex.EncodeToString(sum[:]), blockPins[name]; got != want {
+					t.Errorf("container sha256 %s, pinned %q (rate %.4f%%)", got, want, a.RatePercent())
+				}
+			})
+		}
+	}
+}

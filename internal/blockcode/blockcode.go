@@ -3,10 +3,17 @@
 // blocks of length K; a set of matching vectors (MVs) over {0,1,U} covers
 // the blocks; each block is encoded as the prefix codeword of its MV
 // followed by the block's values at the MV's U positions.
+//
+// A set is cut once: Partition is a view of the flattened string, and
+// Dedup reads each block in place into a BlockMultiset, the distinct
+// blocks with their multiplicities and the block sequence as one index
+// per block. Covering, code construction and encoding all take the
+// multiset, so a block that repeats is matched against the MVs once.
 package blockcode
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/bitstream"
@@ -15,35 +22,46 @@ import (
 	"repro/internal/tritvec"
 )
 
-// Partition splits the flattened test-set string of ts into input blocks of
-// length k, padding the final block with X values as required by the paper
-// ("the test set string is filled up by adding … X values in the end").
-func Partition(ts *testset.TestSet, k int) []tritvec.Vector {
+// Blocks is a test-set string cut into K-blocks. It is a view of the
+// flattened string, not a copy per block: Dedup reads each block in
+// place. The last block is padded with X as required by the paper ("the
+// test set string is filled up by adding … X values in the end").
+type Blocks struct {
+	flat tritvec.Vector
+	k, n int
+}
+
+// Partition cuts the flattened test-set string of ts into K-blocks. It
+// panics if k is not positive, or if the string has more blocks than the
+// 32-bit block index of a BlockMultiset holds.
+func Partition(ts *testset.TestSet, k int) Blocks {
 	if k <= 0 {
 		panic("blockcode: K must be positive")
 	}
-	flat := ts.Flatten()
-	return PartitionFlat(flat, k)
+	return Blocks{flat: ts.Flatten(), k: k, n: blockCount(ts.TotalBits(), k)}
 }
 
-// PartitionFlat splits an arbitrary trit string into K-blocks with X
-// padding.
-func PartitionFlat(flat tritvec.Vector, k int) []tritvec.Vector {
-	n := flat.Len()
-	nblocks := (n + k - 1) / k
-	blocks := make([]tritvec.Vector, nblocks)
-	for i := 0; i < nblocks; i++ {
-		lo := i * k
-		hi := lo + k
-		if hi <= n {
-			blocks[i] = flat.Slice(lo, hi)
-		} else {
-			b := tritvec.New(k)
-			b.CopyFrom(flat.Slice(lo, n), 0)
-			blocks[i] = b
-		}
+// blockCount returns the number of K-blocks in a string of bits trits.
+func blockCount(bits, k int) int {
+	n := (bits + k - 1) / k
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("blockcode: %d blocks of %d trits exceed the 32-bit block index", n, k))
 	}
-	return blocks
+	return n
+}
+
+// Len returns the number of blocks.
+func (b Blocks) Len() int { return b.n }
+
+// block returns a copy of block i, X-padded to K trits.
+func (b Blocks) block(i int) tritvec.Vector {
+	lo, hi := i*b.k, (i+1)*b.k
+	if hi <= b.flat.Len() {
+		return b.flat.Slice(lo, hi)
+	}
+	v := tritvec.New(b.k)
+	v.CopyFrom(b.flat.Slice(lo, b.flat.Len()), 0)
+	return v
 }
 
 // MVSet is an ordered set of matching vectors of a common length K.
@@ -62,24 +80,6 @@ func NewMVSet(k int, mvs []tritvec.Vector) (*MVSet, error) {
 	return &MVSet{K: k, MVs: mvs}, nil
 }
 
-// WithAllU returns a copy of s whose last MV is forced to all-U, the
-// paper's device for making every instance solvable. If an all-U MV is
-// already present the set is returned unchanged (as a copy).
-func (s *MVSet) WithAllU() *MVSet {
-	out := &MVSet{K: s.K, MVs: append([]tritvec.Vector(nil), s.MVs...)}
-	for _, v := range out.MVs {
-		if v.CountX() == s.K {
-			return out
-		}
-	}
-	if len(out.MVs) == 0 {
-		out.MVs = append(out.MVs, tritvec.New(s.K))
-		return out
-	}
-	out.MVs[len(out.MVs)-1] = tritvec.New(s.K)
-	return out
-}
-
 // UPositions returns, for every MV, the ascending indices of its U
 // positions: the order in which Encode writes a block's fill bits and
 // Decode reads them back.
@@ -91,64 +91,60 @@ func (s *MVSet) UPositions() [][]int {
 	return upos
 }
 
-// Covering is the result of assigning each block to an MV.
+// Covering is the result of assigning each distinct block of a
+// BlockMultiset to an MV. Block b of the sequence is covered by
+// Assign[Seq[b]].
 type Covering struct {
-	// Assign[b] is the index (into the MVSet) of the MV covering block b,
-	// or -1 if no MV matches.
+	// Assign[d] is the index (into the MVSet) of the MV covering distinct
+	// block d, or -1 if no MV matches.
 	Assign []int
-	// Freqs[i] is the number of blocks covered by MV i.
+	// Freqs[i] is the number of blocks covered by MV i, counted with
+	// multiplicity, as if the whole sequence were covered.
 	Freqs []int
-	// Uncovered counts blocks with no matching MV.
+	// Uncovered counts blocks, with multiplicity, that no MV matches.
 	Uncovered int
 }
 
 // OK reports whether every block was covered.
 func (c *Covering) OK() bool { return c.Uncovered == 0 }
 
-// Cover assigns each block to the first matching MV in min-U order
-// (Section 3.2: MVs are processed sorted by increasing number of Us).
-func (s *MVSet) Cover(blocks []tritvec.Vector) *Covering {
-	return s.coverOrdered(blocks, s.orderMinU())
+// CoverMultiset assigns each distinct block to the first matching MV in
+// min-U order (Section 3.2: MVs are processed sorted by increasing number
+// of Us).
+func (s *MVSet) CoverMultiset(ms *BlockMultiset) *Covering { return s.cover(ms, nil) }
+
+// CoverByEncoding assigns each distinct block to the matching MV with
+// minimal total encoding length |C(v)|+NU(v) given per-MV codeword
+// lengths, the order in which 9C uses its fixed code.
+func (s *MVSet) CoverByEncoding(ms *BlockMultiset, codeLens []int) *Covering {
+	return s.cover(ms, codeLens)
 }
 
-// CoverByEncoding assigns each block to the matching MV with minimal total
-// encoding length given per-MV codeword lengths.
-func (s *MVSet) CoverByEncoding(blocks []tritvec.Vector, codeLens []int) *Covering {
+// cover assigns each distinct block to the first matching MV in
+// ascending order of codeLens[i]+NU(v_i), or of NU(v_i) alone when
+// codeLens is nil, with ties in MV index order.
+func (s *MVSet) cover(ms *BlockMultiset, codeLens []int) *Covering {
+	cost := make([]int, len(s.MVs))
 	order := make([]int, len(s.MVs))
-	for i := range order {
-		order[i] = i
+	for i, mv := range s.MVs {
+		cost[i], order[i] = mv.CountX(), i
+		if codeLens != nil {
+			cost[i] += codeLens[i]
+		}
 	}
-	cost := func(i int) int { return codeLens[i] + s.MVs[i].CountX() }
-	sort.SliceStable(order, func(a, b int) bool { return cost(order[a]) < cost(order[b]) })
-	return s.coverOrdered(blocks, order)
-}
-
-// orderMinU returns MV indices sorted by ascending number of U positions,
-// stable in original index order.
-func (s *MVSet) orderMinU() []int {
-	order := make([]int, len(s.MVs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return s.MVs[order[a]].CountX() < s.MVs[order[b]].CountX()
-	})
-	return order
-}
-
-func (s *MVSet) coverOrdered(blocks []tritvec.Vector, order []int) *Covering {
-	cov := &Covering{Assign: make([]int, len(blocks)), Freqs: make([]int, len(s.MVs))}
-	for b, blk := range blocks {
-		cov.Assign[b] = -1
+	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] < cost[order[b]] })
+	cov := &Covering{Assign: make([]int, len(ms.Blocks)), Freqs: make([]int, len(s.MVs))}
+	for d, blk := range ms.Blocks {
+		cov.Assign[d] = -1
 		for _, i := range order {
 			if s.MVs[i].Matches(blk) {
-				cov.Assign[b] = i
-				cov.Freqs[i]++
+				cov.Assign[d] = i
+				cov.Freqs[i] += ms.Counts[d]
 				break
 			}
 		}
-		if cov.Assign[b] == -1 {
-			cov.Uncovered++
+		if cov.Assign[d] < 0 {
+			cov.Uncovered += ms.Counts[d]
 		}
 	}
 	return cov
@@ -176,8 +172,8 @@ func Rate(originalBits, compressedBits int) float64 {
 	return 100 * float64(originalBits-compressedBits) / float64(originalBits)
 }
 
-// Result bundles everything produced by compressing a block sequence with
-// an MV set.
+// Result bundles everything produced by compressing a block multiset
+// with an MV set.
 type Result struct {
 	Set            *MVSet
 	Code           *huffman.Code
@@ -192,13 +188,13 @@ type Result struct {
 // RatePercent returns the compression rate of the result.
 func (r *Result) RatePercent() float64 { return Rate(r.OriginalBits, r.CompressedBits) }
 
-// BuildHuffman covers the blocks with s (min-U order) and constructs the
-// Huffman code from the observed frequencies. It returns an error if any
-// block is uncovered.
-func (s *MVSet) BuildHuffman(blocks []tritvec.Vector, originalBits int) (*Result, error) {
-	cov := s.Cover(blocks)
+// BuildHuffman covers the blocks of ms with s (min-U order) and
+// constructs the Huffman code from the observed frequencies. It returns
+// an error if any block is uncovered.
+func (s *MVSet) BuildHuffman(ms *BlockMultiset, originalBits int) (*Result, error) {
+	cov := s.CoverMultiset(ms)
 	if !cov.OK() {
-		return nil, fmt.Errorf("blockcode: %d of %d blocks uncovered", cov.Uncovered, len(blocks))
+		return nil, fmt.Errorf("blockcode: %d of %d blocks uncovered", cov.Uncovered, ms.Total)
 	}
 	code, err := huffman.Build(cov.Freqs)
 	if err != nil {
@@ -213,15 +209,16 @@ func (s *MVSet) BuildHuffman(blocks []tritvec.Vector, originalBits int) (*Result
 	}, nil
 }
 
-// Encode emits the bitstream for blocks under the covering and code in res.
-// Unspecified block values at U positions are transmitted as 0 (any fill is
-// acceptable: the position was a don't-care).
-func Encode(blocks []tritvec.Vector, res *Result) (*bitstream.Writer, error) {
+// Encode emits the bitstream for the block sequence of ms under the
+// covering and code in res. Unspecified block values at U positions are
+// transmitted as 0 (any fill is acceptable: the position was a
+// don't-care).
+func Encode(ms *BlockMultiset, res *Result) (*bitstream.Writer, error) {
 	w := bitstream.NewWriter()
 	code := res.Code
 	upos := res.Set.UPositions()
-	for b, blk := range blocks {
-		mv := res.Covering.Assign[b]
+	for b, d := range ms.Seq {
+		mv := res.Covering.Assign[d]
 		if mv < 0 {
 			return nil, fmt.Errorf("blockcode: block %d uncovered", b)
 		}
@@ -230,7 +227,7 @@ func Encode(blocks []tritvec.Vector, res *Result) (*bitstream.Writer, error) {
 		}
 		w.WriteBits(code.Words[mv], code.Lengths[mv])
 		for _, pos := range upos[mv] {
-			switch blk.Get(pos) {
+			switch ms.Blocks[d].Get(pos) {
 			case tritvec.One:
 				w.WriteBit(1)
 			default: // Zero or X → 0 fill
@@ -315,15 +312,14 @@ func Verify(original, decoded tritvec.Vector) error {
 	return nil
 }
 
-// CompressHuffman is the one-call convenience: partition ts into K-blocks,
-// cover with set, Huffman-encode, emit and verify the stream.
-func CompressHuffman(ts *testset.TestSet, set *MVSet) (*Result, error) {
-	blocks := Partition(ts, set.K)
-	res, err := set.BuildHuffman(blocks, ts.TotalBits())
+// CompressHuffman is the one-call convenience: cover the blocks of ms
+// with set, Huffman-encode and emit the stream.
+func CompressHuffman(ms *BlockMultiset, set *MVSet, originalBits int) (*Result, error) {
+	res, err := set.BuildHuffman(ms, originalBits)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := Encode(blocks, res); err != nil {
+	if _, err := Encode(ms, res); err != nil {
 		return nil, err
 	}
 	return res, nil

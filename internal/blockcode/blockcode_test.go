@@ -1,7 +1,10 @@
 package blockcode
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -23,6 +26,16 @@ func mvset(t *testing.T, k int, mvs ...string) *MVSet {
 	return set
 }
 
+// multiset cuts a test set whose patterns are the given blocks.
+func multiset(t *testing.T, k int, blocks ...string) *BlockMultiset {
+	t.Helper()
+	ts, err := testset.ParseStrings(blocks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Dedup(Partition(ts, k))
+}
+
 func TestPartitionPadding(t *testing.T) {
 	ts, err := testset.ParseStrings("0110", "1XX0")
 	if err != nil {
@@ -30,18 +43,18 @@ func TestPartitionPadding(t *testing.T) {
 	}
 	blocks := Partition(ts, 3)
 	want := []string{"011", "01X", "X0X"}
-	if len(blocks) != len(want) {
-		t.Fatalf("nblocks=%d", len(blocks))
+	if blocks.Len() != len(want) {
+		t.Fatalf("nblocks=%d", blocks.Len())
 	}
 	for i, w := range want {
-		if blocks[i].String() != w {
-			t.Errorf("block %d = %q want %q", i, blocks[i], w)
+		if got := blocks.block(i).String(); got != w {
+			t.Errorf("block %d = %q want %q", i, got, w)
 		}
 	}
 	// Exact division: no padding.
 	blocks = Partition(ts, 4)
-	if len(blocks) != 2 || blocks[1].String() != "1XX0" {
-		t.Fatalf("K=4 partition wrong: %v", blocks)
+	if blocks.Len() != 2 || blocks.block(1).String() != "1XX0" {
+		t.Fatalf("K=4 partition wrong: %d blocks, last %s", blocks.Len(), blocks.block(1))
 	}
 }
 
@@ -51,39 +64,11 @@ func TestNewMVSetValidation(t *testing.T) {
 	}
 }
 
-func TestWithAllU(t *testing.T) {
-	set := mvset(t, 3, "000", "111")
-	out := set.WithAllU()
-	if out.MVs[1].CountX() != 3 {
-		t.Fatal("last MV not forced to all-U")
-	}
-	// Original untouched.
-	if set.MVs[1].CountX() != 0 {
-		t.Fatal("WithAllU mutated receiver")
-	}
-	// Already has all-U: unchanged.
-	set2 := mvset(t, 3, "XXX", "111")
-	out2 := set2.WithAllU()
-	if out2.MVs[1].CountX() != 0 {
-		t.Fatal("WithAllU should keep existing all-U set intact")
-	}
-	// Empty set gains one.
-	set3 := &MVSet{K: 2}
-	if got := set3.WithAllU(); len(got.MVs) != 1 || got.MVs[0].CountX() != 2 {
-		t.Fatal("WithAllU on empty set")
-	}
-}
-
 func TestCoverMinUOrder(t *testing.T) {
 	// Block 111000 matches both 111000 (0 Us) and 111UUU (3 Us); min-U
 	// covering must pick the exact vector.
 	set := mvset(t, 6, "111UUU", "111000", "UUUUUU")
-	blocks := []tritvec.Vector{
-		tritvec.MustFromString("111000"),
-		tritvec.MustFromString("111110"),
-		tritvec.MustFromString("000000"),
-	}
-	cov := set.Cover(blocks)
+	cov := set.CoverMultiset(multiset(t, 6, "111000", "111110", "000000"))
 	if !cov.OK() {
 		t.Fatal("uncovered")
 	}
@@ -103,8 +88,7 @@ func TestCoverMinUOrder(t *testing.T) {
 
 func TestCoverUncovered(t *testing.T) {
 	set := mvset(t, 2, "00")
-	blocks := []tritvec.Vector{tritvec.MustFromString("11")}
-	cov := set.Cover(blocks)
+	cov := set.CoverMultiset(multiset(t, 2, "11"))
 	if cov.OK() || cov.Uncovered != 1 || cov.Assign[0] != -1 {
 		t.Fatalf("expected uncovered block: %+v", cov)
 	}
@@ -115,8 +99,7 @@ func TestCoverByEncoding(t *testing.T) {
 	set := mvset(t, 4, "1111", "UUUU")
 	// exact codeword costs 10 bits, all-U costs 1+4=5.
 	lens := []int{10, 1}
-	blocks := []tritvec.Vector{tritvec.MustFromString("1111")}
-	cov := set.CoverByEncoding(blocks, lens)
+	cov := set.CoverByEncoding(multiset(t, 4, "1111"), lens)
 	if cov.Assign[0] != 1 {
 		t.Fatalf("CoverByEncoding picked %d", cov.Assign[0])
 	}
@@ -138,7 +121,7 @@ func TestEncodeDecodeVerify(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	ts := testset.Random(16, 40, 0.35, r)
 	set := mvset(t, 8, "UUUUUUUU", "00000000", "11111111", "0000UUUU")
-	res, err := CompressHuffman(ts, set)
+	res, err := CompressHuffman(Dedup(Partition(ts, 8)), set, ts.TotalBits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +145,7 @@ func TestDecodeAllocatesPerCall(t *testing.T) {
 	const k = 8
 	ts := testset.Random(64, 1024, 0.35, rand.New(rand.NewSource(5))) // 8 Ki blocks
 	set := mvset(t, k, "UUUUUUUU", "00000000", "11111111", "0000UUUU", "UU11UU00")
-	res, err := CompressHuffman(ts, set)
+	res, err := CompressHuffman(Dedup(Partition(ts, k)), set, ts.TotalBits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +180,7 @@ func TestVerifyFailures(t *testing.T) {
 func TestBuildHuffmanUncoveredError(t *testing.T) {
 	ts, _ := testset.ParseStrings("11")
 	set := mvset(t, 2, "00")
-	if _, err := set.BuildHuffman(Partition(ts, 2), ts.TotalBits()); err == nil {
+	if _, err := set.BuildHuffman(Dedup(Partition(ts, 2)), ts.TotalBits()); err == nil {
 		t.Fatal("expected uncovered error")
 	}
 }
@@ -213,45 +196,98 @@ func TestCompressedBitsAccounting(t *testing.T) {
 }
 
 func TestDedup(t *testing.T) {
-	blocks := []tritvec.Vector{
-		tritvec.MustFromString("01X"),
-		tritvec.MustFromString("01X"),
-		tritvec.MustFromString("111"),
-		tritvec.MustFromString("01X"),
-	}
-	ms := Dedup(blocks)
+	ms := multiset(t, 3, "01X", "01X", "111", "01X")
 	if len(ms.Blocks) != 2 || ms.Total != 4 {
 		t.Fatalf("dedup blocks=%d total=%d", len(ms.Blocks), ms.Total)
 	}
 	if ms.Counts[0] != 3 || ms.Counts[1] != 1 {
 		t.Fatalf("counts=%v", ms.Counts)
 	}
-	// 0X1 and 0 X 1 with different care patterns must not collide.
-	b2 := []tritvec.Vector{tritvec.MustFromString("0X"), tritvec.MustFromString("00")}
-	if ms2 := Dedup(b2); len(ms2.Blocks) != 2 {
+	if want := []int32{0, 0, 1, 0}; !slices.Equal(ms.Seq, want) {
+		t.Fatalf("seq=%v want %v", ms.Seq, want)
+	}
+	// 0X and 00 with different care patterns must not collide.
+	if ms2 := multiset(t, 2, "0X", "00"); len(ms2.Blocks) != 2 {
 		t.Fatal("X and 0 collided in dedup key")
+	}
+	// The X-padded last block equals a full block of the same trits.
+	ms3 := multiset(t, 2, "0X0X0")
+	if len(ms3.Blocks) != 1 || ms3.Counts[0] != 3 || ms3.Blocks[0].String() != "0X" {
+		t.Fatalf("padded block: %d distinct, counts %v", len(ms3.Blocks), ms3.Counts)
 	}
 }
 
-func TestCoverMultisetMatchesCover(t *testing.T) {
-	r := rand.New(rand.NewSource(33))
-	for iter := 0; iter < 30; iter++ {
-		ts := testset.Random(12, 30, r.Float64()*0.8, r)
-		blocks := Partition(ts, 6)
-		set := &MVSet{K: 6}
-		for i := 0; i < 5; i++ {
-			set.MVs = append(set.MVs, tritvec.RandomTernary(6, r))
-		}
-		set.MVs = append(set.MVs, tritvec.New(6)) // all-U
-		covA := set.Cover(blocks)
-		covB := set.CoverMultiset(Dedup(blocks))
-		for i := range covA.Freqs {
-			if covA.Freqs[i] != covB.Freqs[i] {
-				t.Fatalf("iter %d: freqs differ %v vs %v", iter, covA.Freqs, covB.Freqs)
+// refPartition cuts ts into one X-padded vector per block, the copy per
+// block that the Blocks view replaced.
+func refPartition(ts *testset.TestSet, k int) []tritvec.Vector {
+	flat := ts.Flatten()
+	var blocks []tritvec.Vector
+	for lo := 0; lo < flat.Len(); lo += k {
+		b := tritvec.New(k)
+		b.CopyFrom(flat.Slice(lo, min(lo+k, flat.Len())), 0)
+		blocks = append(blocks, b)
+	}
+	return blocks
+}
+
+// refCover covers every block of the sequence on its own, in min-U
+// order: the reference CoverMultiset is held to.
+func refCover(s *MVSet, blocks []tritvec.Vector) *Covering {
+	order := make([]int, len(s.MVs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return s.MVs[order[a]].CountX() < s.MVs[order[b]].CountX()
+	})
+	cov := &Covering{Assign: make([]int, len(blocks)), Freqs: make([]int, len(s.MVs))}
+	for b, blk := range blocks {
+		cov.Assign[b] = -1
+		for _, i := range order {
+			if s.MVs[i].Matches(blk) {
+				cov.Assign[b] = i
+				cov.Freqs[i]++
+				break
 			}
 		}
-		if covA.Uncovered != covB.Uncovered {
-			t.Fatalf("uncovered differ")
+		if cov.Assign[b] == -1 {
+			cov.Uncovered++
+		}
+	}
+	return cov
+}
+
+// TestCoverMultisetMatchesCover holds the multiset cover to covering
+// every block on its own, for K within, at and beyond one word and for
+// padded last blocks: the same frequencies, the same uncovered count and
+// the same MV for every block of the sequence.
+func TestCoverMultisetMatchesCover(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	for iter := 0; iter < 60; iter++ {
+		k := []int{1, 6, 13, 64, 70}[iter%5]
+		ts := testset.Random(1+r.Intn(2*k), r.Intn(30), r.Float64()*0.8, r)
+		set := &MVSet{K: k}
+		for i := 0; i < 5; i++ {
+			set.MVs = append(set.MVs, tritvec.RandomTernary(k, r))
+		}
+		if iter%3 != 0 {
+			set.MVs = append(set.MVs, tritvec.New(k)) // all-U
+		}
+		blocks := refPartition(ts, k)
+		ms := Dedup(Partition(ts, k))
+		ref, cov := refCover(set, blocks), set.CoverMultiset(ms)
+		if !slices.Equal(ref.Freqs, cov.Freqs) || ref.Uncovered != cov.Uncovered {
+			t.Fatalf("iter %d: freqs %v uncovered %d, reference %v and %d",
+				iter, cov.Freqs, cov.Uncovered, ref.Freqs, ref.Uncovered)
+		}
+		if ms.Total != len(blocks) || len(ms.Seq) != len(blocks) {
+			t.Fatalf("iter %d: %d blocks in the multiset, %d cut", iter, ms.Total, len(blocks))
+		}
+		for b, d := range ms.Seq {
+			if !ms.Blocks[d].Equal(blocks[b]) || cov.Assign[d] != ref.Assign[b] {
+				t.Fatalf("iter %d block %d: %s to MV %d, reference %s to MV %d",
+					iter, b, ms.Blocks[d], cov.Assign[d], blocks[b], ref.Assign[b])
+			}
 		}
 	}
 }
@@ -272,7 +308,7 @@ func TestQuickLossless(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := CompressHuffman(ts, set)
+		res, err := CompressHuffman(Dedup(Partition(ts, k)), set, ts.TotalBits())
 		if err != nil {
 			return false
 		}
@@ -288,10 +324,21 @@ func TestQuickLossless(t *testing.T) {
 }
 
 func TestPartitionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for K<=0")
-		}
-	}()
-	PartitionFlat(tritvec.New(4), 0)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		f()
+	}
+	ts, _ := testset.ParseStrings("0110")
+	mustPanic("K=0", func() { Partition(ts, 0) })
+	// A cut refuses more blocks than the 32-bit block index holds,
+	// rather than wrap.
+	mustPanic("2^31 blocks", func() { blockCount(math.MaxInt32+1, 1) })
+	if n := blockCount(2*math.MaxInt32, 2); n != math.MaxInt32 {
+		t.Fatalf("blockCount = %d, want %d", n, math.MaxInt32)
+	}
 }

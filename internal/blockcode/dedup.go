@@ -1,69 +1,48 @@
 package blockcode
 
 import (
-	"strings"
+	"encoding/binary"
 
 	"repro/internal/tritvec"
 )
 
-// BlockMultiset is a deduplicated block sequence: real test-set strings
-// repeat blocks heavily (sparse specified bits), so fitness evaluation over
-// unique blocks weighted by multiplicity is dramatically cheaper than over
-// the raw sequence while producing identical frequencies and sizes.
+// BlockMultiset is a cut test-set string as its distinct blocks: real
+// test-set strings repeat blocks heavily (sparse specified bits), so
+// covering and sizing over the distinct blocks weighted by multiplicity
+// is dramatically cheaper than over the raw sequence while producing
+// identical frequencies and sizes. Seq keeps the sequence for Encode.
 type BlockMultiset struct {
-	Blocks []tritvec.Vector
-	Counts []int
-	Total  int // Σ Counts
+	Blocks []tritvec.Vector // distinct blocks, in first-occurrence order
+	Counts []int            // Counts[d] is the multiplicity of Blocks[d]
+	Seq    []int32          // Seq[b] is the index in Blocks of block b
+	Total  int              // the number of blocks, Σ Counts
 }
 
-func blockKey(v tritvec.Vector) string {
-	var sb strings.Builder
-	care, val := v.Words()
-	buf := make([]byte, 0, 16)
-	for i := range care {
-		for b := 0; b < 8; b++ {
-			buf = append(buf, byte(care[i]>>uint(8*b)), byte(val[i]>>uint(8*b)))
+// Dedup collapses equal blocks, preserving first-occurrence order. It
+// reads each block in place, a care and a value word per 64 trits,
+// looks the words up without allocating and copies each distinct block
+// once.
+func Dedup(blocks Blocks) *BlockMultiset {
+	k := blocks.k
+	ms := &BlockMultiset{Seq: make([]int32, blocks.n), Total: blocks.n}
+	index := make(map[string]int32)
+	key := make([]byte, 0, 16*((k+63)/64))
+	for b := range ms.Seq {
+		key = key[:0]
+		for off := 0; off < k; off += 64 {
+			care, val := blocks.flat.Window(b*k+off, min(64, k-off))
+			key = binary.LittleEndian.AppendUint64(key, care)
+			key = binary.LittleEndian.AppendUint64(key, val)
 		}
-	}
-	sb.Write(buf)
-	return sb.String()
-}
-
-// Dedup collapses equal blocks, preserving first-occurrence order.
-func Dedup(blocks []tritvec.Vector) *BlockMultiset {
-	ms := &BlockMultiset{Total: len(blocks)}
-	index := make(map[string]int, len(blocks))
-	for _, b := range blocks {
-		k := blockKey(b)
-		if i, ok := index[k]; ok {
-			ms.Counts[i]++
-			continue
+		d, ok := index[string(key)]
+		if !ok {
+			d = int32(len(ms.Blocks))
+			index[string(key)] = d
+			ms.Blocks = append(ms.Blocks, blocks.block(b))
+			ms.Counts = append(ms.Counts, 0)
 		}
-		index[k] = len(ms.Blocks)
-		ms.Blocks = append(ms.Blocks, b)
-		ms.Counts = append(ms.Counts, 1)
+		ms.Counts[d]++
+		ms.Seq[b] = d
 	}
 	return ms
-}
-
-// CoverMultiset covers the unique blocks in min-U order; frequencies are
-// weighted by multiplicity so they equal those of covering the raw
-// sequence.
-func (s *MVSet) CoverMultiset(ms *BlockMultiset) *Covering {
-	order := s.orderMinU()
-	cov := &Covering{Assign: make([]int, len(ms.Blocks)), Freqs: make([]int, len(s.MVs))}
-	for b, blk := range ms.Blocks {
-		cov.Assign[b] = -1
-		for _, i := range order {
-			if s.MVs[i].Matches(blk) {
-				cov.Assign[b] = i
-				cov.Freqs[i] += ms.Counts[b]
-				break
-			}
-		}
-		if cov.Assign[b] == -1 {
-			cov.Uncovered += ms.Counts[b]
-		}
-	}
-	return cov
 }

@@ -13,8 +13,8 @@ import (
 // Sizer computes the compressed size of a matching-vector set, given as
 // an EA genome, over one block multiset: the paper's fitness (Sections
 // 3.2–3.3) without materializing the MVs, the covering or the code. Its
-// size equals, bit for bit, MVSet.CoverMultiset → huffman.Build →
-// MVSet.CompressedBits on the same MVs, which stay the reference.
+// size equals, bit for bit, the CompressedBits of MVSet.BuildHuffman on
+// the same MVs, which stays the reference.
 //
 // Blocks are covered bit-sliced. For each position j and bit value b a
 // mask of ⌈L/64⌉ words marks the MVs, in min-U order, that accept b at j
@@ -156,7 +156,7 @@ func (s *Sizer) Size(genes []uint8) (int, bool) {
 	}
 
 	// Min-U order: counting sort by U count, stable by MV index, which is
-	// the order MVSet.orderMinU gives.
+	// the order MVSet.CoverMultiset uses.
 	start := s.start
 	clear(start)
 	for _, u := range s.nu {

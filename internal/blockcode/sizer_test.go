@@ -8,15 +8,14 @@ import (
 	"repro/internal/blockcode"
 	"repro/internal/core"
 	"repro/internal/testset"
-	"repro/internal/tritvec"
 )
 
 // sizeReference is the path the sizer replaces: decode the genome into
-// MVs, cover the raw blocks in min-U order, build the Huffman code and
+// MVs, cover the blocks in min-U order, build the Huffman code and
 // account the size.
-func sizeReference(blocks []tritvec.Vector, genes []uint8, k, l int) (int, bool) {
+func sizeReference(ms *blockcode.BlockMultiset, genes []uint8, k, l int) (int, bool) {
 	set := &blockcode.MVSet{K: k, MVs: core.GenesToMVs(genes, k, l)}
-	res, err := set.BuildHuffman(blocks, 0)
+	res, err := set.BuildHuffman(ms, 0)
 	if err != nil {
 		return 0, false
 	}
@@ -27,7 +26,7 @@ func sizeReference(blocks []tritvec.Vector, genes []uint8, k, l int) (int, bool)
 // come from a random test set (0 to 40 patterns, so also none); the
 // genome repeats genome's bytes, raw (the sizer takes them mod 3), or is
 // random when genome is empty. pin sets the last MV to all-U.
-func sizerCase(k, l int, pin bool, density uint8, seed int64, genome []byte) ([]tritvec.Vector, []uint8) {
+func sizerCase(k, l int, pin bool, density uint8, seed int64, genome []byte) (*blockcode.BlockMultiset, []uint8) {
 	r := rand.New(rand.NewSource(seed))
 	ts := testset.Random(1+r.Intn(3*k), r.Intn(41), float64(density%101)/100, r)
 	genes := make([]uint8, k*l)
@@ -41,14 +40,14 @@ func sizerCase(k, l int, pin bool, density uint8, seed int64, genome []byte) ([]
 	if pin {
 		clear(genes[(l-1)*k:])
 	}
-	return blockcode.Partition(ts, k), genes
+	return blockcode.Dedup(blockcode.Partition(ts, k)), genes
 }
 
 func checkSizer(t *testing.T, k, l int, pin bool, density uint8, seed int64, genome []byte) {
 	t.Helper()
-	blocks, genes := sizerCase(k, l, pin, density, seed, genome)
-	want, wantOK := sizeReference(blocks, genes, k, l)
-	s := blockcode.NewSizer(blockcode.Dedup(blocks), k, l)
+	ms, genes := sizerCase(k, l, pin, density, seed, genome)
+	want, wantOK := sizeReference(ms, genes, k, l)
+	s := blockcode.NewSizer(ms, k, l)
 	for pass := 0; pass < 2; pass++ { // the second pass reuses the scratch
 		got, ok := s.Size(genes)
 		if got != want || ok != wantOK {
@@ -105,12 +104,12 @@ func TestSizerMinUTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := blockcode.Partition(ts, 4)
+	ms := blockcode.Dedup(blockcode.Partition(ts, 4))
 	// MV 0 = 00UU and MV 1 = 0UU0 both have two U; MV 2 = UUUU. Block
 	// 0000 goes to MV 0; to MV 1 the code would have three symbols.
 	genes := []uint8{1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0}
-	want, _ := sizeReference(blocks, genes, 4, 3)
-	got, ok := blockcode.NewSizer(blockcode.Dedup(blocks), 4, 3).Size(genes)
+	want, _ := sizeReference(ms, genes, 4, 3)
+	got, ok := blockcode.NewSizer(ms, 4, 3).Size(genes)
 	if !ok || got != want {
 		t.Fatalf("sizer %d, %v; reference %d", got, ok, want)
 	}
@@ -119,8 +118,8 @@ func TestSizerMinUTies(t *testing.T) {
 // TestSizerClonesConcurrent sizes different genomes on clones at once;
 // under -race it also proves clones share no scratch.
 func TestSizerClonesConcurrent(t *testing.T) {
-	blocks, _ := sizerCase(12, 64, true, 30, 5, nil)
-	s := blockcode.NewSizer(blockcode.Dedup(blocks), 12, 64)
+	ms, _ := sizerCase(12, 64, true, 30, 5, nil)
+	s := blockcode.NewSizer(ms, 12, 64)
 	genomes := make([][]uint8, 4)
 	want := make([]int, len(genomes))
 	for g := range genomes {

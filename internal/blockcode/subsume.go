@@ -1,9 +1,6 @@
 package blockcode
 
-import (
-	"repro/internal/huffman"
-	"repro/internal/tritvec"
-)
+import "repro/internal/huffman"
 
 // SubsumeOptimize implements the improvement the paper identifies in
 // Section 3.3: plain Huffman coding over covering frequencies can be
@@ -83,8 +80,8 @@ func (s *MVSet) SubsumeOptimize(cov *Covering) (*Covering, *huffman.Code, int, e
 }
 
 // BuildHuffmanOpt is BuildHuffman followed by the subsumption post-pass.
-func (s *MVSet) BuildHuffmanOpt(blocks []tritvec.Vector, originalBits int) (*Result, error) {
-	res, err := s.BuildHuffman(blocks, originalBits)
+func (s *MVSet) BuildHuffmanOpt(ms *BlockMultiset, originalBits int) (*Result, error) {
+	res, err := s.BuildHuffman(ms, originalBits)
 	if err != nil {
 		return nil, err
 	}

@@ -57,8 +57,8 @@ func TestSubsumeOptimizeNeverWorse(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := mvset(t, 8, "1110111U", "11101110", "00000000", "UUUUUUUU")
-	blocks := Partition(ts, 8)
-	res, err := set.BuildHuffman(blocks, ts.TotalBits())
+	ms := Dedup(Partition(ts, 8))
+	res, err := set.BuildHuffman(ms, ts.TotalBits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +70,9 @@ func TestSubsumeOptimizeNeverWorse(t *testing.T) {
 		t.Fatalf("subsume pass increased size: %d > %d", sz, res.CompressedBits)
 	}
 	// Every reassigned block must still be matched by its new MV.
-	for b, mv := range cov2.Assign {
-		if !set.MVs[mv].Matches(blocks[b]) {
-			t.Fatalf("block %d reassigned to non-matching MV %d", b, mv)
+	for d, mv := range cov2.Assign {
+		if !set.MVs[mv].Matches(ms.Blocks[d]) {
+			t.Fatalf("block %s reassigned to non-matching MV %d", ms.Blocks[d], mv)
 		}
 	}
 	if code2.TotalBits(cov2.Freqs) > code2.TotalBits(cov2.Freqs) {
@@ -89,12 +89,12 @@ func TestBuildHuffmanOptEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := mvset(t, 8, "1110111U", "11101110", "00000000", "UUUUUUUU")
-	blocks := Partition(ts, 8)
-	plain, err := set.BuildHuffman(blocks, ts.TotalBits())
+	ms := Dedup(Partition(ts, 8))
+	plain, err := set.BuildHuffman(ms, ts.TotalBits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := set.BuildHuffmanOpt(blocks, ts.TotalBits())
+	opt, err := set.BuildHuffmanOpt(ms, ts.TotalBits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestBuildHuffmanOptEndToEnd(t *testing.T) {
 		t.Fatalf("opt %d worse than plain %d", opt.CompressedBits, plain.CompressedBits)
 	}
 	// The optimized result must still encode and round-trip.
-	if _, err := Encode(blocks, opt); err != nil {
+	if _, err := Encode(ms, opt); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := Decode(bitstream.FromWriter(opt.Stream), opt.Set, opt.Code, ts.TotalBits())

@@ -74,7 +74,7 @@ func TestNumBlocksPadding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(blockcode.Partition(ts, f.K))*f.K == ts.TotalBits() {
+	if blockcode.Partition(ts, f.K).Len()*f.K == ts.TotalBits() {
 		t.Fatalf("%d bits fill whole %d-blocks: no padding to test", ts.TotalBits(), f.K)
 	}
 	r := bitstream.NewReader(f.Payload, f.NBits)

@@ -204,8 +204,7 @@ func CompressCtx(ctx context.Context, ts *testset.TestSet, p Params) (*Result, e
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	blocks := blockcode.Partition(ts, p.K)
-	ms := blockcode.Dedup(blocks)
+	ms := blockcode.Dedup(blockcode.Partition(ts, p.K))
 	prob := newProblem(ms, p.K, p.L, ts.TotalBits(), p.ForceAllU)
 
 	var seeds [][]ea.Gene
@@ -224,7 +223,7 @@ func CompressCtx(ctx context.Context, ts *testset.TestSet, p Params) (*Result, e
 		seeds = append(seeds, padToL(nine.MVs))
 	}
 	if p.SeedGreedy {
-		g := mvheur.Greedy(blocks, p.K, p.L, mvheur.DefaultOptions())
+		g := mvheur.Greedy(ms, p.K, p.L, mvheur.DefaultOptions())
 		seeds = append(seeds, padToL(g.MVs))
 	}
 
@@ -272,14 +271,14 @@ func CompressCtx(ctx context.Context, ts *testset.TestSet, p Params) (*Result, e
 	set := &blockcode.MVSet{K: p.K, MVs: GenesToMVs(bestGenes, p.K, p.L)}
 	var final *blockcode.Result
 	if p.SubsumeOpt {
-		final, err = set.BuildHuffmanOpt(blocks, ts.TotalBits())
+		final, err = set.BuildHuffmanOpt(ms, ts.TotalBits())
 	} else {
-		final, err = set.BuildHuffman(blocks, ts.TotalBits())
+		final, err = set.BuildHuffman(ms, ts.TotalBits())
 	}
 	if err != nil {
 		return nil, err
 	}
-	if _, err := blockcode.Encode(blocks, final); err != nil {
+	if _, err := blockcode.Encode(ms, final); err != nil {
 		return nil, err
 	}
 	res.Final = final

@@ -212,8 +212,7 @@ func TestRandomMVSetCoversEverything(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	set := RandomMVSet(8, 10, 0.5, r)
 	ts := testset.Random(16, 30, 0.5, r)
-	blocks := blockcode.Partition(ts, 8)
-	cov := set.Cover(blocks)
+	cov := set.CoverMultiset(blockcode.Dedup(blockcode.Partition(ts, 8)))
 	if !cov.OK() {
 		t.Fatal("RandomMVSet must include all-U and cover everything")
 	}
@@ -230,5 +229,47 @@ func TestFitnessInvalidWithoutCover(t *testing.T) {
 	genes = []ea.Gene{0, 0, 0, 0} // all-U covers
 	if f := prob.Fitness(genes); f <= invalidFitness {
 		t.Fatal("valid genome scored invalid")
+	}
+}
+
+// TestCompressAllocationsDoNotGrowWithBlocks compresses a set and then
+// the same patterns repeated 8 times. Its bit count is a multiple of
+// both block lengths, so both sets cut into the same distinct blocks:
+// 9C, 9C+HC and a 20-generation EA may allocate only a few times more
+// on the larger set (the output stream's regrowth), never once per
+// block.
+func TestCompressAllocationsDoNotGrowWithBlocks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	ts := testset.Random(48, 128, 0.3, rand.New(rand.NewSource(5)))
+	ts8 := testset.New(ts.Width)
+	for i := 0; i < 8; i++ {
+		for _, p := range ts.Patterns {
+			ts8.Add(p)
+		}
+	}
+	p := DefaultParams(1)
+	p.EA.MaxGenerations = 20
+	p.Workers = 1 // parallel runs may each clone a sizer from the pool
+	for _, c := range []struct {
+		name     string
+		compress func(*testset.TestSet) error
+	}{
+		{"9c", func(ts *testset.TestSet) error { _, err := ninec.Compress(ts, 8); return err }},
+		{"9chc", func(ts *testset.TestSet) error { _, err := ninec.CompressHC(ts, 8); return err }},
+		{"ea", func(ts *testset.TestSet) error { _, err := Compress(ts, p); return err }},
+	} {
+		allocs := func(ts *testset.TestSet) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if err := c.compress(ts); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if small, large := allocs(ts), allocs(ts8); large > small+16 {
+			t.Errorf("%s allocates %v times on %d patterns and %v on %d: it allocates per block",
+				c.name, small, ts.NumPatterns(), large, ts8.NumPatterns())
+		}
 	}
 }

@@ -48,7 +48,7 @@ func TestFSMMatchesSoftwareDecode(t *testing.T) {
 	if st.InputBits != res.CompressedBits {
 		t.Fatalf("consumed %d bits, stream has %d", st.InputBits, res.CompressedBits)
 	}
-	if blocks := len(blockcode.Partition(ts, res.Set.K)); st.Blocks != blocks {
+	if blocks := blockcode.Partition(ts, res.Set.K).Len(); st.Blocks != blocks {
 		t.Fatalf("FSM reports %d blocks, want %d", st.Blocks, blocks)
 	}
 }
@@ -63,7 +63,7 @@ func TestCycleModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := st.InputBits + len(blockcode.Partition(ts, 8))*res.Set.K
+	want := st.InputBits + blockcode.Partition(ts, 8).Len()*res.Set.K
 	if st.Cycles != want {
 		t.Fatalf("cycles=%d want %d", st.Cycles, want)
 	}

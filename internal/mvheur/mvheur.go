@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"repro/internal/blockcode"
-	"repro/internal/huffman"
 	"repro/internal/testset"
 	"repro/internal/tritvec"
 )
@@ -28,16 +27,15 @@ type Options struct {
 // DefaultOptions returns the defaults.
 func DefaultOptions() Options { return Options{MergeThreshold: 2, MergePasses: 3} }
 
-// Greedy builds an MV set of at most l vectors of length k for the given
-// blocks. The last vector is always all-U, so covering cannot fail.
-func Greedy(blocks []tritvec.Vector, k, l int, opt Options) *blockcode.MVSet {
+// Greedy builds an MV set of at most l vectors of length k for the
+// blocks of ms. The last vector is always all-U, so covering cannot fail.
+func Greedy(ms *blockcode.BlockMultiset, k, l int, opt Options) *blockcode.MVSet {
 	if opt.MergeThreshold <= 0 {
 		opt.MergeThreshold = 2
 	}
 	if opt.MergePasses <= 0 {
 		opt.MergePasses = 3
 	}
-	ms := blockcode.Dedup(blocks)
 	type cand struct {
 		v     tritvec.Vector
 		count int
@@ -109,38 +107,18 @@ func generalize(a, b tritvec.Vector) tritvec.Vector {
 }
 
 // Compress runs the heuristic end to end: build the MV set, cover,
-// Huffman-encode, emit the verified stream.
+// Huffman-encode, emit the stream.
 func Compress(ts *testset.TestSet, k, l int, opt Options) (*blockcode.Result, error) {
-	blocks := blockcode.Partition(ts, k)
-	set := Greedy(blocks, k, l, opt)
-	res, err := set.BuildHuffman(blocks, ts.TotalBits())
-	if err != nil {
-		return nil, err
-	}
-	if _, err := blockcode.Encode(blocks, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	ms := blockcode.Dedup(blockcode.Partition(ts, k))
+	return blockcode.CompressHuffman(ms, Greedy(ms, k, l, opt), ts.TotalBits())
 }
 
 // Rate is a sizing-only variant used in fitness-style comparisons.
 func Rate(ts *testset.TestSet, k, l int, opt Options) (float64, error) {
-	blocks := blockcode.Partition(ts, k)
-	set := Greedy(blocks, k, l, opt)
-	ms := blockcode.Dedup(blocks)
-	cov := set.CoverMultiset(ms)
-	if !cov.OK() {
-		return 0, errUncovered
-	}
-	code, err := huffman.Build(cov.Freqs)
+	ms := blockcode.Dedup(blockcode.Partition(ts, k))
+	res, err := Greedy(ms, k, l, opt).BuildHuffman(ms, ts.TotalBits())
 	if err != nil {
 		return 0, err
 	}
-	return blockcode.Rate(ts.TotalBits(), set.CompressedBits(cov, code.Lengths)), nil
+	return res.RatePercent(), nil
 }
-
-var errUncovered = errorString("mvheur: uncovered blocks despite all-U backstop")
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }

@@ -23,16 +23,26 @@ func TestGeneralize(t *testing.T) {
 	}
 }
 
+// multiset cuts a test set whose patterns are the given blocks.
+func multiset(t *testing.T, k int, blocks ...string) *blockcode.BlockMultiset {
+	t.Helper()
+	ts, err := testset.ParseStrings(blocks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blockcode.Dedup(blockcode.Partition(ts, k))
+}
+
 func TestGreedyAlwaysCovers(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 20; iter++ {
 		ts := testset.Random(16, 30, r.Float64(), r)
-		blocks := blockcode.Partition(ts, 8)
-		set := Greedy(blocks, 8, 8, DefaultOptions())
+		ms := blockcode.Dedup(blockcode.Partition(ts, 8))
+		set := Greedy(ms, 8, 8, DefaultOptions())
 		if len(set.MVs) > 8 {
 			t.Fatalf("L exceeded: %d", len(set.MVs))
 		}
-		cov := set.Cover(blocks)
+		cov := set.CoverMultiset(ms)
 		if !cov.OK() {
 			t.Fatal("greedy set with all-U backstop failed to cover")
 		}
@@ -42,13 +52,13 @@ func TestGreedyAlwaysCovers(t *testing.T) {
 func TestGreedyPicksFrequentBlocks(t *testing.T) {
 	// A dominant repeated block must appear as an MV (or a generalization
 	// of it).
-	blocks := []tritvec.Vector{}
 	dom := tritvec.MustFromString("11001100")
+	var blocks []string
 	for i := 0; i < 50; i++ {
-		blocks = append(blocks, dom.Clone())
+		blocks = append(blocks, dom.String())
 	}
-	blocks = append(blocks, tritvec.MustFromString("00110011"))
-	set := Greedy(blocks, 8, 4, DefaultOptions())
+	blocks = append(blocks, "00110011")
+	set := Greedy(multiset(t, 8, blocks...), 8, 4, DefaultOptions())
 	found := false
 	for _, mv := range set.MVs {
 		if mv.Matches(dom) && mv.CountSpecified() >= 4 {
@@ -63,14 +73,13 @@ func TestGreedyPicksFrequentBlocks(t *testing.T) {
 func TestMergeGeneralizes(t *testing.T) {
 	// Blocks 110100 and 110000 (distance 1) should merge into 110U00,
 	// the paper's introduction example of an efficient MV.
-	var blocks []tritvec.Vector
+	var blocks []string
 	for i := 0; i < 10; i++ {
-		blocks = append(blocks, tritvec.MustFromString("110100"))
-		blocks = append(blocks, tritvec.MustFromString("110000"))
+		blocks = append(blocks, "110100", "110000")
 	}
 	// Noise so L is tight and merging pays off.
-	blocks = append(blocks, tritvec.MustFromString("001111"), tritvec.MustFromString("111111"))
-	set := Greedy(blocks, 6, 3, DefaultOptions())
+	blocks = append(blocks, "001111", "111111")
+	set := Greedy(multiset(t, 6, blocks...), 6, 3, DefaultOptions())
 	found := false
 	for _, mv := range set.MVs {
 		if mv.StringU() == "110U00" {
@@ -144,8 +153,8 @@ func TestRateMatchesCompress(t *testing.T) {
 }
 
 func TestZeroOptionDefaults(t *testing.T) {
-	blocks := blockcode.Partition(mustTS(t), 4)
-	set := Greedy(blocks, 4, 4, Options{}) // zero options normalized
+	ms := blockcode.Dedup(blockcode.Partition(mustTS(t), 4))
+	set := Greedy(ms, 4, 4, Options{}) // zero options normalized
 	if len(set.MVs) == 0 {
 		t.Fatal("empty MV set")
 	}

@@ -83,8 +83,8 @@ func Compress(ts *testset.TestSet, k int) (*blockcode.Result, error) {
 		return nil, err
 	}
 	code := FixedCode()
-	blocks := blockcode.Partition(ts, k)
-	cov := set.CoverByEncoding(blocks, code.Lengths)
+	ms := blockcode.Dedup(blockcode.Partition(ts, k))
+	cov := set.CoverByEncoding(ms, code.Lengths)
 	if !cov.OK() {
 		return nil, fmt.Errorf("ninec: uncovered blocks (impossible: v9 is all-U)")
 	}
@@ -95,7 +95,7 @@ func Compress(ts *testset.TestSet, k int) (*blockcode.Result, error) {
 		OriginalBits:   ts.TotalBits(),
 		CompressedBits: set.CompressedBits(cov, code.Lengths),
 	}
-	if _, err := blockcode.Encode(blocks, res); err != nil {
+	if _, err := blockcode.Encode(ms, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -108,5 +108,5 @@ func CompressHC(ts *testset.TestSet, k int) (*blockcode.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return blockcode.CompressHuffman(ts, set)
+	return blockcode.CompressHuffman(blockcode.Dedup(blockcode.Partition(ts, k)), set, ts.TotalBits())
 }

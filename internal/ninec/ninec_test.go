@@ -56,12 +56,11 @@ func TestPaperIntroductionEncodings(t *testing.T) {
 	// 111011 as C(v5)011; 111000 can be coded C(v4) (shortest).
 	set, _ := MVs(6)
 	code := FixedCode()
-	blocks := []tritvec.Vector{
-		tritvec.MustFromString("111100"),
-		tritvec.MustFromString("111011"),
-		tritvec.MustFromString("111000"),
+	ts, err := testset.ParseStrings("111100", "111011", "111000")
+	if err != nil {
+		t.Fatal(err)
 	}
-	cov := set.CoverByEncoding(blocks, code.Lengths)
+	cov := set.CoverByEncoding(blockcode.Dedup(blockcode.Partition(ts, 6)), code.Lengths)
 	if cov.Assign[0] != 4 { // v5 = 111UUU
 		t.Errorf("111100 covered by v%d, want v5", cov.Assign[0]+1)
 	}

@@ -7,6 +7,7 @@ package selhuff
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/bitstream"
@@ -35,18 +36,6 @@ func (r *Result) RatePercent() float64 {
 	return 100 * float64(r.OriginalBits-r.CompressedBits) / float64(r.OriginalBits)
 }
 
-// blockWord packs a fully specified K-bit block into a uint64.
-func blockWord(flat tritvec.Vector, off, k int) uint64 {
-	var w uint64
-	for i := 0; i < k; i++ {
-		w <<= 1
-		if off+i < flat.Len() && flat.Get(off+i) == tritvec.One {
-			w |= 1
-		}
-	}
-	return w
-}
-
 // Compress encodes ts with block size k and dictionary size d.
 func Compress(ts *testset.TestSet, k, d int) (*Result, error) {
 	if k < 1 || k > 62 {
@@ -56,13 +45,14 @@ func Compress(ts *testset.TestSet, k, d int) (*Result, error) {
 		return nil, fmt.Errorf("selhuff: dictionary size %d out of range", d)
 	}
 	flat := runlength.ZeroFill(ts)
-	nblocks := (flat.Len() + k - 1) / k
 	freq := make(map[uint64]int)
-	words := make([]uint64, nblocks)
-	for b := 0; b < nblocks; b++ {
-		w := blockWord(flat, b*k, k)
-		words[b] = w
-		freq[w]++
+	words := make([]uint64, (flat.Len()+k-1)/k)
+	for b := range words {
+		// The block's value bits, first trit most significant; the
+		// string is zero-filled, and past its end reads as 0.
+		_, val := flat.Window(b*k, k)
+		words[b] = bits.Reverse64(val) >> uint(64-k)
+		freq[words[b]]++
 	}
 	type pf struct {
 		w uint64

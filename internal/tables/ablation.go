@@ -7,7 +7,6 @@ import (
 	"repro/internal/blockcode"
 	"repro/internal/core"
 	"repro/internal/ea"
-	"repro/internal/huffman"
 	"repro/internal/iscasgen"
 	"repro/internal/mvheur"
 	"repro/internal/ninec"
@@ -15,15 +14,6 @@ import (
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// rateOf computes the Huffman-coded compression rate for a covering.
-func rateOf(ts *testset.TestSet, set *blockcode.MVSet, cov *blockcode.Covering) (float64, error) {
-	code, err := huffman.Build(cov.Freqs)
-	if err != nil {
-		return 0, err
-	}
-	return blockcode.Rate(ts.TotalBits(), set.CompressedBits(cov, code.Lengths)), nil
-}
 
 // Ablation compares design variants on one test set; each entry is one
 // variant's rate.
@@ -56,9 +46,9 @@ func AblationCoverOrder(ts *testset.TestSet, k int) (Ablation, error) {
 		return Ablation{}, err
 	}
 	code := ninec.FixedCode()
-	blocks := blockcode.Partition(ts, k)
-	covU := set.Cover(blocks)
-	covE := set.CoverByEncoding(blocks, code.Lengths)
+	ms := blockcode.Dedup(blockcode.Partition(ts, k))
+	covU := set.CoverMultiset(ms)
+	covE := set.CoverByEncoding(ms, code.Lengths)
 	if !covU.OK() || !covE.OK() {
 		return Ablation{}, fmt.Errorf("tables: 9C covering failed")
 	}
@@ -115,24 +105,17 @@ func AblationOperators(ts *testset.TestSet, p core.Params) (Ablation, error) {
 // EA at matched (K, L) — separating the value of the generalized problem
 // formulation from the value of evolutionary search.
 func AblationSearch(ts *testset.TestSet, p core.Params) (Ablation, error) {
-	blocks := blockcode.Partition(ts, p.K)
-	ms := blockcode.Dedup(blocks)
+	ms := blockcode.Dedup(blockcode.Partition(ts, p.K))
 
 	// Random baseline: best of p.Runs random MV sets.
 	randBest := -1e18
 	for run := 0; run < p.Runs; run++ {
 		set := core.RandomMVSet(p.K, p.L, 0.5, newRand(p.EA.Seed+int64(run)))
-		cov := set.CoverMultiset(ms)
-		if !cov.OK() {
-			continue
-		}
-		rate, err := rateOf(ts, set, cov)
+		res, err := set.BuildHuffman(ms, ts.TotalBits())
 		if err != nil {
 			continue
 		}
-		if rate > randBest {
-			randBest = rate
-		}
+		randBest = max(randBest, res.RatePercent())
 	}
 
 	greedy, err := mvheur.Rate(ts, p.K, p.L, mvheur.DefaultOptions())

@@ -5,7 +5,8 @@
 // Vectors are stored in two bit planes of 64-bit words: a care plane and a
 // value plane. Position j is specified iff care bit j is set; its value is
 // then the value bit j. The invariant val ⊆ care holds at all times (an
-// unspecified position has value bit 0), which makes word-wise equality,
+// unspecified position has value bit 0), and the bits past a vector's
+// length are zero in both planes, which makes word-wise equality,
 // matching and subsumption tests single AND/XOR expressions.
 package tritvec
 
@@ -290,33 +291,48 @@ func (v Vector) XPositions() []int {
 	return pos
 }
 
-// Slice returns a copy of positions [lo, hi). Both planes are extracted
-// word-at-a-time (a funnel shift per output word), so splitting a flat
-// decode string back into patterns costs O(words), not O(bits).
+// Slice returns a copy of positions [lo, hi), read a word at a time
+// as Window reads, so splitting a flat decode string back into patterns
+// costs O(words), not O(bits).
 func (v Vector) Slice(lo, hi int) Vector {
 	if lo < 0 || hi > v.n || lo > hi {
 		panic(fmt.Sprintf("tritvec: bad slice [%d,%d) of length %d", lo, hi, v.n))
 	}
 	out := alloc(hi - lo)
-	sliceWords(out.care, v.care, lo, out.n)
-	sliceWords(out.val, v.val, lo, out.n)
+	for i := range out.care {
+		out.care[i], out.val[i] = window(v.care, lo+64*i), window(v.val, lo+64*i)
+	}
+	if r := uint(out.n & 63); r != 0 {
+		mask := uint64(1)<<r - 1
+		out.care[len(out.care)-1] &= mask
+		out.val[len(out.val)-1] &= mask
+	}
 	return out
 }
 
-// sliceWords extracts n bits of a plane starting at bit offset lo into
-// out, which holds words(n) words.
-func sliceWords(out, src []uint64, lo, n int) {
-	w, b := lo>>6, uint(lo&63)
-	for i := range out {
-		x := src[w+i] >> b
-		if b != 0 && w+i+1 < len(src) {
-			x |= src[w+i+1] << (64 - b)
+// Window returns the width ≤ 64 positions of v that start at pos as a
+// care word and a value word, position pos+i at bit i; positions past
+// the end read as X. It is the in-place block read of the block codecs.
+// A width over 64 or a negative pos panics.
+func (v Vector) Window(pos, width int) (care, val uint64) {
+	if uint(width) > 64 {
+		panic(fmt.Sprintf("tritvec: Window of %d positions, over 64", width))
+	}
+	mask := ^uint64(0) >> (64 - uint(width))
+	return window(v.care, pos) & mask, window(v.val, pos) & mask
+}
+
+// window returns the 64 bits of plane p that start at bit pos; bits past
+// the plane read as 0, and a negative pos fails the index.
+func window(p []uint64, pos int) (x uint64) {
+	w, b := pos>>6, uint(pos)&63
+	if w < len(p) {
+		x = p[w] >> b
+		if b != 0 && w+1 < len(p) {
+			x |= p[w+1] << (64 - b)
 		}
-		out[i] = x
 	}
-	if r := uint(n & 63); r != 0 {
-		out[len(out)-1] &= 1<<r - 1
-	}
+	return x
 }
 
 // insertBits overwrites k (<= 64) bits of a plane at bit offset off
@@ -402,29 +418,6 @@ func (v Vector) Specify(fill Trit) Vector {
 		c.care[i] = mask
 	}
 	return c
-}
-
-// Compatible reports whether v's specified positions are preserved in o:
-// for every position where v is specified, o is specified with the same
-// value. This is the lossless-compression acceptance criterion: the decoded
-// (fully specified) block must be Compatible with the original block.
-func (v Vector) Compatible(o Vector) bool {
-	return v.Subsumes(o) // same structural condition, kept as a named alias
-}
-
-// Overlay returns a copy of v where every X position takes o's trit. Used
-// by the decoder: MV specified bits overlaid with transmitted fill bits.
-func (v Vector) Overlay(o Vector) Vector {
-	if v.n != o.n {
-		panic("tritvec: Overlay on vectors of different length")
-	}
-	out := v.Clone()
-	for i := 0; i < v.n; i++ {
-		if out.Get(i) == X {
-			out.Set(i, o.Get(i))
-		}
-	}
-	return out
 }
 
 // Words exposes the raw planes for word-level hot loops. The returned

@@ -108,6 +108,10 @@ func TestSubsumes(t *testing.T) {
 		{"1110", "111U", false},
 		{"111U", "110U", false},
 		{"111U", "111U", true},
+		// The lossless acceptance test: a decoded block keeps every
+		// specified bit of the original.
+		{"1X0X", "1101", true},
+		{"1X0X", "0101", false},
 		{"0UU0", "01X0", false}, // X at a position subsumer doesn't care about is fine; here pos2 is X but subsumer has U there => fine; pos1: subsumer U. so actually true?
 	}
 	// Fix the last case: 0UU0 subsumes 01X0? Subsumer specified at 0 and 3:
@@ -194,29 +198,13 @@ func TestCopyFrom(t *testing.T) {
 	}
 }
 
-func TestSpecifyOverlay(t *testing.T) {
+func TestSpecify(t *testing.T) {
 	v := MustFromString("0X1X")
 	if v.Specify(Zero).String() != "0010" {
 		t.Fatalf("Specify(0) got %q", v.Specify(Zero).String())
 	}
 	if v.Specify(One).String() != "0111" {
 		t.Fatalf("Specify(1) got %q", v.Specify(One).String())
-	}
-	fill := MustFromString("1111")
-	if v.Overlay(fill).String() != "0111" {
-		t.Fatalf("Overlay got %q", v.Overlay(fill).String())
-	}
-}
-
-func TestCompatible(t *testing.T) {
-	orig := MustFromString("1X0X")
-	dec := MustFromString("1101")
-	if !orig.Compatible(dec) {
-		t.Fatal("decoded block preserving specified bits must be Compatible")
-	}
-	bad := MustFromString("0101")
-	if orig.Compatible(bad) {
-		t.Fatal("flipped specified bit must not be Compatible")
 	}
 }
 
@@ -270,7 +258,8 @@ func TestPanics(t *testing.T) {
 	mustPanic("Specify", func() { v.Specify(X) })
 	mustPanic("negative", func() { New(-1) })
 	mustPanic("CopyFrom", func() { v.CopyFrom(New(3), 2) })
-	mustPanic("Overlay", func() { v.Overlay(New(5)) })
+	mustPanic("Window width", func() { v.Window(0, 65) })
+	mustPanic("Window position", func() { v.Window(-1, 1) })
 	mustPanic("Hamming", func() { v.HammingSpecified(New(5)) })
 }
 

@@ -33,6 +33,23 @@ func refSlice(v Vector, lo, hi int) Vector {
 	return out
 }
 
+// refWindow reads the window a trit at a time; past the end is X.
+func refWindow(v Vector, pos, width int) (care, val uint64) {
+	for i := 0; i < width; i++ {
+		if pos+i >= v.Len() {
+			continue
+		}
+		switch v.Get(pos + i) {
+		case Zero:
+			care |= 1 << uint(i)
+		case One:
+			care |= 1 << uint(i)
+			val |= 1 << uint(i)
+		}
+	}
+	return care, val
+}
+
 func refCopyFrom(v, o Vector, off int) {
 	for i := 0; i < o.Len(); i++ {
 		v.Set(off+i, o.Get(i))
@@ -96,6 +113,26 @@ func TestSliceMatchesReference(t *testing.T) {
 		slow := refSlice(base, lo, hi)
 		if !fast.Equal(slow) {
 			t.Fatalf("n=%d [%d,%d):\nfast %s\nslow %s", n, lo, hi, fast, slow)
+		}
+	}
+}
+
+// TestWindowMatchesReference reads every window of widths 0 to 64 at
+// every offset of vectors shorter than, equal to and longer than a
+// word, across word boundaries and past the end.
+func TestWindowMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for _, n := range []int{0, 1, 13, 63, 64, 65, 127, 128, 130, 200} {
+		v := RandomTernary(n, r)
+		for pos := 0; pos <= n+65; pos++ {
+			for width := 0; width <= 64; width++ {
+				care, val := v.Window(pos, width)
+				wantCare, wantVal := refWindow(v, pos, width)
+				if care != wantCare || val != wantVal {
+					t.Fatalf("n=%d Window(%d,%d) = %#x/%#x, want %#x/%#x",
+						n, pos, width, care, val, wantCare, wantVal)
+				}
+			}
 		}
 	}
 }
