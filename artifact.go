@@ -37,8 +37,8 @@ type Artifact struct {
 }
 
 // BitReader returns a bitstream reader positioned at the start of the
-// payload — the raw input a decoder (software or the hardware FSM
-// model) consumes. Every registered codec decompresses through it,
+// payload — the one input type every decoder, software or the hardware
+// FSM model, consumes. Every registered codec decompresses through it,
 // whether the artifact was built whole or from one v3 chunk.
 func (a *Artifact) BitReader() *bitstream.Reader {
 	return bitstream.NewReader(a.Payload, a.NBits)

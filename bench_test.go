@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's exhibits. One bench per table and
 // figure (Tables 1 and 2, the Figure 1 EA loop, the (K,L) sweep behind
 // the EA-Best column), plus ablations for the choices the paper leaves
-// open (subsumption post-pass, covering order, crossover operator) and
-// micro-benchmarks for the hot paths.
+// open (subsumption post-pass, crossover operator) and micro-benchmarks
+// for the hot paths.
 //
 // The per-iteration work uses scaled test sets (tables.QuickConfig) so the
 // suite completes in minutes; `cmd/experiments` regenerates the complete
@@ -233,32 +233,6 @@ func BenchmarkAblationSubsume(b *testing.B) {
 	}
 	b.ReportMetric(plain.Final.RatePercent(), "plain%")
 	b.ReportMetric(opt.Final.RatePercent(), "subsume%")
-}
-
-// BenchmarkAblationCoverOrder compares the paper's min-U covering order
-// against encoding-length-aware covering on the 9C MV set.
-func BenchmarkAblationCoverOrder(b *testing.B) {
-	m, _ := iscasgen.Find("s641", iscasgen.StuckAt)
-	ts, err := iscasgen.Generate(m, iscasgen.GenOptions{Seed: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	set, err := ninec.MVs(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ms := blockcode.Dedup(blockcode.Partition(ts, 8))
-	code := ninec.FixedCode()
-	var minU, minEnc int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		covU := set.CoverMultiset(ms)
-		minU = set.CompressedBits(covU, code.Lengths)
-		covE := set.CoverByEncoding(ms, code.Lengths)
-		minEnc = set.CompressedBits(covE, code.Lengths)
-	}
-	b.ReportMetric(blockcode.Rate(ts.TotalBits(), minU), "minU%")
-	b.ReportMetric(blockcode.Rate(ts.TotalBits(), minEnc), "minEnc%")
 }
 
 // BenchmarkAblationOperators compares uniform vs two-point crossover (the

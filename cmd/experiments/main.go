@@ -36,7 +36,7 @@ func main() {
 		runs      = flag.Int("runs", 0, "override EA run count")
 		circuits  = flag.String("circuits", "", "comma-separated circuit subset")
 		sweep     = flag.Bool("sweep", true, "compute the EA-Best sweep column (table 1)")
-		ablations = flag.String("ablations", "", "run the ablations (covering order, subsumption post-pass, crossover operator, search strategy) on the named circuit instead of a table")
+		ablations = flag.String("ablations", "", "run the ablations (subsumption post-pass, crossover operator, search strategy) on the named circuit instead of a table")
 		codecs    = flag.String("codecs", "", "compress the named circuit with every registered codec instead of a table")
 		streamCmp = flag.String("stream", "", "compare buffered vs chunked streaming compression for every codec on the named circuit")
 		chunk     = flag.Int("chunk", 0, "patterns per stream chunk for -stream (0 = streaming default)")

@@ -6,9 +6,12 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/bitstream"
 	"repro/internal/container"
 	"repro/internal/obs"
 	"repro/internal/runlength"
+	"repro/internal/testset"
+	"repro/internal/tritvec"
 )
 
 // Codec is the uniform interface every compression scheme implements:
@@ -38,6 +41,57 @@ type Codec interface {
 	// Decompress reconstructs the fully specified test set from an
 	// artifact produced by (or parsed for) this codec.
 	Decompress(a *Artifact) (*TestSet, error)
+}
+
+// codec is every built-in scheme's Codec. Each registered value supplies
+// only its encode step (test set → parameter blob and payload) and its
+// decode step (parameter blob and payload reader → flat string); the
+// context check, the Artifact fields and the one testset.FromFlat call
+// are here, once.
+type codec struct {
+	name   string
+	encode func(ctx context.Context, ts *TestSet, o options) (encoded, error)
+	decode func(params []byte, r *bitstream.Reader, totalBits int) (tritvec.Vector, error)
+}
+
+// encoded is what an encode step produces: the parameter blob as stored
+// in the container header, the payload, and the scheme's own result for
+// Artifact.Extra.
+type encoded struct {
+	params  []byte
+	payload *bitstream.Writer
+	extra   any
+}
+
+func (c *codec) Name() string { return c.name }
+
+func (c *codec) Compress(ctx context.Context, ts *TestSet, opts ...Option) (*Artifact, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	enc, err := c.encode(ctx, ts, buildOptions(opts))
+	if err != nil {
+		return nil, err
+	}
+	return &Artifact{
+		Codec:          c.name,
+		Width:          ts.Width,
+		Patterns:       ts.NumPatterns(),
+		OriginalBits:   ts.TotalBits(),
+		CompressedBits: enc.payload.Len(),
+		Params:         enc.params,
+		Payload:        enc.payload.Bytes(),
+		NBits:          enc.payload.Len(),
+		Extra:          enc.extra,
+	}, nil
+}
+
+func (c *codec) Decompress(a *Artifact) (*TestSet, error) {
+	flat, err := c.decode(a.Params, a.BitReader(), a.Width*a.Patterns)
+	if err != nil {
+		return nil, err
+	}
+	return testset.FromFlat(flat, a.Width)
 }
 
 // options collects every knob a codec may consult. Each codec documents
@@ -82,7 +136,9 @@ func WithSeed(seed int64) Option {
 func WithBlockLen(k int) Option { return func(o *options) { o.blockLen = k } }
 
 // WithWorkers bounds pipeline-engine parallelism (0 = one worker per
-// CPU, 1 = serial; results are identical at any setting). Read by: ea.
+// CPU, 1 = serial; results are identical at any setting). Read by: ea,
+// for its parallel runs, and NewStreamWriter, which sizes its chunk
+// pool from it for every codec.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
 // WithEAParams replaces the full evolutionary-compressor configuration.

@@ -2,66 +2,39 @@ package tcomp
 
 import (
 	"context"
-	"fmt"
 
+	"repro/internal/bitstream"
 	"repro/internal/blockcode"
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/ninec"
-	"repro/internal/testset"
+	"repro/internal/tritvec"
 )
 
-// blockCodec adapts the three block-structured schemes — the paper's EA
-// compressor and the 9C / 9C+HC baselines — to the Codec interface. They
-// share one artifact shape: the parameter blob carries the MV table and
-// codeword list (container.EncodeBlockParams), the payload the encoded
-// block stream.
-type blockCodec struct {
-	name     string
-	compress func(ctx context.Context, ts *TestSet, o options) (*blockcode.Result, any, error)
-}
+// The three block-structured schemes, the paper's EA compressor and the
+// 9C / 9C+HC baselines, share one artifact shape: the parameter blob
+// carries the MV table and codeword list (container.EncodeBlockParams),
+// the payload the encoded block stream.
 
-func (c *blockCodec) Name() string { return c.name }
-
-func (c *blockCodec) Compress(ctx context.Context, ts *TestSet, opts ...Option) (*Artifact, error) {
-	o := buildOptions(opts)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res, extra, err := c.compress(ctx, ts, o)
+// blockEncoded frames a block-code result, or passes its error on.
+func blockEncoded(res *blockcode.Result, extra any, err error) (encoded, error) {
 	if err != nil {
-		return nil, err
-	}
-	if res.Stream == nil {
-		return nil, fmt.Errorf("tcomp: %s produced no encoded stream", c.name)
+		return encoded{}, err
 	}
 	params, err := container.EncodeBlockParams(res.Set, res.Code)
 	if err != nil {
-		return nil, err
+		return encoded{}, err
 	}
-	return &Artifact{
-		Codec:          c.name,
-		Width:          ts.Width,
-		Patterns:       ts.NumPatterns(),
-		OriginalBits:   res.OriginalBits,
-		CompressedBits: res.CompressedBits,
-		Params:         params,
-		Payload:        res.Stream.Bytes(),
-		NBits:          res.Stream.Len(),
-		Extra:          extra,
-	}, nil
+	return encoded{params: params, payload: res.Stream, extra: extra}, nil
 }
 
-func (c *blockCodec) Decompress(a *Artifact) (*TestSet, error) {
-	set, code, err := container.DecodeBlockParams(a.Params)
+// decodeBlock is the decode step of all three block codecs.
+func decodeBlock(params []byte, r *bitstream.Reader, totalBits int) (tritvec.Vector, error) {
+	set, code, err := container.DecodeBlockParams(params)
 	if err != nil {
-		return nil, err
+		return tritvec.Vector{}, err
 	}
-	flat, err := blockcode.Decode(a.BitReader(), set, code, a.Width*a.Patterns)
-	if err != nil {
-		return nil, err
-	}
-	return testset.FromFlat(flat, a.Width)
+	return blockcode.Decode(r, set, code, totalBits)
 }
 
 // eaParamsFromOptions resolves the evolutionary compressor's
@@ -99,28 +72,31 @@ func blockLenOr(o options, def int) int {
 }
 
 func init() {
-	Register(&blockCodec{
+	Register(&codec{
 		name: "ea",
-		compress: func(ctx context.Context, ts *TestSet, o options) (*blockcode.Result, any, error) {
+		encode: func(ctx context.Context, ts *TestSet, o options) (encoded, error) {
 			res, err := core.CompressCtx(ctx, ts, eaParamsFromOptions(o))
 			if err != nil {
-				return nil, nil, err
+				return encoded{}, err
 			}
-			return res.Final, res, nil
+			return blockEncoded(res.Final, res, nil)
 		},
+		decode: decodeBlock,
 	})
-	Register(&blockCodec{
+	Register(&codec{
 		name: "9c",
-		compress: func(ctx context.Context, ts *TestSet, o options) (*blockcode.Result, any, error) {
+		encode: func(_ context.Context, ts *TestSet, o options) (encoded, error) {
 			res, err := ninec.Compress(ts, blockLenOr(o, 8))
-			return res, nil, err
+			return blockEncoded(res, nil, err)
 		},
+		decode: decodeBlock,
 	})
-	Register(&blockCodec{
+	Register(&codec{
 		name: "9chc",
-		compress: func(ctx context.Context, ts *TestSet, o options) (*blockcode.Result, any, error) {
+		encode: func(_ context.Context, ts *TestSet, o options) (encoded, error) {
 			res, err := ninec.CompressHC(ts, blockLenOr(o, 8))
-			return res, nil, err
+			return blockEncoded(res, nil, err)
 		},
+		decode: decodeBlock,
 	})
 }

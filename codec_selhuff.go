@@ -6,63 +6,45 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/bitstream"
 	"repro/internal/huffman"
 	"repro/internal/selhuff"
-	"repro/internal/testset"
+	"repro/internal/tritvec"
 )
 
-// selhuffCodec adapts selective Huffman coding. Its parameter blob
-// carries the dictionary the decoder needs (big-endian):
+// Selective Huffman coding's parameter blob carries the dictionary the
+// decoder needs (big-endian):
 //
 //	k     uint8    block size (1..62)
 //	d     uint16   dictionary size (>= 1)
 //	per d: dictionary pattern uint64
 //	per d: codeword length uint8 (1..64), codeword bits uint64
-type selhuffCodec struct{}
-
-func (selhuffCodec) Name() string { return "selhuff" }
-
-func (selhuffCodec) Compress(ctx context.Context, ts *TestSet, opts ...Option) (*Artifact, error) {
-	o := buildOptions(opts)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	k := blockLenOr(o, 8)
-	d := o.dictSize
-	if d == 0 {
-		d = 8
-	}
-	res, err := selhuff.Compress(ts, k, d)
-	if err != nil {
-		return nil, err
-	}
-	params, err := encodeSelhuffParams(res)
-	if err != nil {
-		return nil, err
-	}
-	return &Artifact{
-		Codec:          "selhuff",
-		Width:          ts.Width,
-		Patterns:       ts.NumPatterns(),
-		OriginalBits:   res.OriginalBits,
-		CompressedBits: res.CompressedBits,
-		Params:         params,
-		Payload:        res.Stream.Bytes(),
-		NBits:          res.Stream.Len(),
-		Extra:          res,
-	}, nil
-}
-
-func (selhuffCodec) Decompress(a *Artifact) (*TestSet, error) {
-	res, err := decodeSelhuffParams(a.Params)
-	if err != nil {
-		return nil, err
-	}
-	flat, err := selhuff.Decompress(a.BitReader(), res, a.Width*a.Patterns)
-	if err != nil {
-		return nil, err
-	}
-	return testset.FromFlat(flat, a.Width)
+func init() {
+	Register(&codec{
+		name: "selhuff",
+		encode: func(_ context.Context, ts *TestSet, o options) (encoded, error) {
+			d := o.dictSize
+			if d == 0 {
+				d = 8
+			}
+			res, err := selhuff.Compress(ts, blockLenOr(o, 8), d)
+			if err != nil {
+				return encoded{}, err
+			}
+			params, err := encodeSelhuffParams(res)
+			if err != nil {
+				return encoded{}, err
+			}
+			return encoded{params: params, payload: res.Stream, extra: res}, nil
+		},
+		decode: func(params []byte, r *bitstream.Reader, totalBits int) (tritvec.Vector, error) {
+			res, err := decodeSelhuffParams(params)
+			if err != nil {
+				return tritvec.Vector{}, err
+			}
+			return selhuff.Decompress(r, res, totalBits)
+		},
+	})
 }
 
 func encodeSelhuffParams(res *selhuff.Result) ([]byte, error) {
@@ -145,5 +127,3 @@ func decodeSelhuffParams(blob []byte) (*selhuff.Result, error) {
 	}
 	return &selhuff.Result{K: int(k), D: int(d), Dictionary: dict, Code: code}, nil
 }
-
-func init() { Register(selhuffCodec{}) }

@@ -3,17 +3,19 @@
 // that a prefix code can be decoded by walking bits in stream order.
 //
 // The hot paths are word-at-a-time: WriteBits splits its 64-bit argument
-// into whole output bytes instead of looping per bit, and ReadBits and
-// PeekBits take their bits from one big-endian 64-bit load. Every
-// container version, including each chunk of a v3 stream, holds its
-// payload in memory by the time it is decoded, so the in-memory Reader is
-// the one bit reader.
+// into whole output bytes instead of looping per bit, and ReadBits,
+// PeekBits and ReadUnary take their bits from one big-endian 64-bit
+// load. Every container version, including each chunk of a v3 stream,
+// holds its payload in memory by the time it is decoded, so the
+// in-memory Reader is the one bit reader and every decoder takes a
+// *Reader: there is no bit-at-a-time input interface beside it.
 package bitstream
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrEOS is returned when reading past the end of the stream. Decoders
@@ -29,42 +31,9 @@ var ErrEOS = errors.New("bitstream: end of stream")
 // untrusted counts).
 var ErrBitCount = errors.New("bitstream: bit count out of range [0,64]")
 
-// Source is the bit-level input every decoder in the repo consumes. Reader
-// implements it; a Source without the Peeker methods drives a decoder
-// down its bit-at-a-time fallback, which the differential tests use as
-// the reference for the fast path.
-type Source interface {
-	// ReadBit returns the next bit. At end of stream the error satisfies
-	// errors.Is(err, ErrEOS).
-	ReadBit() (uint, error)
-	// ReadBits reads n bits MSB-first into the low bits of the result.
-	ReadBits(n int) (uint64, error)
-}
-
-// Peeker is the optional fast-path extension of Source: a window of
-// upcoming bits without consuming them, plus a bulk Skip. Decoders
-// upgrade a Source with a type assertion and fall back to the
-// bit-at-a-time Source methods when it is absent, so third-party
-// Sources keep working.
-//
-// The contract Reader honors: PeekBits(n) with n in
-// [0,PeekMax] returns avail = min(n, bits remaining) and the next avail
-// bits MSB-first in the low avail bits of v. avail < n therefore means
-// fewer than n bits remain in the whole stream — there is no transient
-// short peek — which lets scanners treat a short window as
-// end-of-stream. Skip consumes bits previously seen via PeekBits.
-type Peeker interface {
-	// PeekBits returns the next min(n, PeekMax, remaining) bits without
-	// consuming them, MSB-first in the low bits of v.
-	PeekBits(n int) (v uint64, avail int)
-	// Skip consumes n bits. Skipping past the end of the stream returns
-	// an error wrapping ErrEOS (the stream position is then exhausted).
-	Skip(n int) error
-}
-
 // PeekMax is the largest window PeekBits serves: a peek of up to 56 bits
-// is short only at the true end of the stream. Decoders size their
-// unary scans against it.
+// is short only at the true end of the stream, so a scanner may treat a
+// short window as the end of the stream.
 const PeekMax = 56
 
 // Writer accumulates bits MSB-first into a byte buffer.
@@ -246,7 +215,7 @@ func (r *Reader) gather(p, n int) uint64 {
 // PeekBits returns the next min(n, PeekMax, Remaining()) bits MSB-first
 // in the low bits of v without consuming them. A reader constructed
 // with an oversized bit count exposes zero bits, so its sticky error
-// still surfaces through the Source methods the caller falls back to.
+// still surfaces through the read the caller falls back to.
 func (r *Reader) PeekBits(n int) (v uint64, avail int) {
 	if n > PeekMax {
 		n = PeekMax
@@ -276,13 +245,43 @@ func (r *Reader) Skip(n int) error {
 	return nil
 }
 
+// ReadUnary reads a unary count, a run of 1s closed by a 0, and returns
+// the number of 1s; the closing 0 is consumed. It scans PeekMax bits per
+// step with one LeadingZeros64. With no bit left it returns ErrEOS
+// itself and consumes nothing: the stream ended at a codeword boundary.
+// A stream that ends inside the run is an error wrapping ErrEOS, and a
+// run of more than max 1s an error wrapping neither sentinel. A reader
+// constructed with an oversized bit count returns its sticky error.
+func (r *Reader) ReadUnary(max int) (int, error) {
+	if r.pos >= r.nbit {
+		if r.err != nil {
+			return 0, r.err
+		}
+		return 0, ErrEOS
+	}
+	n := 0
+	for {
+		v, avail := r.PeekBits(PeekMax)
+		if avail == 0 {
+			return 0, fmt.Errorf("bitstream: unary count has no closing 0: %w", ErrEOS)
+		}
+		// Leading 1s of the window = leading 0s of its complement once
+		// the window is left-aligned in the 64-bit word.
+		lead := bits.LeadingZeros64(^(v << uint(64-avail)))
+		if lead > max-n {
+			return 0, fmt.Errorf("bitstream: unary count exceeds %d: invalid stream", max)
+		}
+		if lead < avail {
+			r.pos += lead + 1
+			return n + lead, nil
+		}
+		n += avail
+		r.pos += avail
+	}
+}
+
 // Remaining returns the number of unread bits.
 func (r *Reader) Remaining() int { return r.nbit - r.pos }
 
 // Pos returns the number of bits consumed so far.
 func (r *Reader) Pos() int { return r.pos }
-
-var (
-	_ Source = (*Reader)(nil)
-	_ Peeker = (*Reader)(nil)
-)

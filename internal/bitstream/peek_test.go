@@ -30,7 +30,7 @@ func refWindow(ref []uint, pos, n int) uint64 {
 
 // checkPeeker drives p through a random interleave of peeks, skips and
 // reads and verifies every result against the reference bit slice. The
-// Peeker contract under test: avail == min(n, PeekMax, remaining), the
+// PeekBits contract under test: avail == min(n, PeekMax, remaining), the
 // window matches the stream, and peeking never consumes.
 func checkPeeker(t *testing.T, p *Reader, ref []uint, r *rand.Rand) {
 	t.Helper()

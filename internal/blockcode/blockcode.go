@@ -110,29 +110,14 @@ func (c *Covering) OK() bool { return c.Uncovered == 0 }
 
 // CoverMultiset assigns each distinct block to the first matching MV in
 // min-U order (Section 3.2: MVs are processed sorted by increasing number
-// of Us).
-func (s *MVSet) CoverMultiset(ms *BlockMultiset) *Covering { return s.cover(ms, nil) }
-
-// CoverByEncoding assigns each distinct block to the matching MV with
-// minimal total encoding length |C(v)|+NU(v) given per-MV codeword
-// lengths, the order in which 9C uses its fixed code.
-func (s *MVSet) CoverByEncoding(ms *BlockMultiset, codeLens []int) *Covering {
-	return s.cover(ms, codeLens)
-}
-
-// cover assigns each distinct block to the first matching MV in
-// ascending order of codeLens[i]+NU(v_i), or of NU(v_i) alone when
-// codeLens is nil, with ties in MV index order.
-func (s *MVSet) cover(ms *BlockMultiset, codeLens []int) *Covering {
-	cost := make([]int, len(s.MVs))
+// of Us), with ties in MV index order.
+func (s *MVSet) CoverMultiset(ms *BlockMultiset) *Covering {
+	nu := make([]int, len(s.MVs))
 	order := make([]int, len(s.MVs))
 	for i, mv := range s.MVs {
-		cost[i], order[i] = mv.CountX(), i
-		if codeLens != nil {
-			cost[i] += codeLens[i]
-		}
+		nu[i], order[i] = mv.CountX(), i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] < cost[order[b]] })
+	sort.SliceStable(order, func(a, b int) bool { return nu[order[a]] < nu[order[b]] })
 	cov := &Covering{Assign: make([]int, len(ms.Blocks)), Freqs: make([]int, len(s.MVs))}
 	for d, blk := range ms.Blocks {
 		cov.Assign[d] = -1
@@ -247,10 +232,10 @@ func Encode(ms *BlockMultiset, res *Result) (*bitstream.Writer, error) {
 // codeword selects an MV, whose specified bits and then the transmitted
 // fill bits at its U positions go straight into one flat vector. A final
 // partial block's fill bits are read but not stored. Truncation errors
-// wrap bitstream.ErrEOS. A *bitstream.Reader must hold a codeword bit
-// per block before the output is allocated, which bounds the output by
-// K trits per payload bit whatever a container header declares.
-func Decode(r bitstream.Source, set *MVSet, code *huffman.Code, totalBits int) (tritvec.Vector, error) {
+// wrap bitstream.ErrEOS. r must hold a codeword bit per block before the
+// output is allocated, which bounds the output by K trits per payload
+// bit whatever a container header declares.
+func Decode(r *bitstream.Reader, set *MVSet, code *huffman.Code, totalBits int) (tritvec.Vector, error) {
 	if totalBits < 0 {
 		return tritvec.Vector{}, fmt.Errorf("blockcode: negative output size %d", totalBits)
 	}
@@ -260,14 +245,12 @@ func Decode(r bitstream.Source, set *MVSet, code *huffman.Code, totalBits int) (
 	}
 	k := set.K
 	nblocks := (totalBits + k - 1) / k
-	if br, ok := r.(*bitstream.Reader); ok {
-		if err := br.Err(); err != nil { // declared bits beyond the buffer
-			return tritvec.Vector{}, fmt.Errorf("blockcode: %w", err)
-		}
-		if nblocks > br.Remaining() {
-			return tritvec.Vector{}, fmt.Errorf("blockcode: %d blocks but only %d payload bits: %w",
-				nblocks, br.Remaining(), bitstream.ErrEOS)
-		}
+	if err := r.Err(); err != nil { // declared bits beyond the buffer
+		return tritvec.Vector{}, fmt.Errorf("blockcode: %w", err)
+	}
+	if nblocks > r.Remaining() {
+		return tritvec.Vector{}, fmt.Errorf("blockcode: %d blocks but only %d payload bits: %w",
+			nblocks, r.Remaining(), bitstream.ErrEOS)
 	}
 	upos := set.UPositions()
 	out := tritvec.New(totalBits)

@@ -94,17 +94,6 @@ func TestCoverUncovered(t *testing.T) {
 	}
 }
 
-func TestCoverByEncoding(t *testing.T) {
-	// With fixed code lengths, a cheap long-U vector can beat an exact one.
-	set := mvset(t, 4, "1111", "UUUU")
-	// exact codeword costs 10 bits, all-U costs 1+4=5.
-	lens := []int{10, 1}
-	cov := set.CoverByEncoding(multiset(t, 4, "1111"), lens)
-	if cov.Assign[0] != 1 {
-		t.Fatalf("CoverByEncoding picked %d", cov.Assign[0])
-	}
-}
-
 func TestRate(t *testing.T) {
 	if Rate(100, 40) != 60 {
 		t.Fatal("rate 60 expected")

@@ -80,14 +80,14 @@ func TestAllZeroTestSet(t *testing.T) {
 
 // TestDecompressHostileUnaryPrefix pins the hostile-input fix: a payload
 // of all 1-bits drives the unary group count past any legal codeword;
-// Decompress must reject it with an error on the peek path and on the
-// bit-at-a-time fallback, never panic.
+// Decompress, like the per-bit reference, must reject it with an error,
+// never panic.
 func TestDecompressHostileUnaryPrefix(t *testing.T) {
 	hostile := bytes.Repeat([]byte{0xFF}, 16) // 128 one-bits
 	if _, err := Decompress(bitstream.NewReader(hostile, -1), 1<<20); err == nil {
-		t.Fatal("peek-path decode accepted a 128-bit unary prefix")
+		t.Fatal("Decompress accepted a 128-bit unary prefix")
 	}
-	if _, err := Decompress(sourceOnly{bitstream.NewReader(hostile, -1)}, 1<<20); err == nil {
-		t.Fatal("fallback decode accepted a 128-bit unary prefix")
+	if _, err := refDecompress(bitstream.NewReader(hostile, -1), 1<<20); err == nil {
+		t.Fatal("per-bit reference accepted a 128-bit unary prefix")
 	}
 }

@@ -2,6 +2,8 @@ package golomb
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/bitstream"
 	"repro/internal/iscasgen"
 	"repro/internal/testset"
+	"repro/internal/tritvec"
 )
 
 // refCompressBest is CompressBest as a brute force: encode the whole set
@@ -67,9 +70,47 @@ func TestCompressBestMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// sourceOnly hides the Peeker fast path, forcing the bit-at-a-time
-// fallback the new decoder must stay bit-identical with.
-type sourceOnly struct{ bitstream.Source }
+// refDecompress is the per-bit Golomb decoder Decompress is held to: it
+// reads the quotient one ReadBit at a time, writes one trit at a time
+// and keeps its own run loop. End of stream before a codeword's first
+// bit leaves implied zeros.
+func refDecompress(r *bitstream.Reader, m, totalBits int) (tritvec.Vector, error) {
+	out := tritvec.New(totalBits)
+	for pos := 0; pos < totalBits; {
+		bit, err := r.ReadBit()
+		if err == bitstream.ErrEOS {
+			for ; pos < totalBits; pos++ {
+				out.Set(pos, tritvec.Zero)
+			}
+			break
+		}
+		if err != nil {
+			return tritvec.Vector{}, err
+		}
+		q := 0
+		for ; bit == 1; q++ {
+			if bit, err = r.ReadBit(); err != nil {
+				return tritvec.Vector{}, fmt.Errorf("truncated quotient: %w", err)
+			}
+		}
+		rem, err := readTruncated(r, m)
+		if err != nil {
+			return tritvec.Vector{}, fmt.Errorf("truncated remainder: %w", err)
+		}
+		if q > (math.MaxInt-rem)/m {
+			return tritvec.Vector{}, fmt.Errorf("run %d*%d+%d overflows: corrupt stream", q, m, rem)
+		}
+		for n := q*m + rem; n > 0 && pos < totalBits; n-- {
+			out.Set(pos, tritvec.Zero)
+			pos++
+		}
+		if pos < totalBits {
+			out.Set(pos, tritvec.One)
+			pos++
+		}
+	}
+	return out, nil
+}
 
 func TestDecompressPeekerMatchesFallback(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
@@ -83,21 +124,21 @@ func TestDecompressPeekerMatchesFallback(t *testing.T) {
 		total := ts.TotalBits()
 		fast, err := Decompress(bitstream.FromWriter(res.Stream), m, total)
 		if err != nil {
-			t.Fatalf("peeker path: %v", err)
+			t.Fatalf("Decompress: %v", err)
 		}
-		slow, err := Decompress(sourceOnly{bitstream.FromWriter(res.Stream)}, m, total)
+		slow, err := refDecompress(bitstream.FromWriter(res.Stream), m, total)
 		if err != nil {
-			t.Fatalf("fallback path: %v", err)
+			t.Fatalf("per-bit reference: %v", err)
 		}
 		if !fast.Equal(slow) {
-			t.Fatalf("m=%d decode paths disagree:\npeek %s\nfall %s", m, fast, slow)
+			t.Fatalf("m=%d decoders disagree:\nfast %s\nref  %s", m, fast, slow)
 		}
 	}
 }
 
 func TestDecompressPathsAgreeOnHostileStreams(t *testing.T) {
-	// Random garbage: whatever one path does (decode or error), the
-	// others must do the same.
+	// Random garbage: whatever the reference does (decode or error),
+	// Decompress must do the same, down to the ErrEOS class.
 	r := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 200; trial++ {
 		buf := make([]byte, r.Intn(40))
@@ -109,12 +150,13 @@ func TestDecompressPathsAgreeOnHostileStreams(t *testing.T) {
 		m := 1 + r.Intn(300)
 		total := r.Intn(400)
 		fast, errFast := Decompress(bitstream.NewReader(buf, nbit), m, total)
-		slow, errSlow := Decompress(sourceOnly{bitstream.NewReader(buf, nbit)}, m, total)
-		if (errFast == nil) != (errSlow == nil) {
-			t.Fatalf("m=%d total=%d: peek err=%v, fallback err=%v", m, total, errFast, errSlow)
+		slow, errSlow := refDecompress(bitstream.NewReader(buf, nbit), m, total)
+		if (errFast == nil) != (errSlow == nil) ||
+			errors.Is(errFast, bitstream.ErrEOS) != errors.Is(errSlow, bitstream.ErrEOS) {
+			t.Fatalf("m=%d total=%d: Decompress err=%v, reference err=%v", m, total, errFast, errSlow)
 		}
 		if errFast == nil && !fast.Equal(slow) {
-			t.Fatalf("m=%d total=%d: hostile decode disagrees\npeek %s\nfall %s", m, total, fast, slow)
+			t.Fatalf("m=%d total=%d: hostile decode disagrees\nfast %s\nref  %s", m, total, fast, slow)
 		}
 	}
 }
@@ -132,11 +174,10 @@ func TestDecompressRunLengthOverflow(t *testing.T) {
 	w.WriteBit(1)
 	w.WriteBit(0)      // quotient 2
 	w.WriteBits(0, 62) // truncated-binary remainder 0 for M = 2^62
-	for _, src := range []bitstream.Source{
-		bitstream.FromWriter(w),
-		sourceOnly{bitstream.FromWriter(w)},
+	for _, decode := range []func(*bitstream.Reader, int, int) (tritvec.Vector, error){
+		Decompress, refDecompress,
 	} {
-		_, err := Decompress(src, m, 10)
+		_, err := decode(bitstream.FromWriter(w), m, 10)
 		if err == nil || !strings.Contains(err.Error(), "corrupt") {
 			t.Fatalf("overflowing run accepted: %v", err)
 		}

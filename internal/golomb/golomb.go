@@ -5,7 +5,6 @@
 package golomb
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -57,7 +56,7 @@ func writeTruncated(w *bitstream.Writer, r, m int) {
 }
 
 // readTruncated reads a truncated-binary value for alphabet size m.
-func readTruncated(r bitstream.Source, m int) (int, error) {
+func readTruncated(r *bitstream.Reader, m int) (int, error) {
 	if m == 1 {
 		return 0, nil
 	}
@@ -123,101 +122,29 @@ func CompressBest(ts *testset.TestSet) (*Result, error) {
 	return encode(ts, runs, trailing, 1<<best), nil
 }
 
-// Decompress reconstructs totalBits bits from any bit source; one that
-// implements bitstream.Peeker takes the fast path. End of stream at a
-// codeword boundary means the remaining bits are implied zeros; end of
-// stream inside a codeword is an error wrapping bitstream.ErrEOS.
-func Decompress(r bitstream.Source, m, totalBits int) (tritvec.Vector, error) {
+// Decompress reconstructs totalBits bits through runlength.Expand. End
+// of stream at a codeword boundary means the remaining bits are implied
+// zeros; end of stream inside a codeword is an error wrapping
+// bitstream.ErrEOS.
+func Decompress(r *bitstream.Reader, m, totalBits int) (tritvec.Vector, error) {
 	if m < 1 {
 		return tritvec.Vector{}, fmt.Errorf("golomb: M must be >= 1, got %d", m)
 	}
-	if totalBits < 0 {
-		return tritvec.Vector{}, fmt.Errorf("golomb: negative output size %d", totalBits)
-	}
-	out := tritvec.New(totalBits)
-	pk, _ := r.(bitstream.Peeker)
-	pos := 0
-	for pos < totalBits {
-		q, atEnd, err := readUnary(r, pk)
+	return runlength.Expand(r, totalBits, func(r *bitstream.Reader) (int, bool, error) {
+		q, err := r.ReadUnary(math.MaxInt)
 		if err != nil {
-			return tritvec.Vector{}, err
-		}
-		if atEnd {
-			out.FillZeros(pos, totalBits-pos)
-			break
+			return 0, false, err // ErrEOS itself at a codeword boundary
 		}
 		rem, err := readTruncated(r, m)
 		if err != nil {
-			return tritvec.Vector{}, fmt.Errorf("golomb: truncated remainder: %w", err)
+			return 0, false, fmt.Errorf("golomb: truncated remainder: %w", err)
 		}
 		// A hostile stream can drive q high enough that q*m + rem wraps
 		// int and produces a small (or negative) run; any such length is
 		// corrupt, not merely oversized.
 		if q > (math.MaxInt-rem)/m {
-			return tritvec.Vector{}, fmt.Errorf("golomb: run length %d*%d+%d overflows: corrupt stream", q, m, rem)
+			return 0, false, fmt.Errorf("golomb: run length %d*%d+%d overflows: corrupt stream", q, m, rem)
 		}
-		n := q*m + rem
-		if n > totalBits-pos {
-			n = totalBits - pos
-		}
-		out.FillZeros(pos, n)
-		pos += n
-		if pos < totalBits {
-			out.Set(pos, tritvec.One)
-			pos++
-		}
-	}
-	return out, nil
-}
-
-// readUnary reads the unary quotient (a run of 1s closed by a 0). When
-// the source is a Peeker it scans whole peek windows with LeadingZeros64
-// instead of a bit at a time; the fallback keeps third-party Sources
-// working. atEnd reports end of stream before any bit of the codeword —
-// the implied-zeros case for the caller.
-func readUnary(r bitstream.Source, pk bitstream.Peeker) (q int, atEnd bool, err error) {
-	if pk == nil {
-		bit, err := r.ReadBit()
-		if err != nil {
-			if errors.Is(err, bitstream.ErrEOS) {
-				return 0, true, nil
-			}
-			return 0, false, err
-		}
-		for bit == 1 {
-			q++
-			if bit, err = r.ReadBit(); err != nil {
-				return 0, false, fmt.Errorf("golomb: truncated quotient: %w", err)
-			}
-		}
-		return q, false, nil
-	}
-	for {
-		v, avail := pk.PeekBits(bitstream.PeekMax)
-		if avail == 0 {
-			// Exhausted; ReadBit surfaces the underlying error (true EOS
-			// or a sticky reader error).
-			_, err := r.ReadBit()
-			if q == 0 && errors.Is(err, bitstream.ErrEOS) {
-				return 0, true, nil
-			}
-			if q == 0 {
-				return 0, false, err
-			}
-			return 0, false, fmt.Errorf("golomb: truncated quotient: %w", err)
-		}
-		// Leading 1s of the window = leading 0s of its complement once
-		// the window is left-aligned in the 64-bit word.
-		lead := bits.LeadingZeros64(^(v << uint(64-avail)))
-		if lead < avail {
-			if err := pk.Skip(lead + 1); err != nil {
-				return 0, false, err
-			}
-			return q + lead, false, nil
-		}
-		q += avail
-		if err := pk.Skip(avail); err != nil {
-			return 0, false, err
-		}
-	}
+		return q*m + rem, true, nil
+	})
 }

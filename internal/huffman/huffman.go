@@ -318,12 +318,12 @@ func NewDecoder(c *Code) (*Decoder, error) {
 	return d, nil
 }
 
-// Decode consumes bits via nextBit until a symbol is reached.
-func (d *Decoder) Decode(nextBit func() (uint, error)) (int, error) {
+// Decode reads r one bit at a time until a symbol is reached.
+func (d *Decoder) Decode(r *bitstream.Reader) (int, error) {
 	const empty = -1 - (1 << 30)
 	nodeIdx := 0
 	for {
-		b, err := nextBit()
+		b, err := r.ReadBit()
 		if err != nil {
 			return 0, err
 		}
@@ -352,10 +352,9 @@ type tableEntry struct {
 // TableDecoder decodes a whole symbol per table probe: it peeks a
 // tableBits window, looks the window up in a precomputed table, and
 // consumes the matched codeword's length in one Skip. Codewords longer
-// than the table window — and sources without the bitstream.Peeker fast
-// path — fall back to the bit-at-a-time trie, which also owns the
-// error paths (truncated stream, invalid sequence), so both decoders
-// are observably identical.
+// than the table window fall back to the bit-at-a-time trie, which also
+// owns the error paths (truncated stream, invalid sequence), so both
+// decoders are observably identical.
 type TableDecoder struct {
 	trie      *Decoder
 	tableBits int
@@ -394,23 +393,19 @@ func NewTableDecoder(c *Code) (*TableDecoder, error) {
 	return d, nil
 }
 
-// Decode reads one symbol from src.
-func (d *TableDecoder) Decode(src bitstream.Source) (int, error) {
-	if pk, ok := src.(bitstream.Peeker); ok {
-		v, avail := pk.PeekBits(d.tableBits)
-		if avail > 0 {
-			// A short window is zero-padded; a hit still only stands on
-			// the len bits that are really there.
-			e := d.entries[v<<uint(d.tableBits-avail)]
-			if e.len != 0 && int(e.len) <= avail {
-				if err := pk.Skip(int(e.len)); err != nil {
-					return 0, err
-				}
-				return int(e.sym), nil
-			}
+// Decode reads one symbol from r.
+func (d *TableDecoder) Decode(r *bitstream.Reader) (int, error) {
+	v, avail := r.PeekBits(d.tableBits)
+	if avail > 0 {
+		// A short window is zero-padded; a hit still only stands on the
+		// len bits that are really there.
+		e := d.entries[v<<uint(d.tableBits-avail)]
+		if e.len != 0 && int(e.len) <= avail {
+			_ = r.Skip(int(e.len)) // cannot fail: the bits were peeked
+			return int(e.sym), nil
 		}
 	}
-	return d.trie.Decode(src.ReadBit)
+	return d.trie.Decode(r)
 }
 
 // NumNodes returns the number of internal trie nodes — used by the on-chip

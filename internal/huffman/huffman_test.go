@@ -268,7 +268,7 @@ func TestDecoderRoundTrip(t *testing.T) {
 		}
 		rd := bitstream.FromWriter(w)
 		for j, want := range seq {
-			got, err := dec.Decode(rd.ReadBit)
+			got, err := dec.Decode(rd)
 			if err != nil {
 				t.Fatalf("decode %d: %v", j, err)
 			}
@@ -308,7 +308,7 @@ func TestDecoderEOS(t *testing.T) {
 	c, _ := Build([]int{1, 1})
 	dec, _ := NewDecoder(c)
 	rd := bitstream.NewReader(nil, 0)
-	if _, err := dec.Decode(rd.ReadBit); err == nil {
+	if _, err := dec.Decode(rd); err == nil {
 		t.Fatal("expected error at end of stream")
 	}
 }

@@ -7,9 +7,6 @@ import (
 	"repro/internal/bitstream"
 )
 
-// sourceOnly hides the Peeker fast path, forcing the trie fallback.
-type sourceOnly struct{ bitstream.Source }
-
 // randomCode builds a Huffman code over n symbols with random skewed
 // frequencies (some zero).
 func randomCode(n int, r *rand.Rand) *Code {
@@ -49,7 +46,8 @@ func TestTableDecoderMatchesTrie(t *testing.T) {
 				used = append(used, sym)
 			}
 		}
-		// Encode a random symbol sequence, then decode it three ways.
+		// Encode a random symbol sequence, then decode it through the
+		// table and through the trie, the per-bit reference.
 		w := bitstream.NewWriter()
 		var want []int
 		for i := 0; i < 200; i++ {
@@ -71,13 +69,10 @@ func TestTableDecoderMatchesTrie(t *testing.T) {
 		rd := bitstream.FromWriter(w)
 		viaTable := decodeAll(func() (int, error) { return td.Decode(rd) })
 		rd2 := bitstream.FromWriter(w)
-		viaFallback := decodeAll(func() (int, error) { return td.Decode(sourceOnly{rd2}) })
-		rd3 := bitstream.FromWriter(w)
-		viaTrie := decodeAll(func() (int, error) { return trie.Decode(rd3.ReadBit) })
+		viaTrie := decodeAll(func() (int, error) { return trie.Decode(rd2) })
 		for i := range want {
-			if viaTable[i] != want[i] || viaFallback[i] != want[i] || viaTrie[i] != want[i] {
-				t.Fatalf("symbol %d: want %d, table=%d fallback=%d trie=%d",
-					i, want[i], viaTable[i], viaFallback[i], viaTrie[i])
+			if viaTable[i] != want[i] || viaTrie[i] != want[i] {
+				t.Fatalf("symbol %d: want %d, table=%d trie=%d", i, want[i], viaTable[i], viaTrie[i])
 			}
 		}
 		if rd.Remaining() != 0 {
@@ -87,12 +82,16 @@ func TestTableDecoderMatchesTrie(t *testing.T) {
 }
 
 func TestTableDecoderErrorsMatchTrie(t *testing.T) {
-	// On garbage and truncated streams the table path must fail exactly
-	// where the trie does.
+	// On garbage and truncated streams the table decoder must fail
+	// exactly where the trie does.
 	r := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 200; trial++ {
 		c := randomCode(1+r.Intn(20), r)
 		td, err := NewTableDecoder(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trie, err := NewDecoder(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,10 +101,11 @@ func TestTableDecoderErrorsMatchTrie(t *testing.T) {
 		if nbit < 0 {
 			nbit = 0
 		}
-		run := func(src bitstream.Source) ([]int, error) {
+		run := func(decode func(*bitstream.Reader) (int, error)) ([]int, error) {
+			src := bitstream.NewReader(buf, nbit)
 			var out []int
 			for i := 0; i < 50; i++ {
-				sym, err := td.Decode(src)
+				sym, err := decode(src)
 				if err != nil {
 					return out, err
 				}
@@ -113,8 +113,8 @@ func TestTableDecoderErrorsMatchTrie(t *testing.T) {
 			}
 			return out, nil
 		}
-		gotFast, errFast := run(bitstream.NewReader(buf, nbit))
-		gotSlow, errSlow := run(sourceOnly{bitstream.NewReader(buf, nbit)})
+		gotFast, errFast := run(td.Decode)
+		gotSlow, errSlow := run(trie.Decode)
 		if (errFast == nil) != (errSlow == nil) || len(gotFast) != len(gotSlow) {
 			t.Fatalf("paths diverge: fast %v/%v, slow %v/%v", gotFast, errFast, gotSlow, errSlow)
 		}

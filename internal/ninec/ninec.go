@@ -74,9 +74,12 @@ func FixedCode() *huffman.Code {
 	return c
 }
 
-// Compress runs original 9C compression (fixed codewords). Blocks are
-// assigned to the matching MV with minimal total encoding length
-// |C(v)|+NU(v), which is how the fixed-code scheme is used to best effect.
+// Compress runs original 9C compression (fixed codewords). Each block
+// goes to the matching MV with the shortest encoding |C(v)|+NU(v), which
+// is how the fixed code is used to best effect. Under the fixed lengths
+// that is the min-U order of MVSet.CoverMultiset at every even K: v1–v4
+// (1, 2, 5 and 5 bits, no U), then v5–v8 (5+K/2), then v9 (4+K); at K=2
+// v5–v8 tie with v9 and both orders break the tie by MV index.
 func Compress(ts *testset.TestSet, k int) (*blockcode.Result, error) {
 	set, err := MVs(k)
 	if err != nil {
@@ -84,7 +87,7 @@ func Compress(ts *testset.TestSet, k int) (*blockcode.Result, error) {
 	}
 	code := FixedCode()
 	ms := blockcode.Dedup(blockcode.Partition(ts, k))
-	cov := set.CoverByEncoding(ms, code.Lengths)
+	cov := set.CoverMultiset(ms)
 	if !cov.OK() {
 		return nil, fmt.Errorf("ninec: uncovered blocks (impossible: v9 is all-U)")
 	}

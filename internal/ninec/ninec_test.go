@@ -60,7 +60,7 @@ func TestPaperIntroductionEncodings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cov := set.CoverByEncoding(blockcode.Dedup(blockcode.Partition(ts, 6)), code.Lengths)
+	cov := set.CoverMultiset(blockcode.Dedup(blockcode.Partition(ts, 6)))
 	if cov.Assign[0] != 4 { // v5 = 111UUU
 		t.Errorf("111100 covered by v%d, want v5", cov.Assign[0]+1)
 	}

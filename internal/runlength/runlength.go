@@ -6,7 +6,6 @@
 package runlength
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 
@@ -103,42 +102,57 @@ func Compress(ts *testset.TestSet, b int) (*Result, error) {
 	return &Result{OriginalBits: ts.TotalBits(), CompressedBits: w.Len(), Stream: w}, nil
 }
 
-// Decompress reconstructs totalBits bits from any bit source. A stream
-// that ends before totalBits (including a final partial counter, which
-// carries no information) implies the rest is zeros.
-func Decompress(r bitstream.Source, b, totalBits int) (tritvec.Vector, error) {
-	if b < MinCounterWidth || b > MaxCounterWidth {
-		return tritvec.Vector{}, fmt.Errorf("runlength: counter width %d out of range", b)
-	}
+// Step reads one codeword of a 0-run code from r and returns the run of
+// zeros it stands for, never negative, and whether a 1 closes the run.
+// It returns ErrEOS itself, not wrapped, only when the stream ends at a
+// codeword boundary; end of stream inside a codeword comes back as an
+// error wrapping it.
+type Step func(r *bitstream.Reader) (run int, closed bool, err error)
+
+// Expand is the one decode loop of the 0-run codes (Golomb, FDR and the
+// fixed-block counters here): it fills each run's zeros, writes the
+// closing 1 unless the codeword says there is none, and cuts a run at
+// totalBits. A stream that ends at a codeword boundary leaves the rest
+// as implied zeros, the encoders' trailing run. step supplies the one
+// thing the codes differ in, reading one run.
+func Expand(r *bitstream.Reader, totalBits int, step Step) (tritvec.Vector, error) {
 	if totalBits < 0 {
 		return tritvec.Vector{}, fmt.Errorf("runlength: negative output size %d", totalBits)
 	}
 	out := tritvec.New(totalBits)
-	max := uint64(1<<uint(b)) - 1
-	pos := 0
-	for pos < totalBits {
-		v, err := r.ReadBits(b)
+	for pos := 0; pos < totalBits; {
+		run, closed, err := step(r)
+		if err == bitstream.ErrEOS {
+			out.FillZeros(pos, totalBits-pos)
+			break
+		}
 		if err != nil {
-			if errors.Is(err, bitstream.ErrEOS) {
-				// Stream exhausted: the rest is implied zeros.
-				out.FillZeros(pos, totalBits-pos)
-				pos = totalBits
-				break
-			}
 			return tritvec.Vector{}, err
 		}
-		n := int(v)
-		if n > totalBits-pos {
-			n = totalBits - pos
-		}
-		out.FillZeros(pos, n)
-		pos += n
-		if v != max && pos < totalBits {
+		run = min(run, totalBits-pos)
+		out.FillZeros(pos, run)
+		pos += run
+		if closed && pos < totalBits {
 			out.Set(pos, tritvec.One)
 			pos++
 		}
 	}
 	return out, nil
+}
+
+// Decompress reconstructs totalBits bits of b-bit counters. A stream
+// that ends before totalBits, including a final partial counter, which
+// carries no information, implies the rest is zeros.
+func Decompress(r *bitstream.Reader, b, totalBits int) (tritvec.Vector, error) {
+	if b < MinCounterWidth || b > MaxCounterWidth {
+		return tritvec.Vector{}, fmt.Errorf("runlength: counter width %d out of range", b)
+	}
+	max := uint64(1)<<uint(b) - 1
+	return Expand(r, totalBits, func(r *bitstream.Reader) (int, bool, error) {
+		// Short of b bits, ReadBits returns ErrEOS itself: a boundary.
+		v, err := r.ReadBits(b)
+		return int(v), v != max, err
+	})
 }
 
 // Verify checks that decoded preserves the specified bits of the original

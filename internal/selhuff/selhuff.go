@@ -104,12 +104,10 @@ func Compress(ts *testset.TestSet, k, d int) (*Result, error) {
 }
 
 // Decompress reconstructs totalBits bits using the result's dictionary.
-// It accepts any bit source; one that implements bitstream.Peeker takes
-// the fast path. Every block spends at least its flag bit, so a
-// *bitstream.Reader must hold one bit per block before the output is
-// allocated: the output is bounded by K trits per payload bit whatever a
-// container header declares.
-func Decompress(r bitstream.Source, res *Result, totalBits int) (tritvec.Vector, error) {
+// Every block spends at least its flag bit, so r must hold one bit per
+// block before the output is allocated: the output is bounded by K trits
+// per payload bit whatever a container header declares.
+func Decompress(r *bitstream.Reader, res *Result, totalBits int) (tritvec.Vector, error) {
 	if res.K < 1 || res.K > 62 {
 		return tritvec.Vector{}, fmt.Errorf("selhuff: block size %d out of range", res.K)
 	}
@@ -124,14 +122,12 @@ func Decompress(r bitstream.Source, res *Result, totalBits int) (tritvec.Vector,
 	if err != nil {
 		return tritvec.Vector{}, err
 	}
-	if br, ok := r.(*bitstream.Reader); ok {
-		if err := br.Err(); err != nil { // declared bits beyond the buffer
-			return tritvec.Vector{}, fmt.Errorf("selhuff: %w", err)
-		}
-		if nblocks := (totalBits + res.K - 1) / res.K; nblocks > br.Remaining() {
-			return tritvec.Vector{}, fmt.Errorf("selhuff: %d blocks but only %d payload bits: %w",
-				nblocks, br.Remaining(), bitstream.ErrEOS)
-		}
+	if err := r.Err(); err != nil { // declared bits beyond the buffer
+		return tritvec.Vector{}, fmt.Errorf("selhuff: %w", err)
+	}
+	if nblocks := (totalBits + res.K - 1) / res.K; nblocks > r.Remaining() {
+		return tritvec.Vector{}, fmt.Errorf("selhuff: %d blocks but only %d payload bits: %w",
+			nblocks, r.Remaining(), bitstream.ErrEOS)
 	}
 	out := tritvec.New(totalBits)
 	pos := 0

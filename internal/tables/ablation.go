@@ -9,7 +9,6 @@ import (
 	"repro/internal/ea"
 	"repro/internal/iscasgen"
 	"repro/internal/mvheur"
-	"repro/internal/ninec"
 	"repro/internal/testset"
 )
 
@@ -35,30 +34,6 @@ func (a Ablation) String() string {
 		s += fmt.Sprintf("  %-32s %7.2f%%\n", e.Variant, e.Rate)
 	}
 	return s
-}
-
-// AblationCoverOrder compares the paper's min-U covering (Section 3.2)
-// with covering each block by the matching MV of least encoding length
-// (codeword plus fill bits), on the 9C MV set and its fixed code.
-func AblationCoverOrder(ts *testset.TestSet, k int) (Ablation, error) {
-	set, err := ninec.MVs(k)
-	if err != nil {
-		return Ablation{}, err
-	}
-	code := ninec.FixedCode()
-	ms := blockcode.Dedup(blockcode.Partition(ts, k))
-	covU := set.CoverMultiset(ms)
-	covE := set.CoverByEncoding(ms, code.Lengths)
-	if !covU.OK() || !covE.OK() {
-		return Ablation{}, fmt.Errorf("tables: 9C covering failed")
-	}
-	return Ablation{
-		Name: "covering order (9C MVs, fixed code)",
-		Entries: []AblationEntry{
-			{"min-U first (paper §3.2)", blockcode.Rate(ts.TotalBits(), set.CompressedBits(covU, code.Lengths))},
-			{"min encoding length", blockcode.Rate(ts.TotalBits(), set.CompressedBits(covE, code.Lengths))},
-		},
-	}, nil
 }
 
 // AblationSubsume compares the EA result with and without the §3.3
@@ -155,11 +130,6 @@ func RunAblations(circuit string, cfg Config) ([]Ablation, error) {
 	}
 	p := cfg.eaParams(8, 32, cfg.Seed)
 	var out []Ablation
-	if a, err := AblationCoverOrder(ts, 8); err == nil {
-		out = append(out, a)
-	} else {
-		return nil, err
-	}
 	if a, err := AblationSubsume(ts, p); err == nil {
 		out = append(out, a)
 	} else {

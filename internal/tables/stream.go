@@ -38,7 +38,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // StreamRates runs every registered codec over ts twice — buffered and
 // chunked with chunkPats patterns per chunk (0 = the streaming default)
-// — one pipeline job per codec, reported in registry order.
+// — one codec after another, reported in registry order. Only each
+// stream's chunks run in parallel, on the stream writer's worker pool
+// (c.Workers wide).
 func StreamRates(ctx context.Context, ts *testset.TestSet, c Config, chunkPats int) ([]StreamRate, error) {
 	names := tcomp.Codecs()
 	out := make([]StreamRate, len(names))
