@@ -17,9 +17,12 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/bitstream"
 	"repro/internal/container"
+	"repro/internal/huffman"
+	"repro/internal/selhuff"
 	"repro/internal/testset"
 )
 
@@ -288,5 +291,45 @@ func TestScannerRejectsHostileHeaders(t *testing.T) {
 		if _, err := testset.NewScanner(bytes.NewReader([]byte(header + "\n0101\n"))); err == nil {
 			t.Errorf("header %q accepted, want error", header)
 		}
+	}
+}
+
+// TestSelhuffParamsLargeDictionary hands decodeSelhuffParams the largest
+// dictionary a selhuff parameter blob holds, 65 535 words from the
+// request: checking that its stored code is prefix-free must take well
+// under a second, and one duplicated codeword among them must still be
+// found.
+func TestSelhuffParamsLargeDictionary(t *testing.T) {
+	const d = 0xFFFF
+	res := &selhuff.Result{K: 16, D: d, Dictionary: make([]uint64, d),
+		Code: &huffman.Code{Lengths: make([]int, d), Words: make([]uint64, d)}}
+	for i := range res.Dictionary {
+		res.Dictionary[i] = uint64(i)
+		res.Code.Lengths[i], res.Code.Words[i] = 16, uint64(i)
+	}
+	blob, err := encodeSelhuffParams(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	got, err := decodeSelhuffParams(blob)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.D != d {
+		t.Fatalf("decoded %d dictionary words, want %d", got.D, d)
+	}
+	t.Logf("%d-word selhuff params decoded in %v", d, elapsed)
+	if elapsed > 500*time.Millisecond {
+		t.Errorf("%d-word selhuff params took %v to decode, want well under a second", d, elapsed)
+	}
+
+	res.Code.Words[d-1] = 12345
+	if blob, err = encodeSelhuffParams(res); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeSelhuffParams(blob); err == nil {
+		t.Fatal("a stored code with a duplicated codeword was accepted")
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	tcomp "repro"
+	"repro/internal/atpg"
 	"repro/internal/blockcode"
 	"repro/internal/core"
 	"repro/internal/ea"
@@ -132,6 +133,24 @@ func BenchmarkEACompress(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Compress(ts, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkATPG times stuck-at PODEM at its default options on the s420
+// flow circuit at flow seed 1, the flow whose test generation is the
+// longest: ns/op and allocs/op ratchet the search and its implication
+// engine.
+func BenchmarkATPG(b *testing.B) {
+	c, err := tcomp.NewTestFlow(tcomp.FlowSeed(1)).GenerateCircuit(context.Background(), "s420")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := atpg.Generate(c, atpg.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,7 +32,7 @@ func main() {
 		out       = flag.String("out", "", "output test-set file (default stdout)")
 		drop      = flag.Bool("drop", false, "enable fault dropping (compacted set)")
 		noxmax    = flag.Bool("noxmax", false, "disable don't-care maximization")
-		seed      = flag.Int64("seed", 1, "random seed")
+		seed      = flag.Int64("seed", 1, "seed of the -random circuit when its spec has no seed=")
 		maxPaths  = flag.Int("maxpaths", 1000, "path enumeration cap (pathdelay)")
 	)
 	flag.Parse()
@@ -99,7 +99,6 @@ func main() {
 		opt := atpg.DefaultOptions()
 		opt.FaultDropping = *drop
 		opt.XMaximize = !*noxmax
-		opt.Seed = *seed
 		res, err := atpg.Generate(c, opt)
 		if err != nil {
 			log.Fatal(err)
@@ -114,7 +113,6 @@ func main() {
 		opt := delay.DefaultOptions()
 		opt.MaxPaths = *maxPaths
 		opt.XMaximize = !*noxmax
-		opt.Seed = *seed
 		res, err := delay.Generate(c, opt)
 		if err != nil {
 			log.Fatal(err)

@@ -67,7 +67,9 @@ const (
 
 // Deterministic per-stage seed indices: each flow stage draws its seed
 // as pipeline.Seed(flowSeed, stage), so stages are independently seeded
-// but all reproducible from the one root.
+// but all reproducible from the one root. Test generation is
+// deterministic and draws no seed, but flowStageATPG keeps its index so
+// that the later stages keep theirs, and every flow its bytes.
 const (
 	flowStageCircuit = iota
 	flowStageATPG
@@ -254,9 +256,7 @@ func (f *TestFlow) RunATPG(ctx context.Context, c *Circuit) (*FlowTestsResult, e
 	out := &FlowTestsResult{Kind: f.o.tests}
 	switch f.o.tests {
 	case FlowStuckAt, "":
-		opt := atpg.DefaultOptions()
-		opt.Seed = f.stageSeed(flowStageATPG)
-		res, err := atpg.GenerateCtx(ctx, c, opt)
+		res, err := atpg.GenerateCtx(ctx, c, atpg.DefaultOptions())
 		if err != nil {
 			sp.SetError(err)
 			return nil, err
@@ -269,7 +269,6 @@ func (f *TestFlow) RunATPG(ctx context.Context, c *Circuit) (*FlowTestsResult, e
 		out.Kind = FlowStuckAt
 	case FlowPathDelay:
 		opt := delay.DefaultOptions()
-		opt.Seed = f.stageSeed(flowStageATPG)
 		opt.MaxPaths = f.o.maxPaths
 		res, err := delay.Generate(c, opt)
 		if err != nil {

@@ -9,7 +9,6 @@ package atpg
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/circuit"
 	"repro/internal/faults"
@@ -31,8 +30,6 @@ type Options struct {
 	XMaximize bool
 	// Collapse uses the collapsed fault list.
 	Collapse bool
-	// Seed orders heuristic choices deterministically.
-	Seed int64
 }
 
 // DefaultOptions returns sensible defaults: collapsed faults, dropping
@@ -80,7 +77,7 @@ func GenerateCtx(ctx context.Context, c *circuit.Circuit, opt Options) (*Result,
 		fl = faults.All(c)
 	}
 	res := &Result{Tests: testset.New(len(c.Inputs)), Faults: len(fl)}
-	gen := &podem{c: c, ctx: ctx, maxBT: opt.MaxBacktracks, rng: rand.New(rand.NewSource(opt.Seed))}
+	gen := newPodem(ctx, c, opt.MaxBacktracks)
 	dropped := make([]bool, len(fl))
 	for fi, f := range fl {
 		if err := ctx.Err(); err != nil {
@@ -90,12 +87,14 @@ func GenerateCtx(ctx context.Context, c *circuit.Circuit, opt Options) (*Result,
 			res.Detected++
 			continue
 		}
-		pattern, status := gen.run(f)
-		switch status {
+		switch gen.run(f) {
 		case statusDetected:
 			if opt.XMaximize {
-				pattern = maximizeX(c, pattern, f)
+				maximizeX(c, gen.imp)
 			}
+			pattern := gen.imp.Assignment()
+			// Two full Sim3 runs check the incremental engine's verdict
+			// independently.
 			if !faults.DefinitelyDetects(c, pattern, f) {
 				return nil, fmt.Errorf("atpg: internal error: generated pattern fails verification for %s", f.Name(c))
 			}
@@ -131,30 +130,30 @@ const (
 	statusAborted
 )
 
-// podem carries the search state for one ATPG engine instance.
+// podem carries the search state for one ATPG engine instance. The
+// implication engine imp holds both machines' values under the current
+// assignment; it lives as long as the podem, one GenerateCtx call.
 type podem struct {
 	c     *circuit.Circuit
 	ctx   context.Context
 	maxBT int
-	rng   *rand.Rand
+	imp   *circuit.Implicator
 
 	fault      faults.Fault
-	assign     tritvec.Vector
 	backtracks int
 }
 
-// run searches for a (partial) input assignment detecting f.
-func (p *podem) run(f faults.Fault) (tritvec.Vector, status) {
+func newPodem(ctx context.Context, c *circuit.Circuit, maxBT int) *podem {
+	return &podem{c: c, ctx: ctx, maxBT: maxBT, imp: circuit.NewImplicator(c)}
+}
+
+// run searches for a (partial) input assignment detecting f. On
+// statusDetected the assignment stays in p.imp.
+func (p *podem) run(f faults.Fault) status {
 	p.fault = f
-	p.assign = tritvec.New(len(p.c.Inputs))
 	p.backtracks = 0
-	switch p.search() {
-	case statusDetected:
-		return p.assign.Clone(), statusDetected
-	case statusUntestable:
-		return tritvec.Vector{}, statusUntestable
-	}
-	return tritvec.Vector{}, statusAborted
+	p.imp.Reset(circuit.Force{Signal: f.Signal, Value: f.SA})
+	return p.search()
 }
 
 // search implements the PODEM recursion: pick an objective, backtrace to
@@ -165,8 +164,7 @@ func (p *podem) search() status {
 	if p.ctx != nil && p.ctx.Err() != nil {
 		return statusAborted
 	}
-	good := p.c.Sim3(p.assign, nil)
-	bad := p.c.Sim3(p.assign, &circuit.Force{Signal: p.fault.Signal, Value: p.fault.SA})
+	good, bad := p.imp.Good(), p.imp.Bad()
 	if detectedAt(p.c, good, bad) {
 		return statusDetected
 	}
@@ -183,17 +181,17 @@ func (p *podem) search() status {
 	}
 	idx := p.c.InputIndex(pi)
 	for attempt, v := range []tritvec.Trit{piVal, circuit.Invert(piVal)} {
-		p.assign.Set(idx, v)
+		mark := p.imp.Mark()
+		p.imp.Assign(idx, v)
 		st := p.search()
 		if st == statusDetected {
 			return st
 		}
+		p.imp.Undo(mark)
 		if st == statusAborted {
-			p.assign.Set(idx, tritvec.X)
 			return statusAborted
 		}
-		// statusUntestable under this assignment: undo and try opposite.
-		p.assign.Set(idx, tritvec.X)
+		// statusUntestable under this assignment: try the opposite.
 		if attempt == 0 {
 			p.backtracks++
 			if p.backtracks > p.maxBT {
@@ -240,9 +238,15 @@ func (p *podem) objective(good, bad []tritvec.Trit) (int, tritvec.Trit, bool) {
 		return 0, tritvec.X, false
 	}
 	// D-frontier: gates with a fault effect on some fanin and an X
-	// output in either machine. Objective: set an X side input to the
+	// output in either machine. A fault effect lives only in the fault
+	// site's fanout cone, so only the cone's gates can be on the
+	// frontier; they are visited in ascending signal order. Objective:
+	// set an X side input of the first frontier gate that has one to the
 	// gate's non-controlling value.
-	for _, id := range p.frontier(good, bad) {
+	for _, id := range p.imp.Cone() {
+		if !onFrontier(p.c, id, good, bad) {
+			continue
+		}
 		nc, hasNC := circuit.NonControlling(p.c.Types[id])
 		for _, fin := range p.c.Fanin[id] {
 			if good[fin] == tritvec.X && bad[fin] == tritvec.X {
@@ -256,26 +260,19 @@ func (p *podem) objective(good, bad []tritvec.Trit) (int, tritvec.Trit, bool) {
 	return 0, tritvec.X, false
 }
 
-// frontier lists gates where the fault effect is present on an input and
-// the output is still X in at least one machine.
-func (p *podem) frontier(good, bad []tritvec.Trit) []int {
-	var out []int
-	for id := 0; id < p.c.NumSignals(); id++ {
-		if p.c.Types[id] == circuit.Input {
-			continue
-		}
-		if good[id] != tritvec.X && bad[id] != tritvec.X {
-			continue
-		}
-		for _, fin := range p.c.Fanin[id] {
-			g, b := good[fin], bad[fin]
-			if g != tritvec.X && b != tritvec.X && g != b {
-				out = append(out, id)
-				break
-			}
+// onFrontier reports whether signal id is a D-frontier gate: a fault
+// effect on some fanin and the output still X in at least one machine.
+func onFrontier(c *circuit.Circuit, id int, good, bad []tritvec.Trit) bool {
+	if c.Types[id] == circuit.Input || good[id] != tritvec.X && bad[id] != tritvec.X {
+		return false
+	}
+	for _, fin := range c.Fanin[id] {
+		g, b := good[fin], bad[fin]
+		if g != tritvec.X && b != tritvec.X && g != b {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // backtrace walks from an objective to an unassigned PI, tracking
@@ -318,19 +315,19 @@ func (p *podem) backtrace(sig int, val tritvec.Trit, good []tritvec.Trit) (int, 
 	return 0, tritvec.X, false
 }
 
-// maximizeX greedily resets assigned inputs to X while the pattern still
-// definitely detects the fault.
-func maximizeX(c *circuit.Circuit, pattern tritvec.Vector, f faults.Fault) tritvec.Vector {
-	out := pattern.Clone()
-	for i := 0; i < out.Len(); i++ {
-		if out.Get(i) == tritvec.X {
+// maximizeX greedily resets the assigned inputs of imp's detecting
+// assignment to X, in input order, keeping each X while the pattern
+// still definitely detects imp's fault.
+func maximizeX(c *circuit.Circuit, imp *circuit.Implicator) {
+	good, bad := imp.Good(), imp.Bad()
+	for i, id := range c.Inputs {
+		if good[id] == tritvec.X {
 			continue
 		}
-		saved := out.Get(i)
-		out.Set(i, tritvec.X)
-		if !faults.DefinitelyDetects(c, out, f) {
-			out.Set(i, saved)
+		mark := imp.Mark()
+		imp.Assign(i, tritvec.X)
+		if !detectedAt(c, good, bad) {
+			imp.Undo(mark)
 		}
 	}
-	return out
 }

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/circuit"
@@ -135,12 +136,13 @@ func TestXMaximizePreservesDetection(t *testing.T) {
 	c := circuit.C17()
 	fl := faults.Collapse(c)
 	f := fl[0]
-	p := &podem{c: c, maxBT: 1000}
-	pattern, st := p.run(f)
-	if st != statusDetected {
+	p := newPodem(context.Background(), c, 1000)
+	if st := p.run(f); st != statusDetected {
 		t.Fatalf("run status %v", st)
 	}
-	max := maximizeX(c, pattern, f)
+	pattern := p.imp.Assignment()
+	maximizeX(c, p.imp)
+	max := p.imp.Assignment()
 	if !faults.DefinitelyDetects(c, max, f) {
 		t.Fatal("X-maximization broke detection")
 	}

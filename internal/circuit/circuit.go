@@ -1,6 +1,8 @@
 // Package circuit implements gate-level combinational netlists in the
 // ISCAS ".bench" dialect: parsing, levelization, scalar 3-valued
-// simulation (for ATPG over test patterns with X values) and 64-way
+// simulation (for ATPG over test patterns with X values), the
+// Implicator, an incremental 3-valued implication engine over a good
+// and a stuck-at faulty machine (for PODEM's search), and 64-way
 // bit-parallel 2-valued simulation (for fault simulation).
 //
 // Sequential elements (DFF) are handled the way the paper's experiments
@@ -49,8 +51,9 @@ type Circuit struct {
 	Inputs  []int // signal ids of primary + pseudo-primary inputs
 	Outputs []int // signal ids of primary + pseudo-primary outputs
 
-	order  []int   // topological order over non-input signals
-	fanout [][]int // computed on Finalize
+	order      []int   // topological order over non-input signals
+	fanout     [][]int // computed on Finalize
+	inputIndex []int   // signal id -> position in Inputs, or -1; computed on Finalize
 }
 
 // NumSignals returns the total signal count.
@@ -138,15 +141,21 @@ func (b *Builder) AddGate(name string, t GateType, fanin ...string) (int, error)
 // evaluation order, and returns the circuit.
 func (b *Builder) Finalize() (*Circuit, error) {
 	c := b.c
-	isInput := make([]bool, c.NumSignals())
-	for _, id := range c.Inputs {
-		isInput[id] = true
+	c.inputIndex = make([]int, c.NumSignals())
+	for id := range c.inputIndex {
+		c.inputIndex[id] = -1
+	}
+	for i, id := range c.Inputs {
+		if c.inputIndex[id] >= 0 {
+			return nil, fmt.Errorf("circuit: input %s declared twice", c.Names[id])
+		}
+		c.inputIndex[id] = i
 	}
 	for id, t := range c.Types {
-		if t == Input && !isInput[id] {
+		if t == Input && c.inputIndex[id] < 0 {
 			return nil, fmt.Errorf("circuit: signal %s is undriven and not an input", c.Names[id])
 		}
-		if t != Input && isInput[id] {
+		if t != Input && c.inputIndex[id] >= 0 {
 			return nil, fmt.Errorf("circuit: input %s is also a gate output", c.Names[id])
 		}
 	}
@@ -188,33 +197,35 @@ func (b *Builder) Finalize() (*Circuit, error) {
 	return c, nil
 }
 
-// eval3 computes a 3-valued gate function.
-func eval3(t GateType, in []tritvec.Trit) tritvec.Trit {
+// evalGate computes gate type t's 3-valued function of the values vals
+// holds at the fanin signals, reading them in place. It is the one gate
+// evaluator of Sim3 and the Implicator.
+func evalGate(t GateType, fanin []int, vals []tritvec.Trit) tritvec.Trit {
 	switch t {
 	case Buf:
-		return in[0]
+		return vals[fanin[0]]
 	case Not:
-		return Invert(in[0])
+		return Invert(vals[fanin[0]])
 	case And, Nand:
-		v := and3(in)
+		v := and3(fanin, vals)
 		if t == Nand {
 			v = Invert(v)
 		}
 		return v
 	case Or, Nor:
-		v := or3(in)
+		v := or3(fanin, vals)
 		if t == Nor {
 			v = Invert(v)
 		}
 		return v
 	case Xor, Xnor:
-		v := xor3(in)
+		v := xor3(fanin, vals)
 		if t == Xnor {
 			v = Invert(v)
 		}
 		return v
 	}
-	panic("circuit: eval3 on input")
+	panic("circuit: evalGate on input")
 }
 
 // Invert is three-valued NOT: 0 and 1 swap, X stays X.
@@ -240,10 +251,10 @@ func NonControlling(t GateType) (tritvec.Trit, bool) {
 	return tritvec.X, false
 }
 
-func and3(in []tritvec.Trit) tritvec.Trit {
+func and3(fanin []int, vals []tritvec.Trit) tritvec.Trit {
 	sawX := false
-	for _, a := range in {
-		switch a {
+	for _, f := range fanin {
+		switch vals[f] {
 		case tritvec.Zero:
 			return tritvec.Zero
 		case tritvec.X:
@@ -256,10 +267,10 @@ func and3(in []tritvec.Trit) tritvec.Trit {
 	return tritvec.One
 }
 
-func or3(in []tritvec.Trit) tritvec.Trit {
+func or3(fanin []int, vals []tritvec.Trit) tritvec.Trit {
 	sawX := false
-	for _, a := range in {
-		switch a {
+	for _, f := range fanin {
+		switch vals[f] {
 		case tritvec.One:
 			return tritvec.One
 		case tritvec.X:
@@ -272,13 +283,13 @@ func or3(in []tritvec.Trit) tritvec.Trit {
 	return tritvec.Zero
 }
 
-func xor3(in []tritvec.Trit) tritvec.Trit {
+func xor3(fanin []int, vals []tritvec.Trit) tritvec.Trit {
 	parity := tritvec.Zero
-	for _, a := range in {
-		if a == tritvec.X {
+	for _, f := range fanin {
+		switch vals[f] {
+		case tritvec.X:
 			return tritvec.X
-		}
-		if a == tritvec.One {
+		case tritvec.One:
 			parity = Invert(parity)
 		}
 	}
@@ -306,13 +317,8 @@ func (c *Circuit) Sim3(assign tritvec.Vector, force *Force) []tritvec.Trit {
 	if force != nil && c.Types[force.Signal] == Input {
 		vals[force.Signal] = force.Value
 	}
-	buf := make([]tritvec.Trit, 0, 8)
 	for _, id := range c.order {
-		buf = buf[:0]
-		for _, f := range c.Fanin[id] {
-			buf = append(buf, vals[f])
-		}
-		vals[id] = eval3(c.Types[id], buf)
+		vals[id] = evalGate(c.Types[id], c.Fanin[id], vals)
 		if force != nil && force.Signal == id {
 			vals[id] = force.Value
 		}
@@ -409,14 +415,13 @@ func (c *Circuit) Levels() []int {
 // IsInput reports whether signal id is a (pseudo) primary input.
 func (c *Circuit) IsInput(id int) bool { return c.Types[id] == Input }
 
-// InputIndex maps signal id -> position in c.Inputs, or -1.
+// InputIndex maps signal id -> position in c.Inputs, or -1 for a gate
+// or an id outside the circuit. It reads a table built by Finalize.
 func (c *Circuit) InputIndex(id int) int {
-	for i, s := range c.Inputs {
-		if s == id {
-			return i
-		}
+	if id < 0 || id >= len(c.inputIndex) {
+		return -1
 	}
-	return -1
+	return c.inputIndex[id]
 }
 
 // SignalID returns the id of a named signal, or -1.

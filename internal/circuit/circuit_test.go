@@ -92,7 +92,13 @@ func TestEval3AllGates(t *testing.T) {
 		{Xnor, []tritvec.Trit{O, Z}, Z},
 	}
 	for _, c := range cases {
-		if got := eval3(c.t, c.in); got != c.want {
+		// The case's inputs are the whole value array, and the gate's
+		// fanins are their positions.
+		fanin := make([]int, len(c.in))
+		for i := range fanin {
+			fanin[i] = i
+		}
+		if got := evalGate(c.t, fanin, c.in); got != c.want {
 			t.Errorf("%v%v = %v want %v", c.t, c.in, got, c.want)
 		}
 	}
@@ -289,5 +295,40 @@ func TestInputIndex(t *testing.T) {
 	}
 	if c.SignalID("nope") != -1 {
 		t.Fatal("unknown signal id")
+	}
+	// Every constructor finalizes through Builder.Finalize, which builds
+	// the table: a parsed netlist with DFF pseudo inputs and a random one.
+	seq, err := ParseBench("seq", strings.NewReader("INPUT(x)\nOUTPUT(z)\nq = DFF(d)\nd = AND(x, q)\nz = NOT(q)\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd, err := Random("rnd", RandomOptions{Inputs: 9, Gates: 40, Outputs: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Circuit{c, seq, rnd} {
+		for id := 0; id < c.NumSignals(); id++ {
+			want := -1
+			for i, in := range c.Inputs {
+				if in == id {
+					want = i
+				}
+			}
+			if got := c.InputIndex(id); got != want {
+				t.Fatalf("%s: InputIndex(%s) = %d, want %d", c.Name, c.Names[id], got, want)
+			}
+		}
+		for _, id := range []int{-1, c.NumSignals()} {
+			if got := c.InputIndex(id); got != -1 {
+				t.Fatalf("%s: InputIndex(%d) outside the circuit = %d, want -1", c.Name, id, got)
+			}
+		}
+	}
+	b := NewBuilder("dup")
+	b.AddInput("a")
+	b.AddInput("a")
+	b.AddOutput("a")
+	if _, err := b.Finalize(); err == nil {
+		t.Fatal("input declared twice accepted")
 	}
 }

@@ -9,7 +9,6 @@ package delay
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/circuit"
 	"repro/internal/testset"
@@ -82,7 +81,6 @@ type Options struct {
 	MaxBacktracks int
 	// XMaximize re-Xes assigned inputs while the pair stays robust.
 	XMaximize bool
-	Seed      int64
 }
 
 // DefaultOptions returns the defaults used by the experiments.
@@ -118,7 +116,6 @@ func Generate(c *circuit.Circuit, opt Options) (*Result, error) {
 	}
 	paths := EnumeratePaths(c, opt.MaxPaths)
 	res := &Result{Tests: testset.New(len(c.Inputs))}
-	rng := rand.New(rand.NewSource(opt.Seed))
 	dirs := []tritvec.Trit{tritvec.Zero}
 	if opt.BothDirections {
 		dirs = []tritvec.Trit{tritvec.Zero, tritvec.One}
@@ -126,7 +123,7 @@ func Generate(c *circuit.Circuit, opt Options) (*Result, error) {
 	for _, path := range paths {
 		for _, initial := range dirs {
 			res.Paths++
-			v1, v2, ok := robustTest(c, path, initial, opt.MaxBacktracks, rng)
+			v1, v2, ok := robustTest(c, path, initial, opt.MaxBacktracks)
 			if !ok {
 				res.Untestable++
 				continue
@@ -147,7 +144,7 @@ func Generate(c *circuit.Circuit, opt Options) (*Result, error) {
 
 // robustTest searches for a steady side-input assignment and returns the
 // two vectors.
-func robustTest(c *circuit.Circuit, path Path, initial tritvec.Trit, maxBT int, rng *rand.Rand) (tritvec.Vector, tritvec.Vector, bool) {
+func robustTest(c *circuit.Circuit, path Path, initial tritvec.Trit, maxBT int) (tritvec.Vector, tritvec.Vector, bool) {
 	j := &justifier{c: c, assign: tritvec.New(len(c.Inputs)), maxBT: maxBT}
 	// Justify every side input of every on-path gate to a steady
 	// non-controlling value.
@@ -188,7 +185,6 @@ func robustTest(c *circuit.Circuit, path Path, initial tritvec.Trit, maxBT int, 
 	if VerifyRobust(c, path, v1, v2) != nil {
 		return tritvec.Vector{}, tritvec.Vector{}, false
 	}
-	_ = rng
 	return v1, v2, true
 }
 

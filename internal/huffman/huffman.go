@@ -6,6 +6,7 @@
 package huffman
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"slices"
@@ -230,27 +231,39 @@ func canonical(lengths []int) (*Code, error) {
 
 // IsPrefixFree verifies that no codeword is a prefix of another. Canonical
 // construction guarantees this; the check exists for tests and for codes
-// loaded from external sources (e.g. the fixed 9C code table).
+// loaded from external sources (the fixed 9C code table, and the tables
+// a container carries). It reads only the low Lengths[i] bits of each
+// word, the bits the decoders read; two symbols with the same codeword
+// violate it, and so does a length above 64.
+//
+// It sorts the codewords as bit strings, by left-aligned word and then
+// by length, and compares neighbours only: O(n log n). If a is a prefix
+// of c, every string sorted between them starts with a too, so some
+// adjacent pair violates the check whenever any pair does.
 func (c *Code) IsPrefixFree() bool {
-	type w struct {
-		bits uint64
+	type word struct {
+		bits uint64 // left-aligned: the codeword's first bit is bit 63
 		len  int
 	}
-	var ws []w
+	ws := make([]word, 0, len(c.Lengths))
 	for i, l := range c.Lengths {
+		if l > 64 {
+			return false
+		}
 		if l > 0 {
-			ws = append(ws, w{c.Words[i], l})
+			ws = append(ws, word{c.Words[i] << uint(64-l), l})
 		}
 	}
-	for i := 0; i < len(ws); i++ {
-		for j := 0; j < len(ws); j++ {
-			if i == j {
-				continue
-			}
-			a, b := ws[i], ws[j]
-			if a.len <= b.len && b.bits>>uint(b.len-a.len) == a.bits {
-				return false
-			}
+	slices.SortFunc(ws, func(a, b word) int {
+		if a.bits != b.bits {
+			return cmp.Compare(a.bits, b.bits)
+		}
+		return a.len - b.len
+	})
+	for i := 1; i < len(ws); i++ {
+		a, b := ws[i-1], ws[i]
+		if (a.bits^b.bits)>>uint(64-min(a.len, b.len)) == 0 {
+			return false
 		}
 	}
 	return true

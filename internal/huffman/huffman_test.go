@@ -312,3 +312,112 @@ func TestDecoderEOS(t *testing.T) {
 		t.Fatal("expected error at end of stream")
 	}
 }
+
+// prefixFreeReference is the quadratic check IsPrefixFree replaced: it
+// compares every ordered pair of codewords, on their low Lengths[i] bits.
+func prefixFreeReference(c *Code) bool {
+	type w struct {
+		bits uint64
+		len  int
+	}
+	var ws []w
+	for i, l := range c.Lengths {
+		if l > 0 {
+			ws = append(ws, w{c.Words[i] & (1<<uint(l) - 1), l})
+		}
+	}
+	for i := 0; i < len(ws); i++ {
+		for j := 0; j < len(ws); j++ {
+			if i == j {
+				continue
+			}
+			a, b := ws[i], ws[j]
+			if a.len <= b.len && b.bits>>uint(b.len-a.len) == a.bits {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestIsPrefixFreeMatchesReference compares IsPrefixFree with the
+// quadratic reference on random codes with and without violations:
+// canonical codes, duplicated codewords, a codeword cut down to a prefix
+// of another, zero lengths, length-64 words, and bits set above a
+// word's length, which neither check may read.
+func TestIsPrefixFreeMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	low := func(w uint64, l int) uint64 { return w & (1<<uint(l) - 1) }
+	counts := map[bool]int{}
+	for iter := 0; iter < 4000; iter++ {
+		n := 1 + r.Intn(24)
+		lengths := make([]int, n)
+		words := make([]uint64, n)
+		switch iter % 3 {
+		case 0: // canonical, so prefix-free until mutated
+			freqs := make([]int, n)
+			for i := range freqs {
+				freqs[i] = r.Intn(50)
+			}
+			freqs[0]++
+			c, err := Build(freqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(lengths, c.Lengths)
+			copy(words, c.Words)
+		case 1: // short words: violations are common
+			for i := range lengths {
+				lengths[i] = r.Intn(6)
+				words[i] = low(r.Uint64(), lengths[i])
+			}
+		case 2: // long words, length 64 among them
+			for i := range lengths {
+				lengths[i] = []int{0, 64, 63, 1 + r.Intn(64)}[r.Intn(4)]
+				words[i] = low(r.Uint64(), lengths[i])
+			}
+		}
+		if i, j := r.Intn(n), r.Intn(n); i != j && lengths[j] > 0 && r.Intn(2) == 0 {
+			if r.Intn(2) == 0 {
+				lengths[i], words[i] = lengths[j], words[j]
+			} else {
+				lengths[i] = 1 + r.Intn(lengths[j])
+				words[i] = words[j] >> uint(lengths[j]-lengths[i])
+			}
+		}
+		if i := r.Intn(n); lengths[i] < 64 && r.Intn(3) == 0 {
+			words[i] |= r.Uint64() << uint(lengths[i])
+		}
+		c := &Code{Lengths: lengths, Words: words}
+		got, want := c.IsPrefixFree(), prefixFreeReference(c)
+		if got != want {
+			t.Fatalf("lengths %v words %x: IsPrefixFree %v, reference %v", lengths, words, got, want)
+		}
+		counts[got]++
+	}
+	if counts[true] < 500 || counts[false] < 500 {
+		t.Fatalf("unbalanced cases: %d prefix-free, %d not", counts[true], counts[false])
+	}
+}
+
+// TestIsPrefixFreeReadsLowBits pins the check to the bits the decoders
+// read: a word's bits above its length do not hide a violation.
+func TestIsPrefixFreeReadsLowBits(t *testing.T) {
+	for _, tc := range []struct {
+		lengths []int
+		words   []uint64
+		want    bool
+	}{
+		{[]int{1, 2}, []uint64{0b10, 0b00}, false}, // "0" is a prefix of "00"
+		{[]int{1, 1}, []uint64{0b11, 0b01}, false}, // "1" twice
+		{[]int{1, 2}, []uint64{0b10, 0b10}, true},  // "0" and "10"
+		{[]int{64, 64}, []uint64{1 << 63, 1 << 63}, false},
+		{[]int{2, 0, 64}, []uint64{0b01, 0b01, 1 << 62}, false}, // "01" starts the 64-bit word
+		{[]int{65}, []uint64{0}, false},
+	} {
+		c := &Code{Lengths: tc.lengths, Words: tc.words}
+		if got := c.IsPrefixFree(); got != tc.want {
+			t.Errorf("lengths %v words %b: IsPrefixFree %v, want %v", tc.lengths, tc.words, got, tc.want)
+		}
+	}
+}

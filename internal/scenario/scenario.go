@@ -67,16 +67,15 @@ func Circuit(benchmark string, kind iscasgen.Kind, seed int64) (*circuit.Circuit
 	})
 }
 
-// StuckAt runs PODEM stuck-at ATPG on the benchmark's generated
-// circuit and returns the compacted pattern set.
+// StuckAt runs PODEM stuck-at ATPG at its default options on the
+// benchmark's generated circuit and returns the uncompacted pattern set
+// (no fault dropping: one pattern per detected fault).
 func StuckAt(benchmark string, seed int64) (Scenario, error) {
 	c, err := Circuit(benchmark, iscasgen.StuckAt, seed)
 	if err != nil {
 		return Scenario{}, err
 	}
-	opt := atpg.DefaultOptions()
-	opt.Seed = pipeline.Seed(seed, 1)
-	res, err := atpg.Generate(c, opt)
+	res, err := atpg.Generate(c, atpg.DefaultOptions())
 	if err != nil {
 		return Scenario{}, err
 	}
@@ -90,9 +89,7 @@ func PathDelay(benchmark string, seed int64) (Scenario, error) {
 	if err != nil {
 		return Scenario{}, err
 	}
-	opt := delay.DefaultOptions()
-	opt.Seed = pipeline.Seed(seed, 1)
-	res, err := delay.Generate(c, opt)
+	res, err := delay.Generate(c, delay.DefaultOptions())
 	if err != nil {
 		return Scenario{}, err
 	}
