@@ -304,10 +304,11 @@ func WithTraceparent(ctx context.Context, traceparent string) (context.Context, 
 	return obs.WithTraceContext(ctx, tc), nil
 }
 
-// Compress streams the textual (or binary) test set on patterns through
-// the daemon's POST /v1/compress and copies the returned container to
-// container. By default the daemon answers with a chunked stream
-// container (format v3); see CompressSet for the buffered v2 form.
+// Compress streams the test set on patterns, textual or TSET binary,
+// through the daemon's POST /v1/compress and copies the returned
+// container to container. The daemon reads either format a pattern at
+// a time. By default it answers with a chunked stream container
+// (format v3); see CompressSet for the buffered v2 form.
 func (c *Client) Compress(ctx context.Context, codecName string, patterns io.Reader, container io.Writer, opts ...Option) (*RemoteStats, error) {
 	q := optionValues(opts)
 	q.Set("codec", codecName)

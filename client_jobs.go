@@ -131,8 +131,9 @@ func (j *JobStatus) Terminal() bool {
 	return false
 }
 
-// SubmitCompressJob uploads the textual (or TSET binary) test set on
-// patterns and queues an asynchronous compression with the named codec.
+// SubmitCompressJob uploads the test set on patterns, textual or TSET
+// binary, and queues an asynchronous compression with the named codec;
+// the job reads either format a pattern at a time.
 // The options travel as the same query parameters the synchronous
 // endpoint uses; format selects the container ("" or "v3" for the
 // chunked stream container, "v2" for the buffered form) via

@@ -61,7 +61,7 @@ func TestClientCompressDecompress(t *testing.T) {
 	if err := c.Decompress(ctx, &cont, &text); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := testset.ReadAuto(&text)
+	dec, err := testset.Read(&text)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,11 @@
 //	tcompress -remote http://localhost:8077 -async -method golomb < tests.txt > tests.tcmp
 //	tcompress -list
 //
+// The input is the textual test-set format or the packed TSET binary
+// one; every mode reads either.
+//
 // With -remote the compression is delegated to a tcompd daemon: the
-// textual input streams up, the chunked stream container (format v3)
+// input streams up, the chunked stream container (format v3)
 // streams back, and the same -k/-l/-seed/... flags travel as query
 // parameters. Repeat submissions hit the daemon's content-addressed
 // result cache.
@@ -21,7 +24,7 @@
 // Methods: every codec in the registry (ea, 9c, 9chc, golomb, fdr, rl,
 // selhuff); all of them support container output.
 //
-// With -stream the textual test set is compressed pattern-by-pattern
+// With -stream the test set is compressed pattern-by-pattern
 // into a chunked stream container (format v3) at O(chunk) memory —
 // stdin to stdout works as a pipe stage, and chunk compression runs on
 // the pipeline worker pool without changing the output bytes. Expand
@@ -63,7 +66,7 @@ func main() {
 		b       = flag.Int("b", 0, "run-length counter width in bits (rl; 0 = default 4)")
 		stats   = flag.Bool("stats", false, "print test-set statistics")
 		workers = flag.Int("workers", 0, "parallel EA runs on the pipeline engine (0 = one per CPU, 1 = serial; results are identical at any setting)")
-		stream  = flag.Bool("stream", false, "stream textual patterns through the chunked container format at O(chunk) memory (default stdin to stdout)")
+		stream  = flag.Bool("stream", false, "stream the patterns through the chunked container format at O(chunk) memory (default stdin to stdout)")
 		chunk   = flag.Int("chunk", 0, "patterns per stream chunk (0 = about 1 Mbit of original data per chunk)")
 		remote  = flag.String("remote", "", "delegate compression to a tcompd daemon at this base URL (output is a chunked stream container)")
 		async   = flag.Bool("async", false, "with -remote: submit as a background job, poll until done, then fetch the result (survives a daemon restart mid-run)")
@@ -145,7 +148,7 @@ func main() {
 		return
 	}
 
-	ts, err := testset.ReadAuto(r)
+	ts, err := testset.Read(r)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -177,14 +180,14 @@ func main() {
 	}
 }
 
-// runStream compresses the textual test set on r pattern-by-pattern into
-// a chunked stream container, without ever holding more than the
-// in-flight chunks in memory. Diagnostics go to stderr because stdout is
-// the default container sink.
+// runStream compresses the test set on r pattern by pattern into a
+// chunked stream container through tcomp.CompressTo, without ever
+// holding more than the in-flight chunks in memory. Diagnostics go to
+// stderr because stdout is the default container sink.
 func runStream(ctx context.Context, r io.Reader, out, method string, opts []tcomp.Option, stats bool) {
 	sc, err := testset.NewScanner(r)
 	if err != nil {
-		log.Fatalf("-stream expects the textual test-set format: %v", err)
+		log.Fatal(err)
 	}
 	var w io.Writer = os.Stdout
 	if out != "" {
@@ -195,35 +198,22 @@ func runStream(ctx context.Context, r io.Reader, out, method string, opts []tcom
 		defer f.Close()
 		w = f
 	}
-	sw, err := tcomp.NewStreamWriter(ctx, w, method, sc.Width(), opts...)
-	if err != nil {
-		log.Fatal(err)
-	}
 	specified := 0
-	for {
+	next := func() (tcomp.Vector, error) {
 		v, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if stats {
-			specified += v.CountSpecified()
-		}
-		if err := sw.WritePattern(v); err != nil {
-			log.Fatal(err)
-		}
+		specified += v.CountSpecified()
+		return v, err
 	}
-	if err := sw.Close(); err != nil {
+	st, err := tcomp.CompressTo(ctx, w, method, "v3", sc.Width(), next, nil, opts...)
+	if err != nil {
 		log.Fatal(err)
 	}
 	if stats {
 		// The incremental twin of the buffered path's ts.Summary().
 		s := testset.Stats{
 			Width:     sc.Width(),
-			Patterns:  sw.Patterns(),
-			TotalBits: sw.OriginalBits(),
+			Patterns:  st.Patterns,
+			TotalBits: st.OriginalBits,
 			Specified: specified,
 		}
 		if s.TotalBits > 0 {
@@ -232,7 +222,7 @@ func runStream(ctx context.Context, r io.Reader, out, method string, opts []tcom
 		fmt.Fprintln(os.Stderr, s)
 	}
 	fmt.Fprintf(os.Stderr, "%s: rate %.2f%% (%d -> %d bits), %d patterns in %d chunks (chunked stream container)\n",
-		method, sw.RatePercent(), sw.OriginalBits(), sw.CompressedBits(), sw.Patterns(), sw.Chunks())
+		method, st.RatePercent(), st.OriginalBits, st.CompressedBits, st.Patterns, st.Chunks)
 }
 
 // remoteHint appends the actionable next step implied by the daemon's

@@ -18,7 +18,9 @@ type RandomOptions struct {
 // Random generates a deterministic random combinational circuit: gates are
 // created in levelized order with fanins drawn from earlier signals
 // (biased toward recent ones, which yields deep, path-rich structures),
-// and outputs are drawn from the last gates plus any dangling signals.
+// and the outputs are the last Outputs signals created (a random signal
+// for each output past the signal count). A signal with no path to one
+// of those outputs is unobservable, so its faults are untestable.
 func Random(name string, opt RandomOptions) (*Circuit, error) {
 	if opt.Inputs < 1 || opt.Gates < 1 || opt.Outputs < 1 {
 		return nil, fmt.Errorf("circuit: Random needs >=1 input, gate and output")

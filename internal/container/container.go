@@ -80,53 +80,17 @@ func Write(w io.Writer, method Method, width, patterns int, res *blockcode.Resul
 	if len(res.Set.MVs) > 0xFFFF || res.Set.K > 0xFFFF {
 		return fmt.Errorf("container: dimensions exceed format limits")
 	}
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
-	}
-	hdr := []interface{}{
-		uint8(1), uint8(method), uint16(res.Set.K), uint32(width), uint32(patterns),
-		uint16(len(res.Set.MVs)),
-	}
-	for _, v := range hdr {
-		if err := binary.Write(w, binary.BigEndian, v); err != nil {
-			return err
-		}
-	}
-	for _, mv := range res.Set.MVs {
-		if err := writeMV(w, mv); err != nil {
-			return err
-		}
-	}
-	for i := range res.Set.MVs {
-		if err := binary.Write(w, binary.BigEndian, uint8(res.Code.Lengths[i])); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.BigEndian, res.Code.Words[i]); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(w, binary.BigEndian, uint32(res.Stream.Len())); err != nil {
+	buf := append(append([]byte(nil), magic[:]...), 1, uint8(method))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(res.Set.K))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(width))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(patterns))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(res.Set.MVs)))
+	buf = appendBlockTables(buf, res.Set, res.Code)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(res.Stream.Len()))
+	if _, err := w.Write(buf); err != nil {
 		return err
 	}
 	_, err := w.Write(res.Stream.Bytes())
-	return err
-}
-
-func writeMV(w io.Writer, mv tritvec.Vector) error {
-	k := mv.Len()
-	buf := make([]byte, (2*k+7)/8)
-	for i := 0; i < k; i++ {
-		var code byte
-		switch mv.Get(i) {
-		case tritvec.Zero:
-			code = 1
-		case tritvec.One:
-			code = 2
-		}
-		bit := 2 * i
-		buf[bit/8] |= code << uint(6-bit%8)
-	}
-	_, err := w.Write(buf)
 	return err
 }
 
@@ -135,20 +99,9 @@ func readMV(r io.Reader, k int) (tritvec.Vector, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return tritvec.Vector{}, err
 	}
-	mv := tritvec.New(k)
-	for i := 0; i < k; i++ {
-		bit := 2 * i
-		code := buf[bit/8] >> uint(6-bit%8) & 3
-		switch code {
-		case 1:
-			mv.Set(i, tritvec.Zero)
-		case 2:
-			mv.Set(i, tritvec.One)
-		case 0:
-			// U
-		default:
-			return tritvec.Vector{}, fmt.Errorf("container: invalid trit code %d", code)
-		}
+	mv, err := tritvec.ParsePacked(buf, 0, k)
+	if err != nil {
+		return tritvec.Vector{}, fmt.Errorf("container: MV table: %w", err)
 	}
 	return mv, nil
 }

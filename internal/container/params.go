@@ -44,31 +44,29 @@ func EncodeBlockParams(set *blockcode.MVSet, code *huffman.Code) ([]byte, error)
 		return nil, fmt.Errorf("container: code has %d/%d entries for %d MVs",
 			len(code.Lengths), len(code.Words), len(set.MVs))
 	}
-	var buf bytes.Buffer
-	if err := binary.Write(&buf, binary.BigEndian, uint16(set.K)); err != nil {
-		return nil, err
-	}
-	if err := binary.Write(&buf, binary.BigEndian, uint16(len(set.MVs))); err != nil {
-		return nil, err
-	}
-	for _, mv := range set.MVs {
-		if err := writeMV(&buf, mv); err != nil {
-			return nil, err
-		}
-	}
-	for i := range set.MVs {
-		l := code.Lengths[i]
+	for i, l := range code.Lengths {
 		if l < 0 || l > maxCodewordLen {
 			return nil, fmt.Errorf("container: codeword %d length %d out of range [0,%d]", i, l, maxCodewordLen)
 		}
-		if err := binary.Write(&buf, binary.BigEndian, uint8(l)); err != nil {
-			return nil, err
-		}
-		if err := binary.Write(&buf, binary.BigEndian, code.Words[i]); err != nil {
-			return nil, err
-		}
 	}
-	return buf.Bytes(), nil
+	buf := binary.BigEndian.AppendUint16(nil, uint16(set.K))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(set.MVs)))
+	return appendBlockTables(buf, set, code), nil
+}
+
+// appendBlockTables appends the MV table and codeword list shared by the
+// v1 body and the v2 block-parameter blob, as readBlockTables reads
+// them: each MV packed 2 bits per trit and byte-padded, then each
+// codeword's length byte and bits.
+func appendBlockTables(buf []byte, set *blockcode.MVSet, code *huffman.Code) []byte {
+	for _, mv := range set.MVs {
+		buf = mv.AppendPacked(buf, 0)
+	}
+	for i := range set.MVs {
+		buf = append(buf, uint8(code.Lengths[i]))
+		buf = binary.BigEndian.AppendUint64(buf, code.Words[i])
+	}
+	return buf
 }
 
 // DecodeBlockParams parses a block-codec parameter blob, validating the

@@ -53,7 +53,8 @@ import (
 // The job kinds, the values of tcomp.JobSpec.Kind.
 const (
 	// KindCompress compresses a test-set blob (textual patterns or TSET
-	// binary) into a container (v3 chunked by default, v2 on request).
+	// binary, read a pattern at a time by testset.Scanner) into a
+	// container (v3 chunked by default, v2 on request).
 	KindCompress = "compress"
 	// KindDecompress expands a container blob (v1/v2/v3 auto-detected)
 	// into textual patterns.

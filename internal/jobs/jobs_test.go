@@ -301,7 +301,7 @@ func TestBinaryInputMatchesText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := waitState(t, m, j.ID, tcomp.JobFailed); !strings.Contains(got.Error, "bad binary test set") {
+	if got := waitState(t, m, j.ID, tcomp.JobFailed); !strings.Contains(got.Error, "testset: truncated binary header") {
 		t.Fatalf("corrupt binary input failed with %q", got.Error)
 	}
 }

@@ -106,24 +106,14 @@ func (m *Manager) produceTo(produce func(w io.Writer) (*tcomp.ContainerStats, er
 }
 
 // openPatterns opens the input blob as a pattern iterator for
-// tcomp.CompressTo, sniffing the TSET binary magic: a binary set is
-// in-memory-sized by construction and is decoded whole, a textual one
-// is scanned a pattern at a time.
+// tcomp.CompressTo: a test set of either format, scanned a pattern at
+// a time.
 func (m *Manager) openPatterns(input string) (width int, next func() (tcomp.Vector, error), closer io.Closer, err error) {
 	rc, err := m.cfg.Store.Open(artifact.Digest(input))
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("jobs: input artifact: %w", err)
 	}
-	br := bufio.NewReader(rc)
-	if peek, err := br.Peek(4); err == nil && string(peek) == "TSET" {
-		ts, err := testset.ReadBinary(br)
-		if err != nil {
-			_ = rc.Close() // the parse error is the story
-			return 0, nil, nil, fmt.Errorf("bad binary test set: %w", err)
-		}
-		return ts.Width, tcomp.PatternsOf(ts), rc, nil
-	}
-	sc, err := testset.NewScanner(br)
+	sc, err := testset.NewScanner(bufio.NewReader(rc))
 	if err != nil {
 		_ = rc.Close() // the parse error is the story
 		return 0, nil, nil, fmt.Errorf("bad test set: %w", err)

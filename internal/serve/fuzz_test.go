@@ -84,31 +84,22 @@ func FuzzServeCompressHandler(f *testing.F) {
 		if msg := resp.Trailer.Get("X-Tcomp-Error"); msg != "" {
 			return // accepted then failed mid-stream; truncation is flagged
 		}
-		// Re-parse the submission the way the server did: ReadAuto for
-		// binary bodies, the streaming Scanner for text (it accepts
-		// "width *" headers the buffered reader does not).
-		var orig *testset.TestSet
-		if bytes.HasPrefix(body, []byte("TSET")) {
-			orig, err = testset.ReadAuto(bytes.NewReader(body))
+		// Re-parse the submission the way the server did: through the
+		// one scanner, which reads either format.
+		sc, err := testset.NewScanner(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("server accepted a body the scanner rejects: %v", err)
+		}
+		orig := testset.New(sc.Width())
+		for {
+			v, err := sc.Next()
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
-				t.Fatalf("server accepted a binary body ReadAuto rejects: %v", err)
+				t.Fatalf("server accepted a body with a bad pattern: %v", err)
 			}
-		} else {
-			sc, err := testset.NewScanner(bytes.NewReader(body))
-			if err != nil {
-				t.Fatalf("server accepted a body the scanner rejects: %v", err)
-			}
-			orig = testset.New(sc.Width())
-			for {
-				v, err := sc.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatalf("server accepted a body with a bad pattern: %v", err)
-				}
-				orig.Add(v)
-			}
+			orig.Add(v)
 		}
 		var dec *testset.TestSet
 		if q.Get("format") == "v2" {

@@ -632,23 +632,6 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		readSp.End()
 		writeError(w, bodyErrorCode(err, CodeBadRequest), format, args...)
 	}
-	if peek, err := br.Peek(4); err == nil && string(peek) == "TSET" {
-		// Binary test-set body: the format is already in-memory-sized
-		// (bounded by MaxBodyBytes), so the response is buffered. Cache
-		// eligibility is measured in canonical *textual* bytes — the
-		// unit the cache key hashes — so the same patterns are
-		// cacheable regardless of submission encoding.
-		ts, err := testset.ReadBinary(br)
-		if err != nil {
-			badBody(err, "bad binary test set: %v", err)
-			return
-		}
-		readSp.End()
-		canonical := int64(ts.NumPatterns()) * int64(ts.Width+1)
-		s.compressBuffered(w, r, req, &patternFeed{prefix: ts}, canonical <= s.cfg.CacheInputBytes)
-		return
-	}
-
 	sc, err := testset.NewScanner(br)
 	if err != nil {
 		badBody(err, "bad test set: %v", err)
@@ -656,7 +639,9 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	}
 	// Cache probe: buffer patterns while the canonical input stays under
 	// the cap. Most submissions end in here and become cacheable; the
-	// rare multi-gigabyte set overflows the cap and goes uncached.
+	// rare multi-gigabyte set overflows the cap and goes uncached. The
+	// cap and the cache key count canonical text, so a TSET body and
+	// its text share both.
 	ts := getTestSet(sc.Width())
 	defer putTestSet(ts)
 	canon := int64(0)

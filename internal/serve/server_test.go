@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -147,7 +148,7 @@ func TestRoundTripAllCodecs(t *testing.T) {
 			if err := client.Decompress(ctx, bytes.NewReader(cont.Bytes()), &text); err != nil {
 				t.Fatal(err)
 			}
-			streamDec, err := testset.ReadAuto(&text)
+			streamDec, err := testset.Read(&text)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -651,6 +652,27 @@ func TestBinaryBodyCompress(t *testing.T) {
 	}
 }
 
+// TestBinaryHostileHeader: a TSET header declaring 100 patterns of the
+// widest width over an empty or one-byte payload answers 400 at the
+// cost of one read step, not of the declared width.
+func TestBinaryHostileHeader(t *testing.T) {
+	h := mustServer(t, Config{Workers: 1}).Handler()
+	hdr := "TSET\x01\x01\x00\x00\x00\x00\x00\x00\x64" // width 2^24, 100 patterns
+	for _, payload := range []string{"", "\x55"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/compress?codec=golomb", strings.NewReader(hdr+payload)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "truncated binary payload") {
+			t.Fatalf("payload %q: status %d, body %s", payload, rec.Code, rec.Body)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("payload %q: allocated %d bytes, want under 1 MiB", payload, grew)
+		}
+	}
+}
+
 // TestStreamOverCacheCap: inputs past the cache input cap stream
 // through uncached and still round-trip, with stats in trailers.
 func TestStreamOverCacheCap(t *testing.T) {
@@ -682,5 +704,67 @@ func TestStreamOverCacheCap(t *testing.T) {
 	}
 	if !tcomp.VerifyLossless(ts, dec) {
 		t.Fatal("over-cap stream lost specified bits")
+	}
+}
+
+// TestStreamOverCacheCapBinary: a TSET body past the cache input cap
+// streams like text: no Content-Length, the stats in trailers, nothing
+// cached, and a pattern corrupted past the cap ends the stream with
+// X-Tcomp-Error.
+func TestStreamOverCacheCapBinary(t *testing.T) {
+	s := mustServer(t, Config{Workers: 2, CacheBytes: 1 << 20, CacheInputBytes: 64})
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(hs.Close)
+	ts := randomSet(32, 200, 23)
+	var bin bytes.Buffer
+	if err := ts.WriteBinary(&bin); err != nil {
+		t.Fatal(err)
+	}
+	post := func(body []byte) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(hs.URL+"/v1/compress?codec=golomb&chunk=50", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, out)
+		}
+		return resp, out
+	}
+
+	resp, out := post(bin.Bytes())
+	if resp.ContentLength != -1 || resp.Header.Get("Content-Length") != "" {
+		t.Fatalf("over-cap answer has Content-Length %d, want none", resp.ContentLength)
+	}
+	if p, c := resp.Trailer.Get("X-Tcomp-Patterns"), resp.Trailer.Get("X-Tcomp-Chunks"); p != "200" || c != "4" {
+		t.Fatalf("trailers give %q patterns in %q chunks, want 200 in 4", p, c)
+	}
+	if s.Cache().Len() != 0 {
+		t.Fatal("over-cap submission was cached")
+	}
+	sr, err := tcomp.NewStreamReader(bytes.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := sr.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tcomp.VerifyLossless(ts, dec) {
+		t.Fatal("over-cap stream lost specified bits")
+	}
+
+	// Pattern 150 (8 payload bytes per pattern, behind the 13-byte
+	// header) starts with a 11 code.
+	bad := append([]byte(nil), bin.Bytes()...)
+	bad[13+150*8] |= 0xc0
+	resp, _ = post(bad)
+	if msg := resp.Trailer.Get("X-Tcomp-Error"); !strings.Contains(msg, "bad pattern 150") {
+		t.Fatalf("X-Tcomp-Error %q, want the corrupt pattern named", msg)
 	}
 }

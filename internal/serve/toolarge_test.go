@@ -26,10 +26,15 @@ func TestOversizedBodyIs413(t *testing.T) {
 	line := strings.Repeat("01", 64) + "\n"      // width 128: one pattern line fits the cap
 	text := "128 3\n" + line + line + line       // 393 bytes > 256: truncated mid-pattern
 	container := oversizedContainer(t, 64, 1000) // valid golomb container, > 256 bytes
+	var bin bytes.Buffer                         // the same width in TSET: 13 + 20·32 bytes
+	if err := randomSet(128, 20, 5).WriteBinary(&bin); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name, target, body string
 	}{
 		{"compress", "/v1/compress?codec=golomb", text},
+		{"compress TSET", "/v1/compress?codec=golomb", bin.String()},
 		{"decompress", "/v1/decompress", container},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -52,3 +52,39 @@ func BenchmarkTextFormat(b *testing.B) {
 		}
 	}
 }
+
+// benchBinary returns the same set and its binary form.
+func benchBinary(b *testing.B) (*testset.TestSet, []byte) {
+	ts, _ := benchText(b)
+	var bin bytes.Buffer
+	if err := ts.WriteBinary(&bin); err != nil {
+		b.Fatal(err)
+	}
+	return ts, bin.Bytes()
+}
+
+// BenchmarkBinaryParse reads the same set in the binary format.
+func BenchmarkBinaryParse(b *testing.B) {
+	_, bin := benchBinary(b)
+	b.SetBytes(int64(len(bin)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := testset.Read(bytes.NewReader(bin)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBinaryFormat writes the binary format.
+func BenchmarkBinaryFormat(b *testing.B) {
+	ts, bin := benchBinary(b)
+	b.SetBytes(int64(len(bin)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ts.WriteBinary(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/tritvec"
 )
@@ -16,150 +17,86 @@ import (
 //
 // Layout (big-endian): magic "TSET", version uint8 (1), width uint32,
 // patterns uint32, then ceil(width*patterns*2/8) payload bytes in
-// pattern-major order.
+// pattern-major order. The header obeys the text format's caps, and
+// width·patterns may not exceed 2³¹−1 trits. Scanner reads the format
+// a pattern at a time; tritvec.ParsePacked and Vector.AppendPacked
+// convert the 2-bit codes.
 
-var binMagic = [4]byte{'T', 'S', 'E', 'T'}
+const (
+	binMagic = "TSET"
+	// readStep bounds how far a pattern's byte buffer grows ahead of the
+	// bytes that arrive, so a header declaring a wide pattern over a
+	// short payload costs one step of memory, not the declared width.
+	readStep = 64 << 10
+)
 
 // WriteBinary emits the packed binary format.
 func (ts *TestSet) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binMagic[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.BigEndian, uint8(1)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.BigEndian, uint32(ts.Width)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.BigEndian, uint32(len(ts.Patterns))); err != nil {
-		return err
-	}
-	var cur byte
-	nbits := 0
-	flushBit := func(code byte) error {
-		cur |= code << uint(6-nbits)
-		nbits += 2
-		if nbits == 8 {
-			if err := bw.WriteByte(cur); err != nil {
-				return err
-			}
-			cur, nbits = 0, 0
-		}
-		return nil
-	}
+	buf := append([]byte(binMagic), 1)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(ts.Width))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ts.Patterns)))
+	// A pattern ending inside a byte leaves that byte in buf for the
+	// next, whose first skip codes it holds.
+	skip := 0
 	for _, p := range ts.Patterns {
-		for i := 0; i < p.Len(); i++ {
-			var code byte
-			switch p.Get(i) {
-			case tritvec.Zero:
-				code = 1
-			case tritvec.One:
-				code = 2
-			}
-			if err := flushBit(code); err != nil {
-				return err
-			}
-		}
-	}
-	if nbits > 0 {
-		if err := bw.WriteByte(cur); err != nil {
+		buf = p.AppendPacked(buf, skip)
+		skip = (skip + p.Len()) % 4
+		full := len(buf) - (skip+3)/4
+		if _, err := bw.Write(buf[:full]); err != nil {
 			return err
 		}
+		buf = append(buf[:0], buf[full:]...)
+	}
+	if _, err := bw.Write(buf); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// readSized reads exactly n bytes without trusting n for a single
-// up-front allocation: data arrives in bounded chunks, so a hostile
-// length costs at most one chunk of memory before the stream runs dry
-// (the same discipline as the container readers).
-func readSized(r io.Reader, n int) ([]byte, error) {
-	const chunk = 64 << 10
-	buf := make([]byte, 0, min(n, chunk))
-	for len(buf) < n {
-		c := min(n-len(buf), chunk)
-		tmp := make([]byte, c)
-		if _, err := io.ReadFull(r, tmp); err != nil {
-			return nil, fmt.Errorf("testset: truncated binary payload (%d of %d bytes): %w", len(buf), n, err)
-		}
-		buf = append(buf, tmp...)
+// newBinaryScanner parses the binary header that follows the magic.
+func newBinaryScanner(br *bufio.Reader) (*Scanner, error) {
+	var h [9]byte // version, width, patterns
+	if _, err := io.ReadFull(br, h[:]); err != nil {
+		return nil, fmt.Errorf("testset: truncated binary header: %w", err)
 	}
-	return buf, nil
-}
-
-// ReadBinary parses the packed binary format.
-func ReadBinary(r io.Reader) (*TestSet, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, err
+	if h[0] != 1 {
+		return nil, fmt.Errorf("testset: unsupported binary version %d", h[0])
 	}
-	if m != binMagic {
-		return nil, fmt.Errorf("testset: bad binary magic %q", m)
-	}
-	var version uint8
-	var width, patterns uint32
-	if err := binary.Read(br, binary.BigEndian, &version); err != nil {
-		return nil, err
-	}
-	if version != 1 {
-		return nil, fmt.Errorf("testset: unsupported binary version %d", version)
-	}
-	if err := binary.Read(br, binary.BigEndian, &width); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.BigEndian, &patterns); err != nil {
-		return nil, err
-	}
+	width, patterns := binary.BigEndian.Uint32(h[1:]), binary.BigEndian.Uint32(h[5:])
 	if width == 0 || width > MaxHeaderWidth || patterns > MaxHeaderPatterns {
 		return nil, fmt.Errorf("testset: implausible binary dimensions %dx%d", width, patterns)
 	}
-	// The dimension caps bound width and patterns individually; their
-	// product must be bounded too — in 64-bit arithmetic, so it neither
-	// overflows a 32-bit int nor compiles the cap constant out of range
-	// — and the payload read in chunks, so a hostile header can neither
-	// drive a terabyte allocation nor cost more than one chunk of
-	// memory before the stream runs dry.
-	total64 := int64(width) * int64(patterns)
-	if total64 > 1<<31-1 {
-		return nil, fmt.Errorf("testset: implausible binary size %d trits", total64)
+	if total := int64(width) * int64(patterns); total > 1<<31-1 {
+		return nil, fmt.Errorf("testset: implausible binary size %d trits", total)
 	}
-	total := int(total64)
-	payload, err := readSized(br, (2*total+7)/8)
-	if err != nil {
-		return nil, err
-	}
-	ts := New(int(width))
-	bit := 0
-	for p := 0; p < int(patterns); p++ {
-		v := tritvec.New(int(width))
-		for i := 0; i < int(width); i++ {
-			code := payload[bit/8] >> uint(6-bit%8) & 3
-			switch code {
-			case 1:
-				v.Set(i, tritvec.Zero)
-			case 2:
-				v.Set(i, tritvec.One)
-			case 0:
-				// X
-			default:
-				return nil, fmt.Errorf("testset: invalid trit code %d at position %d", code, bit/2)
-			}
-			bit += 2
-		}
-		ts.Add(v)
-	}
-	return ts, nil
+	return &Scanner{br: br, width: int(width), want: int(patterns)}, nil
 }
 
-// ReadAuto sniffs the format: binary if the stream starts with the
-// binary magic, text otherwise.
-func ReadAuto(r io.Reader) (*TestSet, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
-	if err == nil && len(head) == 4 && [4]byte{head[0], head[1], head[2], head[3]} == binMagic {
-		return ReadBinary(br)
+// nextBinary reads the next pattern's bytes, growing the buffer as they
+// arrive, and decodes them once they are all there. A pattern ending
+// inside a byte leaves that byte in the buffer for the next, as in
+// WriteBinary.
+func (s *Scanner) nextBinary() (tritvec.Vector, error) {
+	if s.seen == s.want {
+		return tritvec.Vector{}, io.EOF
 	}
-	return Read(br)
+	need := (s.skip + s.width + 3) / 4
+	for n := len(s.buf); n < need; n = len(s.buf) {
+		step := min(need-n, readStep)
+		s.buf = slices.Grow(s.buf, step)[:n+step]
+		got, err := io.ReadFull(s.br, s.buf[n:])
+		s.buf = s.buf[:n+got]
+		if err != nil {
+			return tritvec.Vector{}, fmt.Errorf("testset: truncated binary payload at pattern %d: %w", s.seen, err)
+		}
+	}
+	v, err := tritvec.ParsePacked(s.buf, s.skip, s.width)
+	if err != nil {
+		return tritvec.Vector{}, fmt.Errorf("testset: binary pattern %d: %w", s.seen, err)
+	}
+	s.skip = (s.skip + s.width) % 4
+	s.buf = append(s.buf[:0], s.buf[need-(s.skip+3)/4:need]...)
+	s.seen++
+	return v, nil
 }

@@ -11,26 +11,48 @@ import (
 	"repro/internal/tritvec"
 )
 
-// Streaming textual IO. The textual format's header is "width count";
-// a producer that does not know the pattern count up front (a streaming
+// Streaming IO. The textual format's header is "width count"; a
+// producer that does not know the pattern count up front (a streaming
 // decompressor writing to a pipe) emits "width *" instead, and Scanner
-// accepts both. Blank lines and '#' comments are ignored, exactly as in
-// Read.
+// accepts both. Blank lines and '#' comments are ignored. Scanner also
+// reads the binary format (binary.go), which it recognises by its
+// magic.
 
-// Scanner reads the textual test-set format one pattern at a time, at
-// O(pattern) memory. It is the streaming counterpart of Read.
+// Scanner reads a test set one pattern at a time, at O(pattern) memory:
+// the textual format, or the binary format when the input starts with
+// "TSET". It is the one test-set reader; Read collects its patterns.
 type Scanner struct {
-	sc    *bufio.Scanner
+	sc    *bufio.Scanner // text
+	br    *bufio.Reader  // binary
+	buf   []byte         // binary: the next pattern's bytes
+	skip  int            // binary: codes of buf[0] that belong to the previous pattern
 	width int
 	want  int // expected pattern count, -1 when the header was "width *"
 	seen  int
 	done  bool
 }
 
-// NewScanner parses the header line and returns a Scanner positioned at
-// the first pattern. The line buffer starts small and grows with the
-// longest line, up to maxLine.
+// NewScanner parses the header and returns a Scanner positioned at the
+// first pattern. It looks for the binary magic with a Peek when r is a
+// *bufio.Reader, which then also reads a binary set; on any other
+// reader it reads four bytes, replays them to the text scanner, and
+// reads a binary set through a new bufio.Reader. The text scanner's
+// line buffer starts small and grows with the longest line, up to
+// maxLine.
 func NewScanner(r io.Reader) (*Scanner, error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		if head, _ := br.Peek(len(binMagic)); string(head) == binMagic {
+			_, _ = br.Discard(len(binMagic)) // the Peek buffered them
+			return newBinaryScanner(br)
+		}
+	} else {
+		var head [len(binMagic)]byte
+		n, _ := io.ReadFull(r, head[:])
+		if string(head[:n]) == binMagic {
+			return newBinaryScanner(bufio.NewReader(r))
+		}
+		r = io.MultiReader(bytes.NewReader(head[:n]), r)
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, maxLine)
 	for sc.Scan() {
@@ -68,12 +90,12 @@ func scanError(err error) error {
 	return err
 }
 
-// MaxHeaderWidth and MaxHeaderPatterns bound the dimensions a textual
-// header may declare, mirroring the binary reader's caps. Rejecting an
-// absurd header at parse time keeps hostile input out of every
-// downstream constructor (testset.New and tritvec.New treat bad sizes
-// as programmer error and panic), so the parse boundary is where
-// input-derived dimensions are checked.
+// MaxHeaderWidth and MaxHeaderPatterns bound the dimensions a header
+// of either format may declare. Rejecting an absurd header at parse
+// time keeps hostile input out of every downstream constructor
+// (testset.New and tritvec.New treat bad sizes as programmer error and
+// panic), so the parse boundary is where input-derived dimensions are
+// checked.
 const (
 	MaxHeaderWidth    = 1 << 24
 	MaxHeaderPatterns = 1 << 28
@@ -115,11 +137,16 @@ func (s *Scanner) Expected() int { return s.want }
 // Patterns returns the number of patterns scanned so far.
 func (s *Scanner) Patterns() int { return s.seen }
 
-// Next returns the next pattern, or io.EOF after the last one. When the
-// header promised a count, a mismatch at end of input is an error.
+// Next returns the next pattern, or io.EOF after the last one. When a
+// text header promised a count, a mismatch at end of input is an error;
+// a binary set ends after its header's count, and bytes after it are
+// not read.
 func (s *Scanner) Next() (tritvec.Vector, error) {
 	if s.done {
 		return tritvec.Vector{}, io.EOF
+	}
+	if s.br != nil {
+		return s.nextBinary()
 	}
 	for s.sc.Scan() {
 		line := content(s.sc.Bytes())

@@ -2,6 +2,11 @@
 // over {0,1,X}, exactly as in Section 2 of the paper. The whole test set is
 // viewed as one string t1…t_{T·n} and partitioned into fixed-length input
 // blocks by the blockcode package.
+//
+// A test set travels in two formats: text (Write, PatternWriter) and the
+// packed TSET binary (WriteBinary). Scanner is the one reader of both:
+// it recognises the binary magic and yields either format a pattern at
+// a time, and Read collects what it yields.
 package testset
 
 import (
@@ -123,10 +128,12 @@ func (ts *TestSet) Write(w io.Writer) error {
 	return pw.Close()
 }
 
-// Read parses the textual format produced by Write. Blank lines and lines
-// starting with '#' are ignored. Both fixed-count ("width count") and
-// streaming ("width *") headers are accepted; use Scanner to consume the
-// format one pattern at a time instead of buffering the whole set.
+// Read parses a test set in the textual format produced by Write or the
+// binary format produced by WriteBinary, through a Scanner. In text,
+// blank lines and lines starting with '#' are ignored, and both
+// fixed-count ("width count") and streaming ("width *") headers are
+// accepted. Use Scanner to consume a set one pattern at a time instead
+// of buffering the whole set.
 func Read(r io.Reader) (*TestSet, error) {
 	sc, err := NewScanner(r)
 	if err != nil {

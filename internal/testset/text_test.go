@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -93,10 +94,14 @@ func refWrite(w io.Writer, ts *TestSet) error {
 	return bw.Flush()
 }
 
-// FuzzText checks that Read returns the reference's patterns or its
-// error text (serve answers that text in 400 bodies), that Write and a
-// streaming PatternWriter emit the reference's bytes, and that
-// tritvec.Parse agrees with the per-trit loop on the raw input.
+// FuzzText checks Read, through a plain reader and through a
+// bufio.Reader, against the reference for either format: on text it
+// returns the reference's patterns or its error text (serve answers
+// that text in 400 bodies), and on input behind the binary magic it
+// accepts what the reference accepts, with the same patterns. For
+// every accepted set, WriteBinary, Write and a streaming PatternWriter
+// emit the reference writers' bytes. tritvec.Parse agrees with the
+// per-trit loop on the raw input.
 func FuzzText(f *testing.F) {
 	for _, seed := range []string{
 		"4 3\n01X1\n# comment\n\n1111\nXXXX\n",
@@ -114,11 +119,35 @@ func FuzzText(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	r := rand.New(rand.NewSource(1))
+	for _, width := range []int{1, 2, 3, 5, 7, 31, 32, 33, 64, 65, 100, 127, 130} {
+		var buf bytes.Buffer
+		if err := refWriteBinary(&buf, Random(width, 3, 0.6, r)); err != nil {
+			f.Fatal(err)
+		}
+		bin := buf.Bytes()
+		f.Add(bin)
+		if width == 33 {
+			f.Add(bin[:len(bin)-2]) // truncated payload
+			bad := append([]byte(nil), bin...)
+			bad[len(bad)-5] |= 0x30 // a 11 code
+			f.Add(bad)
+		}
+	}
+	f.Add([]byte("TSET\x01\x00\x00\x00\x05\x00\x00\x00\x00"))             // zero patterns
+	f.Add([]byte("TSET\x01\x01\x00\x00\x00\x00\x00\x00\x64\x55"))         // 2^24 wide, one byte of payload
+	f.Add([]byte("TSET\x01\x00\x00\x00\x04\x00\x00\x00\x02\x5a\xa5junk")) // bytes after the payload
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, gotErr := Read(bytes.NewReader(data))
-		want, wantErr := refRead(bytes.NewReader(data))
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Fatalf("Read error %q, reference %q", fmt.Sprint(gotErr), fmt.Sprint(wantErr))
+		bgot, bErr := Read(bufio.NewReader(bytes.NewReader(data)))
+		want, wantErr := refReadAuto(data)
+		binaryInput := bytes.HasPrefix(data, []byte(binMagic))
+		if binaryInput && ((gotErr == nil) != (wantErr == nil) || (bErr == nil) != (wantErr == nil)) ||
+			!binaryInput && (fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || fmt.Sprint(bErr) != fmt.Sprint(wantErr)) {
+			t.Fatalf("Read error %q (buffered %q), reference %q", fmt.Sprint(gotErr), fmt.Sprint(bErr), fmt.Sprint(wantErr))
+		}
+		if wantErr == nil && !sameSets(bgot, want) {
+			t.Fatal("Read through a bufio.Reader differs from the reference")
 		}
 		if wantErr == nil {
 			if got.Width != want.Width || got.NumPatterns() != want.NumPatterns() {
@@ -128,6 +157,16 @@ func FuzzText(f *testing.F) {
 				if !got.Patterns[i].Equal(p) {
 					t.Fatalf("pattern %d: %s, reference %s", i, refString(got.Patterns[i]), refString(p))
 				}
+			}
+			var gb, wb bytes.Buffer
+			if err := got.WriteBinary(&gb); err != nil {
+				t.Fatal(err)
+			}
+			if err := refWriteBinary(&wb, want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+				t.Fatalf("WriteBinary:\n%x\nreference:\n%x", gb.Bytes(), wb.Bytes())
 			}
 			var gw, ww, pwOut bytes.Buffer
 			if err := got.Write(&gw); err != nil {

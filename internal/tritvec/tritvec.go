@@ -8,6 +8,11 @@
 // unspecified position has value bit 0), and the bits past a vector's
 // length are zero in both planes, which makes word-wise equality,
 // matching and subsumption tests single AND/XOR expressions.
+//
+// Vectors convert to and from their two serial forms word-at-a-time:
+// trit characters (Parse, AppendTo; text.go) and 2-bit codes, the code
+// of the binary test-set format and the container's MV tables
+// (ParsePacked, AppendPacked; packed.go).
 package tritvec
 
 import (

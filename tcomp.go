@@ -51,8 +51,9 @@ type BlockResult = blockcode.Result
 // NewTestSet returns an empty test set for circuits with n inputs.
 func NewTestSet(n int) *TestSet { return testset.New(n) }
 
-// ReadTestSet parses the textual test-set format (header "width count",
-// then one pattern of 0/1/X per line).
+// ReadTestSet parses a test set in the textual format (header "width
+// count", then one pattern of 0/1/X per line) or the packed TSET binary
+// format, which it recognises by its magic.
 func ReadTestSet(r io.Reader) (*TestSet, error) { return testset.Read(r) }
 
 // ParseTestSet builds a test set from pattern strings.
