@@ -308,8 +308,8 @@ func BenchmarkCovering(b *testing.B) {
 }
 
 // BenchmarkFitness measures one full fitness evaluation, the EA's inner
-// loop: the bit-sliced sizer packs the genome, covers the blocks in
-// min-U order and sizes the Huffman code. BenchmarkCovering and
+// loop: the sizer packs the genome, covers the blocks in min-U order
+// through its acceptance tables and sizes the Huffman code. BenchmarkCovering and
 // BenchmarkHuffmanBuild time the reference path it replaced.
 func BenchmarkFitness(b *testing.B) {
 	ts := benchTestSet(b, 0.3)
@@ -323,6 +323,37 @@ func BenchmarkFitness(b *testing.B) {
 		if _, ok := s.Size(genes); !ok {
 			b.Fatal("uncovered")
 		}
+	}
+}
+
+// BenchmarkFitnessShapes measures the fitness evaluation at shapes
+// other than BenchmarkFitness's K=12, L=64: the largest block and MV
+// count of the experiments' sweep (K=16, L=128, two mask words), and
+// K=64 over a sparse set (5% specified), where the sizer reads 16
+// position groups per block however few of its bits are specified.
+func BenchmarkFitnessShapes(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		k, l    int
+		density float64
+	}{
+		{"K16L128", 16, 128, 0.3},
+		{"K64L64sparse", 64, 64, 0.05},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ts := testset.Random(64, 1000, c.density, rand.New(rand.NewSource(7)))
+			ms := blockcode.Dedup(blockcode.Partition(ts, c.k))
+			set := core.RandomMVSet(c.k, c.l, 0.5, rand.New(rand.NewSource(9)))
+			genes := core.MVsToGenes(set.MVs, c.k)
+			s := blockcode.NewSizer(ms, c.k, c.l)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := s.Size(genes); !ok {
+					b.Fatal("uncovered")
+				}
+			}
+		})
 	}
 }
 

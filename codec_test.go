@@ -171,6 +171,41 @@ func TestCodecConformance(t *testing.T) {
 	}
 }
 
+// TestDecompressAllocationsDoNotGrowWithPatterns holds every codec's
+// decompression to the same number of allocations at 1 Ki and 8 Ki
+// patterns: the decoded string, the patterns over one backing array and
+// the codec's own tables, nothing per pattern or block.
+func TestDecompressAllocationsDoNotGrowWithPatterns(t *testing.T) {
+	small := testset.Random(48, 1024, 0.3, rand.New(rand.NewSource(6)))
+	large := testset.New(small.Width)
+	for i := 0; i < 8; i++ {
+		for _, p := range small.Patterns {
+			large.Add(p)
+		}
+	}
+	for _, name := range sevenCodecs {
+		codec, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := func(ts *TestSet) float64 {
+			art, err := codec.Compress(context.Background(), ts, conformanceOpts(1)...)
+			if err != nil {
+				t.Fatalf("%s: Compress: %v", name, err)
+			}
+			return testing.AllocsPerRun(3, func() {
+				if _, err := codec.Decompress(art); err != nil {
+					t.Fatalf("%s: Decompress: %v", name, err)
+				}
+			})
+		}
+		if s, l := allocs(small), allocs(large); s != l {
+			t.Errorf("%s decompression allocates %v times on %d patterns and %v on %d",
+				name, s, small.NumPatterns(), l, large.NumPatterns())
+		}
+	}
+}
+
 // TestBlockDecodeHostileArtifact: a block-codec header may declare the
 // largest legal test set over a one-byte payload, with an NBits that
 // claims far more than the byte or one that is honest. The block

@@ -197,11 +197,25 @@ func (s *MVSet) BuildHuffman(ms *BlockMultiset, originalBits int) (*Result, erro
 // Encode emits the bitstream for the block sequence of ms under the
 // covering and code in res. Unspecified block values at U positions are
 // transmitted as 0 (any fill is acceptable: the position was a
-// don't-care).
+// don't-care). Each distinct block's fill bits are gathered once, up to
+// 64 to a word, and written a word at a time for every occurrence.
 func Encode(ms *BlockMultiset, res *Result) (*bitstream.Writer, error) {
 	w := bitstream.NewWriter()
 	code := res.Code
 	upos := res.Set.UPositions()
+	// fill[d·kw+i]: distinct block d's values at U positions 64i… of
+	// its MV, the first in the highest of the word's bits.
+	kw := (res.Set.K + 63) / 64
+	fill := make([]uint64, len(ms.Blocks)*kw)
+	for d, blk := range ms.Blocks {
+		if mv := res.Covering.Assign[d]; mv >= 0 {
+			_, val := blk.Words()
+			for i, pos := range upos[mv] {
+				f := &fill[d*kw+i/64]
+				*f = *f<<1 | val[pos>>6]>>uint(pos&63)&1
+			}
+		}
+	}
 	for b, d := range ms.Seq {
 		mv := res.Covering.Assign[d]
 		if mv < 0 {
@@ -211,13 +225,8 @@ func Encode(ms *BlockMultiset, res *Result) (*bitstream.Writer, error) {
 			return nil, fmt.Errorf("blockcode: MV %d used but has no codeword", mv)
 		}
 		w.WriteBits(code.Words[mv], code.Lengths[mv])
-		for _, pos := range upos[mv] {
-			switch ms.Blocks[d].Get(pos) {
-			case tritvec.One:
-				w.WriteBit(1)
-			default: // Zero or X → 0 fill
-				w.WriteBit(0)
-			}
+		for i, n := int(d)*kw, len(upos[mv]); n > 0; i, n = i+1, n-64 {
+			w.WriteBits(fill[i], min(n, 64))
 		}
 	}
 	res.Stream = w

@@ -29,11 +29,17 @@ func mvset(t *testing.T, k int, mvs ...string) *MVSet {
 // multiset cuts a test set whose patterns are the given blocks.
 func multiset(t *testing.T, k int, blocks ...string) *BlockMultiset {
 	t.Helper()
-	ts, err := testset.ParseStrings(blocks...)
+	return Dedup(Partition(mustSet(t, blocks...), k))
+}
+
+// mustSet parses a test set whose patterns are the given strings.
+func mustSet(t *testing.T, patterns ...string) *testset.TestSet {
+	t.Helper()
+	ts, err := testset.ParseStrings(patterns...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Dedup(Partition(ts, k))
+	return ts
 }
 
 func TestPartitionPadding(t *testing.T) {
@@ -204,6 +210,109 @@ func TestDedup(t *testing.T) {
 	if len(ms3.Blocks) != 1 || ms3.Counts[0] != 3 || ms3.Blocks[0].String() != "0X" {
 		t.Fatalf("padded block: %d distinct, counts %v", len(ms3.Blocks), ms3.Counts)
 	}
+	// Blocks that share a digest stay apart, and the second occurrence of
+	// the first is found past the second in their chain: under a digest
+	// that is always 0 every block is on one chain.
+	ms4 := dedup(Partition(mustSet(t, "01", "00", "01", "00", "00"), 2), zeroDigest)
+	if len(ms4.Blocks) != 2 || !slices.Equal(ms4.Counts, []int{2, 3}) || !slices.Equal(ms4.Seq, []int32{0, 1, 0, 1, 1}) {
+		t.Fatalf("colliding blocks: %d distinct, counts %v, seq %v", len(ms4.Blocks), ms4.Counts, ms4.Seq)
+	}
+	if ms4.Blocks[0].String() != "01" || ms4.Blocks[1].String() != "00" {
+		t.Fatalf("colliding blocks stored as %v", ms4.Blocks)
+	}
+}
+
+// zeroDigest puts every block on one chain.
+func zeroDigest(h, care, val uint64) uint64 { return 0 }
+
+// TestDedupOneChainMatchesDedup holds Dedup to dedup with every block
+// on one chain, which finds a block by comparing it with each distinct
+// block: the same blocks, counts and sequence, for K within, at and
+// beyond one word and for padded last blocks.
+func TestDedupOneChainMatchesDedup(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	for iter := 0; iter < 40; iter++ {
+		k := []int{1, 6, 13, 64, 70, 130}[iter%6]
+		// Low densities repeat blocks, high ones make them distinct.
+		ts := testset.Random(1+r.Intn(2*k), r.Intn(40), r.Float64()*0.5, r)
+		got, want := Dedup(Partition(ts, k)), dedup(Partition(ts, k), zeroDigest)
+		if !slices.EqualFunc(got.Blocks, want.Blocks, tritvec.Vector.Equal) ||
+			!slices.Equal(got.Counts, want.Counts) || !slices.Equal(got.Seq, want.Seq) || got.Total != want.Total {
+			t.Fatalf("iter %d K=%d: Dedup %v %v %v, one chain %v %v %v",
+				iter, k, got.Blocks, got.Counts, got.Seq, want.Blocks, want.Counts, want.Seq)
+		}
+	}
+}
+
+// TestDedupKeyedDigest feeds Dedup blocks built offline to share one
+// value of care·m ^ val, m = 0x9e3779b97f4a7c15: every 64-trit block
+// with at most three X whose 1s are those of care·m. An unkeyed digest
+// that mixes that value by a bijection puts them all on one chain, and
+// a lookup then walks the chain. Under Dedup's keyed digest no two of
+// them may share a digest, beyond the odds of a random 64-bit collision.
+func TestDedupKeyedDigest(t *testing.T) {
+	const m = 0x9e3779b97f4a7c15
+	var family [][2]uint64
+	seen := make(map[uint64]bool)
+	// Position 64 stands for none: a shift by 64 is 0.
+	for a := 0; a <= 64; a++ {
+		for b := a; b <= 64; b++ {
+			for c := b; c <= 64; c++ {
+				care := ^(uint64(1)<<uint(a) | uint64(1)<<uint(b) | uint64(1)<<uint(c))
+				if val := care * m; val&^care == 0 && !seen[care] {
+					seen[care] = true
+					family = append(family, [2]uint64{care, val})
+				}
+			}
+		}
+	}
+	if len(family) < 4000 {
+		t.Fatalf("only %d blocks in the family", len(family))
+	}
+
+	fold := keyed(rand.Uint64(), rand.Uint64())
+	chains := make(map[uint64]int)
+	longest := 0
+	for _, w := range family {
+		h := fold(0, w[0], w[1])
+		chains[h]++
+		longest = max(longest, chains[h])
+	}
+	if longest > 2 {
+		t.Fatalf("%d of %d crafted blocks share one keyed digest", longest, len(family))
+	}
+
+	// Dedup keeps every crafted block apart, each seen twice.
+	pats := make([]string, 0, 2*len(family))
+	for _, w := range family {
+		pats = append(pats, wordBlock(w[0], w[1]))
+	}
+	pats = append(pats, pats...)
+	ms := Dedup(Partition(mustSet(t, pats...), 64))
+	if len(ms.Blocks) != len(family) || ms.Total != 2*len(family) {
+		t.Fatalf("%d distinct of %d blocks, want %d of %d", len(ms.Blocks), ms.Total, len(family), 2*len(family))
+	}
+	for d, b := range ms.Blocks {
+		if ms.Counts[d] != 2 || b.String() != pats[d] {
+			t.Fatalf("distinct block %d: %s seen %d times, want %s twice", d, b, ms.Counts[d], pats[d])
+		}
+	}
+}
+
+// wordBlock spells the 64 trits of a care and a value word.
+func wordBlock(care, val uint64) string {
+	b := make([]byte, 64)
+	for j := range b {
+		switch {
+		case care>>uint(j)&1 == 0:
+			b[j] = 'X'
+		case val>>uint(j)&1 == 1:
+			b[j] = '1'
+		default:
+			b[j] = '0'
+		}
+	}
+	return string(b)
 }
 
 // refPartition cuts ts into one X-padded vector per block, the copy per
@@ -276,6 +385,53 @@ func TestCoverMultisetMatchesCover(t *testing.T) {
 			if !ms.Blocks[d].Equal(blocks[b]) || cov.Assign[d] != ref.Assign[b] {
 				t.Fatalf("iter %d block %d: %s to MV %d, reference %s to MV %d",
 					iter, b, ms.Blocks[d], cov.Assign[d], blocks[b], ref.Assign[b])
+			}
+		}
+	}
+}
+
+// refEncode is the per-bit writer Encode replaced: each occurrence's
+// fill bits one Get and one WriteBit at a time.
+func refEncode(ms *BlockMultiset, res *Result) []byte {
+	w := bitstream.NewWriter()
+	upos := res.Set.UPositions()
+	for _, d := range ms.Seq {
+		mv := res.Covering.Assign[d]
+		w.WriteBits(res.Code.Words[mv], res.Code.Lengths[mv])
+		for _, pos := range upos[mv] {
+			if ms.Blocks[d].Get(pos) == tritvec.One {
+				w.WriteBit(1)
+			} else {
+				w.WriteBit(0)
+			}
+		}
+	}
+	return w.Bytes()
+}
+
+// TestEncodeMatchesPerBitWriter holds Encode's word-at-a-time fill to
+// the per-bit writer, byte for byte, for K within, at and beyond one
+// word, so also for MVs with more than 64 U positions.
+func TestEncodeMatchesPerBitWriter(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for _, k := range []int{1, 5, 8, 12, 63, 64, 65, 130} {
+		for iter := 0; iter < 5; iter++ {
+			ts := testset.Random(1+r.Intn(3*k), 1+r.Intn(30), r.Float64(), r)
+			mvs := []tritvec.Vector{tritvec.New(k)}
+			for i := 0; i < r.Intn(6); i++ {
+				mvs = append(mvs, tritvec.RandomTernary(k, r))
+			}
+			set, err := NewMVSet(k, mvs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms := Dedup(Partition(ts, k))
+			res, err := CompressHuffman(ms, set, ts.TotalBits())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.Stream.Bytes(), refEncode(ms, res); !slices.Equal(got, want) {
+				t.Fatalf("K=%d iter %d: Encode wrote %x, per-bit writer %x", k, iter, got, want)
 			}
 		}
 	}

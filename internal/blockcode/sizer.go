@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"repro/internal/huffman"
 	"repro/internal/tritvec"
@@ -16,22 +15,28 @@ import (
 // size equals, bit for bit, the CompressedBits of MVSet.BuildHuffman on
 // the same MVs, which stays the reference.
 //
-// Blocks are covered bit-sliced. For each position j and bit value b a
-// mask of ⌈L/64⌉ words marks the MVs, in min-U order, that accept b at j
-// (U or equal to b). A block's candidates are the AND of the masks of
-// its specified bits, and the lowest candidate is the covering MV. A
-// block thus costs its number of specified bits, not a scan over MVs.
+// Blocks are covered through acceptance tables. For each position j and
+// bit value b a mask of ⌈L/64⌉ words marks the MVs, in min-U order, that
+// accept b at j (U or equal to b). Positions go in groups of four, and a
+// block's four trits in a group are one base-3 code (X, 0, 1 as digits
+// 0, 1, 2), stored when the sizer is built. Each evaluation builds one
+// table per group whose entry for code t is the AND of the masks of t's
+// specified trits; a block's candidates are the AND of its groups'
+// entries, and the lowest candidate is the covering MV. A block thus
+// costs ⌈K/4⌉ table reads whatever its specified bits, and a group's
+// table 72 ANDs of ⌈L/64⌉ words per evaluation.
 //
 // A Sizer keeps one evaluation's scratch and is not safe for concurrent
-// use. Clone returns a Sizer that shares the read-only block planes.
+// use. Clone returns a Sizer that shares the read-only block codes.
 type Sizer struct {
 	k, l   int
-	kw, lw int // words per block plane (⌈K/64⌉) and per MV mask (⌈L/64⌉)
+	kw, lw int // words per MV plane (⌈K/64⌉) and per MV mask (⌈L/64⌉)
+	groups int // ⌈K/4⌉ position groups
 
 	// Read-only after NewSizer, shared by clones.
-	care, val []uint64 // unique blocks' planes, kw words each, contiguous
-	counts    []int    // block multiplicities
-	full      []uint64 // lw words with every MV rank set
+	codes  []uint8  // codes[g·n+u]: block u's code over group g, n blocks
+	counts []int    // block multiplicities, the multiset's own
+	full   []uint64 // lw words with every MV rank set
 
 	// Scratch for one evaluation.
 	genCare, genVal []uint64 // the genome's care/val bits, K·L of them
@@ -40,44 +45,43 @@ type Sizer struct {
 	order           []int    // MV index by min-U rank
 	start           []int    // counting-sort offsets by U count
 	lanes           []uint64 // rejection bits, see Size
-	masks           []uint64 // masks[(2j+b)·lw:][:lw]: ranks accepting b at j
-	cand            []uint64 // lw words
+	tables          []uint64 // tables[81(g·lw+x)+t]: word x of the ranks accepting code t over group g
+	cand            []uint64 // cand[x·t+u]: word x of the ranks accepting block u of a tile of t
 	freqs           []int    // covered blocks per rank
 }
 
+// pow3 holds the weights of a group's four base-3 digits.
+var pow3 = [4]int{1, 3, 9, 27}
+
+// tileWords bounds the candidate words of one tile of blocks, so that
+// the cover's scratch stays in cache through the passes over the groups
+// and does not grow with the number of blocks.
+const tileWords = 2048
+
 // NewSizer builds a sizer for genomes of l matching vectors of length k
-// over the blocks of ms, which must all have length k.
+// over the blocks of ms, which must all have length k. The sizer reads
+// ms.Counts in place.
 func NewSizer(ms *BlockMultiset, k, l int) *Sizer {
 	if k <= 0 || l <= 0 {
 		panic(fmt.Sprintf("blockcode: sizer needs positive K and L, got %d and %d", k, l))
 	}
-	kw, lw := (k+63)/64, (l+63)/64
+	n, lw, groups := len(ms.Blocks), (l+63)/64, (k+3)/4
 	s := &Sizer{
-		k: k, l: l, kw: kw, lw: lw,
-		care:   make([]uint64, len(ms.Blocks)*kw),
-		val:    make([]uint64, len(ms.Blocks)*kw),
-		counts: make([]int, len(ms.Blocks)),
+		k: k, l: l, kw: (k + 63) / 64, lw: lw, groups: groups,
+		codes:  make([]uint8, groups*n),
+		counts: ms.Counts,
 		full:   make([]uint64, lw),
 	}
-	// Blocks go in order of their specified-bit count, so the cover's
-	// loop over care bits runs the same length for long stretches and
-	// its exit branch predicts well. Frequencies are sums, so the order
-	// changes no result.
-	order := make([]int, len(ms.Blocks))
 	for u, b := range ms.Blocks {
 		if b.Len() != k {
 			panic(fmt.Sprintf("blockcode: block %d has length %d, sizer K is %d", u, b.Len(), k))
 		}
-		order[u] = u
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return ms.Blocks[order[a]].CountSpecified() < ms.Blocks[order[b]].CountSpecified()
-	})
-	for u, src := range order {
-		care, val := ms.Blocks[src].Words()
-		copy(s.care[u*kw:], care)
-		copy(s.val[u*kw:], val)
-		s.counts[u] = ms.Counts[src]
+		care, val := b.Words()
+		for j := 0; j < k; j++ {
+			w, sh := j>>6, uint(j)&63
+			digit := care[w]>>sh&1 + val[w]>>sh&1
+			s.codes[(j>>2)*n+u] += uint8(int(digit) * pow3[j&3])
+		}
 	}
 	for x := range s.full {
 		s.full[x] = ^uint64(0)
@@ -91,7 +95,7 @@ func NewSizer(ms *BlockMultiset, k, l int) *Sizer {
 
 // Clone returns a sizer over the same blocks with its own scratch.
 func (s *Sizer) Clone() *Sizer {
-	c := &Sizer{k: s.k, l: s.l, kw: s.kw, lw: s.lw, care: s.care, val: s.val, counts: s.counts, full: s.full}
+	c := &Sizer{k: s.k, l: s.l, kw: s.kw, lw: s.lw, groups: s.groups, codes: s.codes, counts: s.counts, full: s.full}
 	c.allocScratch()
 	return c
 }
@@ -103,8 +107,11 @@ func (s *Sizer) allocScratch() {
 	s.mvCare, s.mvVal = make([]uint64, l*kw), make([]uint64, l*kw)
 	s.nu, s.order, s.start = make([]int, l), make([]int, l), make([]int, k+2)
 	s.lanes = make([]uint64, 2*((k+7)/8)*8*lw)
-	s.masks = make([]uint64, 2*k*lw)
-	s.cand = make([]uint64, lw)
+	s.tables = make([]uint64, 81*s.groups*lw)
+	for i := 0; i < s.groups*lw; i++ {
+		s.tables[81*i] = s.full[i%lw] // code 0, all X: every rank accepts
+	}
+	s.cand = make([]uint64, min(len(s.counts), max(1, tileWords/lw))*lw)
 	s.freqs = make([]int, l)
 }
 
@@ -174,7 +181,8 @@ func (s *Sizer) Size(genes []uint8) (int, bool) {
 	// rejects 1 if it holds 0. Each rank spreads its rejection bits for
 	// positions 8c..8c+7 into byte lanes of word lanes[(b·nc+c)·ng+r/8],
 	// at bit r%8 of each lane. Transposing each 8×8 byte tile then gives
-	// every position a word over 64 ranks.
+	// every position a word over 64 ranks, which is the table entry of
+	// the code with that position's one digit b+1.
 	nc, ng := (k+7)/8, 8*lw
 	lanes := s.lanes
 	clear(lanes)
@@ -193,25 +201,82 @@ func (s *Sizer) Size(genes []uint8) (int, bool) {
 				tile := (*[8]uint64)(lanes[(b*nc+c)*ng+8*x:])
 				transposeBytes(tile)
 				for i := 0; i < 8 && 8*c+i < k; i++ {
-					s.masks[(2*(8*c+i)+b)*lw+x] = ^tile[i]
+					j := 8*c + i
+					s.tables[81*((j>>2)*lw+x)+(b+1)*pow3[j&3]] = ^tile[i] & s.full[x]
+				}
+			}
+		}
+	}
+	// The other entries: code t + d·3^p, for t < 3^p, accepts what t and
+	// the one-digit code d·3^p both accept.
+	for g := 0; g < s.groups; g++ {
+		for x := 0; x < lw; x++ {
+			tab := s.tables[81*(g*lw+x):][:81]
+			for p := 1; p < min(4, k-4*g); p++ {
+				step := pow3[p]
+				for t := 1; t < step; t++ {
+					tab[t+step] = tab[t] & tab[step]
+					tab[t+2*step] = tab[t] & tab[2*step]
 				}
 			}
 		}
 	}
 
 	// Cover: each unique block goes to its lowest-ranked accepting MV.
-	// For L ≤ 64, the paper's setting, the candidates fit one register;
-	// looping over mask words there made an s5378 evaluation a quarter
-	// or more slower.
+	// Blocks go in tiles of tileWords/lw (at least one). Within a tile,
+	// word by word and group after group, each block's table entry is
+	// ANDed into its candidates, a pass over one table and one row of
+	// codes at a time. The last group's pass also adds each block's
+	// multiplicity to its lowest candidate's rank; an uncovered block
+	// ends the evaluation. With one group that pass ANDs group 0 again,
+	// which changes nothing.
+	nb, last := len(s.counts), s.groups-1
+	tile := max(1, tileWords/lw)
 	clear(s.freqs)
-	var covered bool
-	if lw == 1 {
-		covered = s.coverOneWord()
-	} else {
-		covered = s.coverWords()
-	}
-	if !covered {
-		return 0, false
+	for lo := 0; lo < nb; lo += tile {
+		hi := min(nb, lo+tile)
+		nt := hi - lo
+		for x := 0; x < lw; x++ {
+			cand := s.cand[x*nt:][:nt]
+			tab := s.tables[81*x:][:81]
+			for u, c := range s.codes[lo:hi] {
+				cand[u] = tab[c]
+			}
+			for g := 1; g < last; g++ {
+				tab := s.tables[81*(g*lw+x):][:81]
+				for u, c := range s.codes[g*nb+lo : g*nb+hi] {
+					cand[u] &= tab[c]
+				}
+			}
+		}
+		codes, counts := s.codes[last*nb+lo:last*nb+hi], s.counts[lo:hi]
+		if lw == 1 {
+			// For L ≤ 64, the paper's setting, the candidates are one
+			// word; reading them without the loop over words took a
+			// quarter off BenchmarkFitness.
+			cand, tab := s.cand[:nt], s.tables[81*last:][:81]
+			for u, c := range codes {
+				v := cand[u] & tab[c]
+				if v == 0 {
+					return 0, false
+				}
+				s.freqs[bits.TrailingZeros64(v)] += counts[u]
+			}
+			continue
+		}
+		for u, f := range counts {
+			r := -1
+			for x := 0; x < lw; x++ {
+				if v := s.cand[x*nt+u] & s.tables[81*(last*lw+x)+int(codes[u])]; v != 0 {
+					r = 64*x + bits.TrailingZeros64(v)
+					break
+				}
+			}
+			if r < 0 {
+				return 0, false
+			}
+			s.freqs[r] += f
+		}
 	}
 
 	// Size = Huffman codeword bits + fill bits at the U positions.
@@ -224,60 +289,6 @@ func (s *Sizer) Size(genes []uint8) (int, bool) {
 		return 0, false
 	}
 	return code + fill, true
-}
-
-// coverOneWord is the cover for L ≤ 64, where a candidate set is one
-// word. It adds each block's multiplicity to its MV's rank and is false
-// at the first uncovered block.
-func (s *Sizer) coverOneWord() bool {
-	kw := s.kw
-	for u, n := range s.counts {
-		cand := s.full[0]
-		for w := 0; w < kw; w++ {
-			care, val := s.care[u*kw+w], s.val[u*kw+w]
-			for care != 0 {
-				tz := bits.TrailingZeros64(care)
-				care &= care - 1
-				cand &= s.masks[2*(w*64+tz)+int(val>>uint(tz)&1)]
-			}
-		}
-		if cand == 0 {
-			return false
-		}
-		s.freqs[bits.TrailingZeros64(cand)] += n
-	}
-	return true
-}
-
-// coverWords is coverOneWord for any L.
-func (s *Sizer) coverWords() bool {
-	kw, lw, cand := s.kw, s.lw, s.cand
-	for u, n := range s.counts {
-		copy(cand, s.full)
-		for w := 0; w < kw; w++ {
-			care, val := s.care[u*kw+w], s.val[u*kw+w]
-			for care != 0 {
-				tz := bits.TrailingZeros64(care)
-				care &= care - 1
-				m := s.masks[(2*(w*64+tz)+int(val>>uint(tz)&1))*lw:][:lw]
-				for x := range cand {
-					cand[x] &= m[x]
-				}
-			}
-		}
-		r := -1
-		for x, c := range cand {
-			if c != 0 {
-				r = x*64 + bits.TrailingZeros64(c)
-				break
-			}
-		}
-		if r < 0 {
-			return false
-		}
-		s.freqs[r] += n
-	}
-	return true
 }
 
 // extract returns the width ≤ 64 bits of plane p that start at bit off.

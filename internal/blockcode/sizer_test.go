@@ -8,6 +8,7 @@ import (
 	"repro/internal/blockcode"
 	"repro/internal/core"
 	"repro/internal/testset"
+	"repro/internal/tritvec"
 )
 
 // sizeReference is the path the sizer replaces: decode the genome into
@@ -58,8 +59,10 @@ func checkSizer(t *testing.T, k, l int, pin bool, density uint8, seed int64, gen
 }
 
 // FuzzSizer compares the sizer with the reference path. Its seeds cover
-// K and L below, at and above one 64-bit word, genomes with and without
-// the pinned all-U MV, and genomes that leave blocks uncovered.
+// K and L below, at and above one 64-bit word, K around the sizer's
+// groups of four positions, all-X and fully specified sets, genomes
+// with and without the pinned all-U MV, and genomes that leave blocks
+// uncovered.
 func FuzzSizer(f *testing.F) {
 	seed := int64(0)
 	for _, k := range []uint8{1, 12, 63, 64, 65, 130} {
@@ -77,6 +80,17 @@ func FuzzSizer(f *testing.F) {
 	f.Add(uint8(8), uint8(9), false, uint8(50), int64(2), []byte{0})
 	// Raw gene bytes outside {0,1,2}.
 	f.Add(uint8(5), uint8(7), false, uint8(40), int64(3), []byte{255, 7, 3, 128, 5})
+	// K just under, at and over one and two groups of four positions,
+	// each at L = 9 (at K = 8 the 9C shape) and at one full word.
+	for _, k := range []uint8{3, 4, 5, 8, 9} {
+		for _, l := range []uint8{9, 64} {
+			seed++
+			f.Add(k, l, true, uint8(40), seed, []byte(nil))
+		}
+	}
+	// An all-X set, and a fully specified one.
+	f.Add(uint8(12), uint8(64), true, uint8(0), int64(4), []byte(nil))
+	f.Add(uint8(12), uint8(64), true, uint8(100), int64(5), []byte(nil))
 	f.Fuzz(func(t *testing.T, k, l uint8, pin bool, density uint8, seed int64, genome []byte) {
 		kk, ll := int(k), int(l)
 		if kk == 0 || kk > 130 {
@@ -94,6 +108,50 @@ func TestSizerMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for i := 0; i < 300; i++ {
 		checkSizer(t, 1+r.Intn(70), 1+r.Intn(70), r.Intn(4) != 0, uint8(r.Intn(101)), r.Int63(), nil)
+	}
+}
+
+// TestSizerAcrossTiles sizes sets of more distinct blocks than two
+// tiles of the sizer's cover hold (2 048 candidate words, so 2 048
+// blocks at one mask word), at one, two and three mask words: with
+// every block covered, and with one uncovered block, the last distinct
+// block, in the last tile. Every MV holds 0 at position 0 and MV L-2
+// is U everywhere else, so only a block with a 1 there is left
+// uncovered, unless the last MV is all-U.
+func TestSizerAcrossTiles(t *testing.T) {
+	const k = 12
+	r := rand.New(rand.NewSource(78))
+	for _, l := range []int{64, 100, 130} {
+		ts := testset.Random(96, 600, 0.5, r)
+		for _, p := range ts.Patterns {
+			for j := 0; j < ts.Width; j += k {
+				p.Set(j, tritvec.Zero)
+			}
+		}
+		last := ts.Patterns[len(ts.Patterns)-1]
+		last.Set(ts.Width-k, tritvec.One)
+		ms := blockcode.Dedup(blockcode.Partition(ts, k))
+		if n := len(ms.Blocks); n <= 2*2048 || !ms.Blocks[n-1].Equal(last.Slice(ts.Width-k, ts.Width)) {
+			t.Fatalf("L=%d: %d distinct blocks, the last %s", l, n, ms.Blocks[n-1])
+		}
+		genes := make([]uint8, k*l)
+		for i := range genes {
+			genes[i] = uint8(r.Intn(3))
+			if i%k == 0 {
+				genes[i] = 1
+			}
+		}
+		clear(genes[(l-2)*k+1 : (l-1)*k])
+		s := blockcode.NewSizer(ms, k, l)
+		for _, pin := range []bool{false, true} {
+			if pin {
+				clear(genes[(l-1)*k:])
+			}
+			want, wantOK := sizeReference(ms, genes, k, l)
+			if got, ok := s.Size(genes); got != want || ok != wantOK || ok != pin {
+				t.Fatalf("L=%d pin=%v: sizer %d, %v; reference %d, %v", l, pin, got, ok, want, wantOK)
+			}
+		}
 	}
 }
 

@@ -58,17 +58,14 @@ func (ts *TestSet) Flatten() tritvec.Vector {
 	return out
 }
 
-// FromFlat splits a flat string back into patterns of the given width. The
-// string length must be a multiple of width.
+// FromFlat splits a flat string back into patterns of the given width,
+// copies over one backing array (tritvec.Vector.Split). The string
+// length must be a multiple of width.
 func FromFlat(flat tritvec.Vector, width int) (*TestSet, error) {
 	if width <= 0 || flat.Len()%width != 0 {
 		return nil, fmt.Errorf("testset: flat length %d not a multiple of width %d", flat.Len(), width)
 	}
-	ts := New(width)
-	for off := 0; off < flat.Len(); off += width {
-		ts.Add(flat.Slice(off, off+width))
-	}
-	return ts, nil
+	return &TestSet{Width: width, Patterns: flat.Split(width)}, nil
 }
 
 // SpecifiedBits returns the number of specified (0/1) positions.

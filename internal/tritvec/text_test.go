@@ -100,6 +100,10 @@ func TestOneAllocationPerVector(t *testing.T) {
 			t.Errorf("%s: %v allocations, want 1", name, got)
 		}
 	}
+	// Split takes one allocation for the vectors and one for their planes.
+	if got := testing.AllocsPerRun(100, func() { _ = v.Split(10) }); got != 2 {
+		t.Errorf("Split: %v allocations, want 2", got)
+	}
 	// The care plane cannot grow into the value plane.
 	if c, _ := New(64).Words(); cap(c) != len(c) {
 		t.Fatalf("care plane has capacity %d beyond its %d words", cap(c), len(c))

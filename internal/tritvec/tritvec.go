@@ -77,12 +77,15 @@ func New(n int) Vector {
 }
 
 // alloc returns an all-X vector of length n whose two planes share one
-// allocation; the full slice expression keeps the care plane from
-// growing into the value plane.
-func alloc(n int) Vector {
+// allocation.
+func alloc(n int) Vector { return over(make([]uint64, 2*words(n)), n) }
+
+// over returns the vector of length n whose care and value planes are
+// the first two runs of words(n) words of p; the full slice expressions
+// keep either plane from growing into what follows it.
+func over(p []uint64, n int) Vector {
 	w := words(n)
-	p := make([]uint64, 2*w)
-	return Vector{n: n, care: p[:w:w], val: p[w:]}
+	return Vector{n: n, care: p[:w:w], val: p[w : 2*w : 2*w]}
 }
 
 // FromString parses a vector from a string of trit characters; see
@@ -304,6 +307,31 @@ func (v Vector) Slice(lo, hi int) Vector {
 		panic(fmt.Sprintf("tritvec: bad slice [%d,%d) of length %d", lo, hi, v.n))
 	}
 	out := alloc(hi - lo)
+	v.copyOut(out, lo)
+	return out
+}
+
+// Split cuts v into consecutive vectors of width positions, copies that
+// share one backing array: splitting a flat decode string back into T
+// patterns takes two allocations, not T. Each copy's planes are capped,
+// so no vector can grow into the next. Split panics unless width is
+// positive and divides v's length.
+func (v Vector) Split(width int) []Vector {
+	if width <= 0 || v.n%width != 0 {
+		panic(fmt.Sprintf("tritvec: cannot split length %d into width %d", v.n, width))
+	}
+	step := 2 * words(width)
+	out := make([]Vector, v.n/width)
+	p := make([]uint64, step*len(out))
+	for i := range out {
+		out[i] = over(p[i*step:], width)
+		v.copyOut(out[i], i*width)
+	}
+	return out
+}
+
+// copyOut fills out with v's positions from lo on, a word at a time.
+func (v Vector) copyOut(out Vector, lo int) {
 	for i := range out.care {
 		out.care[i], out.val[i] = window(v.care, lo+64*i), window(v.val, lo+64*i)
 	}
@@ -312,7 +340,6 @@ func (v Vector) Slice(lo, hi int) Vector {
 		out.care[len(out.care)-1] &= mask
 		out.val[len(out.val)-1] &= mask
 	}
-	return out
 }
 
 // Window returns the width ≤ 64 positions of v that start at pos as a

@@ -266,6 +266,8 @@ func TestPanics(t *testing.T) {
 	mustPanic("Matches", func() { v.Matches(New(5)) })
 	mustPanic("Subsumes", func() { v.Subsumes(New(5)) })
 	mustPanic("Slice", func() { v.Slice(2, 5) })
+	mustPanic("Split width", func() { v.Split(0) })
+	mustPanic("Split remainder", func() { v.Split(3) })
 	mustPanic("Specify", func() { v.Specify(X) })
 	mustPanic("negative", func() { New(-1) })
 	mustPanic("CopyFrom", func() { v.CopyFrom(New(3), 2) })

@@ -117,6 +117,41 @@ func TestSliceMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSplitMatchesSlice cuts random vectors at widths below, at and
+// above a word: every piece equals the Slice at its place, has planes
+// capped at their length, and zeroing one piece leaves the others as
+// they were.
+func TestSplitMatchesSlice(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	for _, width := range []int{1, 7, 63, 64, 65, 130} {
+		for _, count := range []int{0, 1, 5} {
+			base := RandomTernary(width*count, r)
+			pieces := base.Split(width)
+			if len(pieces) != count {
+				t.Fatalf("width %d: %d pieces, want %d", width, len(pieces), count)
+			}
+			for i, p := range pieces {
+				if want := base.Slice(i*width, (i+1)*width); !p.Equal(want) {
+					t.Fatalf("width %d piece %d: %s, want %s", width, i, p, want)
+				}
+				if c, v := p.Words(); cap(c) != len(c) || cap(v) != len(v) {
+					t.Fatalf("width %d piece %d: planes of %d/%d words have capacity %d/%d",
+						width, i, len(c), len(v), cap(c), cap(v))
+				}
+			}
+			for i := range pieces {
+				pieces[i].FillZeros(0, width)
+				for j, p := range pieces {
+					if want := base.Slice(j*width, (j+1)*width); j != i && !p.Equal(want) {
+						t.Fatalf("width %d: zeroing piece %d changed piece %d", width, i, j)
+					}
+				}
+				pieces[i].CopyFrom(base.Slice(i*width, (i+1)*width), 0)
+			}
+		}
+	}
+}
+
 // TestWindowMatchesReference reads every window of widths 0 to 64 at
 // every offset of vectors shorter than, equal to and longer than a
 // word, across word boundaries and past the end.
