@@ -308,9 +308,10 @@ func BenchmarkCovering(b *testing.B) {
 }
 
 // BenchmarkFitness measures one full fitness evaluation, the EA's inner
-// loop: the sizer packs the genome, covers the blocks in min-U order
-// through its acceptance tables and sizes the Huffman code. BenchmarkCovering and
-// BenchmarkHuffmanBuild time the reference path it replaced.
+// loop: the sizer reads the genome's genes as byte lanes, covers the
+// blocks in min-U order through its acceptance tables and sizes the
+// Huffman code. BenchmarkCovering and BenchmarkHuffmanBuild time the
+// reference path it replaced.
 func BenchmarkFitness(b *testing.B) {
 	ts := benchTestSet(b, 0.3)
 	ms := blockcode.Dedup(blockcode.Partition(ts, 12))
@@ -327,21 +328,26 @@ func BenchmarkFitness(b *testing.B) {
 }
 
 // BenchmarkFitnessShapes measures the fitness evaluation at shapes
-// other than BenchmarkFitness's K=12, L=64: the largest block and MV
-// count of the experiments' sweep (K=16, L=128, two mask words), and
-// K=64 over a sparse set (5% specified), where the sizer reads 16
-// position groups per block however few of its bits are specified.
+// other than BenchmarkFitness's K=12, L=64 over 200 patterns: the
+// largest block and MV count of the experiments' sweep (K=16, L=128,
+// two mask words), K=64 over a sparse set (5% specified), where the
+// sizer reads 16 position groups per block however few of its bits are
+// specified, and K=12, L=64 over 20 patterns (105 distinct blocks), the
+// size of a flow's sets, where reading the genome weighs most against
+// the cover.
 func BenchmarkFitnessShapes(b *testing.B) {
 	for _, c := range []struct {
-		name    string
-		k, l    int
-		density float64
+		name     string
+		k, l     int
+		patterns int
+		density  float64
 	}{
-		{"K16L128", 16, 128, 0.3},
-		{"K64L64sparse", 64, 64, 0.05},
+		{"K16L128", 16, 128, 1000, 0.3},
+		{"K64L64sparse", 64, 64, 1000, 0.05},
+		{"K12L64small", 12, 64, 20, 0.3},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			ts := testset.Random(64, 1000, c.density, rand.New(rand.NewSource(7)))
+			ts := testset.Random(64, c.patterns, c.density, rand.New(rand.NewSource(7)))
 			ms := blockcode.Dedup(blockcode.Partition(ts, c.k))
 			set := core.RandomMVSet(c.k, c.l, 0.5, rand.New(rand.NewSource(9)))
 			genes := core.MVsToGenes(set.MVs, c.k)

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 
 	"repro/internal/huffman"
-	"repro/internal/tritvec"
 )
 
 // Sizer computes the compressed size of a matching-vector set, given as
@@ -30,7 +29,7 @@ import (
 // use. Clone returns a Sizer that shares the read-only block codes.
 type Sizer struct {
 	k, l   int
-	kw, lw int // words per MV plane (⌈K/64⌉) and per MV mask (⌈L/64⌉)
+	lw     int // words per MV mask (⌈L/64⌉)
 	groups int // ⌈K/4⌉ position groups
 
 	// Read-only after NewSizer, shared by clones.
@@ -39,15 +38,14 @@ type Sizer struct {
 	full   []uint64 // lw words with every MV rank set
 
 	// Scratch for one evaluation.
-	genCare, genVal []uint64 // the genome's care/val bits, K·L of them
-	mvCare, mvVal   []uint64 // MV planes, kw words each, by MV index
-	nu              []int    // U positions per MV
-	order           []int    // MV index by min-U rank
-	start           []int    // counting-sort offsets by U count
-	lanes           []uint64 // rejection bits, see Size
-	tables          []uint64 // tables[81(g·lw+x)+t]: word x of the ranks accepting code t over group g
-	cand            []uint64 // cand[x·t+u]: word x of the ranks accepting block u of a tile of t
-	freqs           []int    // covered blocks per rank
+	words  []uint64 // words[i·⌈K/8⌉+c]: MV i's genes 8c..8c+7, see geneLanes
+	nu     []int    // U positions per MV
+	order  []int    // MV index by min-U rank
+	start  []int    // counting-sort offsets by U count
+	lanes  []uint64 // rejection bits in byte lanes, see Size
+	tables []uint64 // tables[81(g·lw+x)+t]: word x of the ranks accepting code t over group g
+	cand   []uint64 // cand[x·t+u]: word x of the ranks accepting block u of a tile of t
+	freqs  []int    // covered blocks per rank
 }
 
 // pow3 holds the weights of a group's four base-3 digits.
@@ -67,7 +65,7 @@ func NewSizer(ms *BlockMultiset, k, l int) *Sizer {
 	}
 	n, lw, groups := len(ms.Blocks), (l+63)/64, (k+3)/4
 	s := &Sizer{
-		k: k, l: l, kw: (k + 63) / 64, lw: lw, groups: groups,
+		k: k, l: l, lw: lw, groups: groups,
 		codes:  make([]uint8, groups*n),
 		counts: ms.Counts,
 		full:   make([]uint64, lw),
@@ -95,16 +93,14 @@ func NewSizer(ms *BlockMultiset, k, l int) *Sizer {
 
 // Clone returns a sizer over the same blocks with its own scratch.
 func (s *Sizer) Clone() *Sizer {
-	c := &Sizer{k: s.k, l: s.l, kw: s.kw, lw: s.lw, groups: s.groups, codes: s.codes, counts: s.counts, full: s.full}
+	c := &Sizer{k: s.k, l: s.l, lw: s.lw, groups: s.groups, codes: s.codes, counts: s.counts, full: s.full}
 	c.allocScratch()
 	return c
 }
 
 func (s *Sizer) allocScratch() {
-	k, l, kw, lw := s.k, s.l, s.kw, s.lw
-	// One spare word lets extract read past the last genome bit.
-	s.genCare, s.genVal = make([]uint64, (k*l+63)/64+1), make([]uint64, (k*l+63)/64+1)
-	s.mvCare, s.mvVal = make([]uint64, l*kw), make([]uint64, l*kw)
+	k, l, lw := s.k, s.l, s.lw
+	s.words = make([]uint64, l*((k+7)/8))
 	s.nu, s.order, s.start = make([]int, l), make([]int, l), make([]int, k+2)
 	s.lanes = make([]uint64, 2*((k+7)/8)*8*lw)
 	s.tables = make([]uint64, 81*s.groups*lw)
@@ -120,44 +116,21 @@ func (s *Sizer) allocScratch() {
 // the tritvec encoding (0=U, 1=0, 2=1). It is false when a block is left
 // uncovered or there are no blocks. Size allocates nothing.
 func (s *Sizer) Size(genes []uint8) (int, bool) {
-	k, l, kw, lw := s.k, s.l, s.kw, s.lw
+	k, l, lw := s.k, s.l, s.lw
 	n := k * l
 	if len(genes) != n {
 		panic(fmt.Sprintf("blockcode: genome has %d genes, want %d", len(genes), n))
 	}
 
-	// Pack the genome into care/val bits, 8 genes at a time. Trit t is
-	// U, 0, 1 for t = 0, 1, 2, so its care bit is (t+1)>>1 and its value
-	// t>>1. For 8 genes below 3 that is computed per byte lane, and a
-	// multiply gathers the lanes' low bits into one byte.
-	clear(s.genCare)
-	clear(s.genVal)
-	for q := 0; q < n; q += 8 {
-		x := uint64(0x80) // a short tail takes the per-gene path
-		if q+8 <= n {
-			x = binary.LittleEndian.Uint64(genes[q:])
-		}
-		var care, val uint64
-		if (x+0x7d7d7d7d7d7d7d7d|x)&0x8080808080808080 == 0 {
-			care = ((x + 0x0101010101010101) >> 1 & 0x0101010101010101) * 0x0102040810204080 >> 56
-			val = (x >> 1 & 0x0101010101010101) * 0x0102040810204080 >> 56
-		} else {
-			for j, g := range genes[q:min(n, q+8)] {
-				t := uint64(g % 3)
-				care |= (t + 1) >> 1 << uint(j)
-				val |= t >> 1 << uint(j)
-			}
-		}
-		s.genCare[q>>6] |= care << (uint(q) & 63)
-		s.genVal[q>>6] |= val << (uint(q) & 63)
-	}
+	// Read each MV's genes eight to a word, one to a byte lane (see
+	// geneLanes), and count its specified positions.
+	nc, words := (k+7)/8, s.words
 	for i := 0; i < l; i++ {
 		specified := 0
-		for w := 0; w < kw; w++ {
-			off, width := i*k+w*64, min(64, k-w*64)
-			care := extract(s.genCare, off, width)
-			s.mvCare[i*kw+w], s.mvVal[i*kw+w] = care, extract(s.genVal, off, width)
-			specified += bits.OnesCount64(care)
+		for c := 0; c < nc; c++ {
+			x := geneLanes(genes, i*k+8*c, min(8, k-8*c))
+			words[i*nc+c] = x
+			specified += bits.OnesCount64((x | x>>1) & laneLow)
 		}
 		s.nu[i] = k - specified
 	}
@@ -178,21 +151,20 @@ func (s *Sizer) Size(genes []uint8) (int, bool) {
 	}
 
 	// Acceptance masks. Rank r rejects 0 at j if it holds 1 there, and
-	// rejects 1 if it holds 0. Each rank spreads its rejection bits for
-	// positions 8c..8c+7 into byte lanes of word lanes[(b·nc+c)·ng+r/8],
-	// at bit r%8 of each lane. Transposing each 8×8 byte tile then gives
-	// every position a word over 64 ranks, which is the table entry of
-	// the code with that position's one digit b+1.
-	nc, ng := (k+7)/8, 8*lw
+	// rejects 1 if it holds 0. Each rank ORs its holds-1 and holds-0
+	// lanes for positions 8c..8c+7, bit 0 of each lane, into word
+	// lanes[(b·nc+c)·ng+r/8] at bit r%8 of each lane. Transposing each
+	// 8×8 byte tile then gives every position a word over 64 ranks,
+	// which is the table entry of the code with that position's one
+	// digit b+1.
+	ng := 8 * lw
 	lanes := s.lanes
 	clear(lanes)
 	for r, i := range s.order {
 		g, q := r>>3, uint(r)&7
-		for c := 0; c < nc; c++ {
-			sh := uint(c&7) * 8
-			care, val := s.mvCare[i*kw+c>>3]>>sh, s.mvVal[i*kw+c>>3]>>sh
-			lanes[c*ng+g] |= tritvec.Spread(byte(val)) << q
-			lanes[(nc+c)*ng+g] |= tritvec.Spread(byte(care&^val)) << q
+		for c, x := range words[i*nc : (i+1)*nc] {
+			lanes[c*ng+g] |= x >> 1 & laneLow << q
+			lanes[(nc+c)*ng+g] |= x & laneLow << q
 		}
 	}
 	for b := 0; b < 2; b++ {
@@ -291,18 +263,35 @@ func (s *Sizer) Size(genes []uint8) (int, bool) {
 	return code + fill, true
 }
 
-// extract returns the width ≤ 64 bits of plane p that start at bit off.
-// p must hold a word beyond the last bit read.
-func extract(p []uint64, off, width int) uint64 {
-	w, sh := off>>6, uint(off)&63
-	v := p[w] >> sh
-	if sh != 0 {
-		v |= p[w+1] << (64 - sh)
+// laneLow is bit 0 of every byte lane of a word.
+const laneLow = 0x0101010101010101
+
+// geneLanes returns genes off..off+w-1, 0 < w ≤ 8, as the byte lanes of
+// a word: lane j holds gene off+j taken mod 3, trit t, and the lanes
+// from w on hold 0. Trit t is U, 0, 1 for t = 0, 1, 2, so bit 0 of a
+// lane's t|t>>1 is its specified bit, of t>>1 its holds-1 bit and of t
+// its holds-0 bit. Where fewer than eight genes are left from off, or a
+// gene is 3 or more, tritLanes builds the word gene by gene.
+func geneLanes(genes []uint8, off, w int) uint64 {
+	if off+8 <= len(genes) {
+		x := binary.LittleEndian.Uint64(genes[off:]) & (^uint64(0) >> (64 - 8*uint(w)))
+		// A lane's bit 7 is set in x+0x7d… or x exactly when the lane
+		// is at least 3; a carry out of a lane comes only from a lane
+		// of 0x83 or more, whose own bit 7 is set in x.
+		if (x+0x7d7d7d7d7d7d7d7d|x)&0x8080808080808080 == 0 {
+			return x
+		}
 	}
-	if width < 64 {
-		v &= 1<<uint(width) - 1
+	return tritLanes(genes[off : off+w])
+}
+
+// tritLanes returns gene j of genes, taken mod 3, in byte lane j.
+func tritLanes(genes []uint8) uint64 {
+	var x uint64
+	for j, g := range genes {
+		x |= uint64(g%3) << (8 * uint(j))
 	}
-	return v
+	return x
 }
 
 // transposeBytes transposes the 8×8 byte matrix whose row g is t[g]:

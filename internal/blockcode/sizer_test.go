@@ -58,11 +58,55 @@ func checkSizer(t *testing.T, k, l int, pin bool, density uint8, seed int64, gen
 	}
 }
 
+// laneCase is a sizer case for the sizer's byte-lane reads of the
+// genome, eight genes to a word.
+type laneCase struct {
+	k, l    int
+	pin     bool
+	density uint8
+	seed    int64
+	genome  []byte // nil: random genes
+}
+
+// laneCases cover K·L not a multiple of 8, MVs whose last word holds
+// fewer than eight of their genes next to an MV of raw gene bytes of 3
+// or more, and such bytes in the genome's last word, where fewer than
+// eight genes are left. Their genomes are mostly U, so that the blocks
+// are covered and the sizes compared.
+func laneCases() []laneCase {
+	r := rand.New(rand.NewSource(79))
+	// mvs returns l MVs of length k, each gene U with probability
+	// 4/5. Each MV i with raw(i) has a multiple of 3 added to every
+	// gene, raw bytes from 3 to 254 that are the same trits mod 3.
+	mvs := func(k, l int, raw func(i int) bool) []byte {
+		g := make([]byte, k*l)
+		for i := range g {
+			if r.Intn(5) == 0 {
+				g[i] = byte(1 + r.Intn(2))
+			}
+			if raw(i / k) {
+				g[i] += byte(3 * (1 + r.Intn(84)))
+			}
+		}
+		return g
+	}
+	odd := func(i int) bool { return i%2 == 1 }
+	return []laneCase{
+		{7, 9, true, 30, 1, nil},
+		{9, 7, true, 30, 6, nil},
+		{12, 64, false, 10, 9, mvs(12, 64, odd)},
+		{9, 7, false, 10, 6, mvs(9, 7, odd)},
+		{7, 9, false, 10, 7, mvs(7, 9, odd)},
+		{7, 9, false, 10, 9, mvs(7, 9, func(i int) bool { return i == 8 })},
+		{9, 7, false, 10, 4, mvs(9, 7, func(i int) bool { return i == 6 })},
+	}
+}
+
 // FuzzSizer compares the sizer with the reference path. Its seeds cover
 // K and L below, at and above one 64-bit word, K around the sizer's
 // groups of four positions, all-X and fully specified sets, genomes
-// with and without the pinned all-U MV, and genomes that leave blocks
-// uncovered.
+// with and without the pinned all-U MV, genomes that leave blocks
+// uncovered, and laneCases.
 func FuzzSizer(f *testing.F) {
 	seed := int64(0)
 	for _, k := range []uint8{1, 12, 63, 64, 65, 130} {
@@ -91,6 +135,9 @@ func FuzzSizer(f *testing.F) {
 	// An all-X set, and a fully specified one.
 	f.Add(uint8(12), uint8(64), true, uint8(0), int64(4), []byte(nil))
 	f.Add(uint8(12), uint8(64), true, uint8(100), int64(5), []byte(nil))
+	for _, c := range laneCases() {
+		f.Add(uint8(c.k), uint8(c.l), c.pin, c.density, c.seed, c.genome)
+	}
 	f.Fuzz(func(t *testing.T, k, l uint8, pin bool, density uint8, seed int64, genome []byte) {
 		kk, ll := int(k), int(l)
 		if kk == 0 || kk > 130 {
@@ -103,11 +150,15 @@ func FuzzSizer(f *testing.F) {
 	})
 }
 
-// TestSizerMatchesReference runs the fuzz comparison on random shapes.
+// TestSizerMatchesReference runs the fuzz comparison on random shapes
+// and on laneCases.
 func TestSizerMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for i := 0; i < 300; i++ {
 		checkSizer(t, 1+r.Intn(70), 1+r.Intn(70), r.Intn(4) != 0, uint8(r.Intn(101)), r.Int63(), nil)
+	}
+	for _, c := range laneCases() {
+		checkSizer(t, c.k, c.l, c.pin, c.density, c.seed, c.genome)
 	}
 }
 

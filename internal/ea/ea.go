@@ -11,6 +11,11 @@
 // calls Fitness only for children whose genome is new to the generation.
 // Independent runs execute in parallel one level up, as pipeline jobs
 // (core.CompressCtx).
+//
+// Every random draw of a run comes from one source, which continues
+// rand.NewSource(Config.Seed)'s stream value for value: rand.New over it
+// serves the scalar draws, and uniform crossover reads one buffered
+// output per gene in place of a call to rand.Intn(2).
 package ea
 
 import (
@@ -170,7 +175,8 @@ func RunCtx(ctx context.Context, cfg Config, problem Problem, seedIndividuals ..
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	src := newSource(cfg.Seed)
+	rng := rand.New(src)
 
 	// One allocation holds every genome of the run: S+C working
 	// individuals, a spare for the second child of a crossover that
@@ -216,13 +222,13 @@ func RunCtx(ctx context.Context, cfg Config, problem Problem, seedIndividuals ..
 			res.Evals = evals
 			return res, err
 		}
-		gen++
-		if cfg.MaxGenerations > 0 && gen > cfg.MaxGenerations {
+		if cfg.MaxGenerations > 0 && gen >= cfg.MaxGenerations {
 			break
 		}
 		if cfg.MaxEvals > 0 && evals >= cfg.MaxEvals {
 			break
 		}
+		gen++
 
 		for i := 0; i < c; {
 			switch pickOperator(rng, cfg) {
@@ -233,7 +239,7 @@ func RunCtx(ctx context.Context, cfg Config, problem Problem, seedIndividuals ..
 				if i+1 < c {
 					c2 = kids[i+1].Genes
 				}
-				crossover(rng, cfg.Crossover, kids[i].Genes, c2, a, b)
+				crossover(rng, src, cfg.Crossover, kids[i].Genes, c2, a, b)
 				problem.Repair(kids[i].Genes)
 				if i+1 < c {
 					problem.Repair(c2)
@@ -306,8 +312,8 @@ func pickOperator(rng *rand.Rand, cfg Config) operator {
 }
 
 // crossover writes the children of parents a and b into c1 and c2,
-// which must not overlap a or b.
-func crossover(rng *rand.Rand, kind CrossoverKind, c1, c2, a, b []Gene) {
+// which must not overlap a or b. rng must draw from src.
+func crossover(rng *rand.Rand, src *source, kind CrossoverKind, c1, c2, a, b []Gene) {
 	switch kind {
 	case TwoPointCrossover:
 		copy(c1, a)
@@ -319,14 +325,19 @@ func crossover(rng *rand.Rand, kind CrossoverKind, c1, c2, a, b []Gene) {
 		copy(c1[i:j+1], b[i:j+1])
 		copy(c2[i:j+1], a[i:j+1])
 	default: // UniformCrossover
-		c1, c2, b = c1[:len(a)], c2[:len(a)], b[:len(a)]
-		for k, x := range a {
-			// rng.Int63()>>32&1 is the value rng.Intn(2) returns from
-			// the same draw; 0 swaps the gene between the children.
-			swap := Gene(rng.Int63()>>32&1) - 1
-			d := (x ^ b[k]) & swap
-			c1[k] = x ^ d
-			c2[k] = b[k] ^ d
+		for len(a) > 0 {
+			draws := src.take(len(a))
+			n := len(draws)
+			x, y, z1, z2 := a[:n], b[:n], c1[:n], c2[:n]
+			for k, r := range draws {
+				// Bit 32 of a draw is the value rng.Intn(2) returns
+				// from it; 0 swaps the gene between the children.
+				swap := Gene(r>>32&1) - 1
+				d := (x[k] ^ y[k]) & swap
+				z1[k] = x[k] ^ d
+				z2[k] = y[k] ^ d
+			}
+			a, b, c1, c2 = a[n:], b[n:], c1[n:], c2[n:]
 		}
 	}
 }

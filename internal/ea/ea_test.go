@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -162,14 +163,14 @@ func TestMaxEvalsBudget(t *testing.T) {
 }
 
 func TestTwoPointCrossover(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	src := newSource(1)
 	a := make([]Gene, 10)
 	b := make([]Gene, 10)
 	for i := range b {
 		b[i] = 1
 	}
 	c1, c2 := make([]Gene, 10), make([]Gene, 10)
-	crossover(rng, TwoPointCrossover, c1, c2, a, b)
+	crossover(rand.New(src), src, TwoPointCrossover, c1, c2, a, b)
 	// children must be complementary and contain a contiguous swapped
 	// segment
 	for i := range c1 {
@@ -189,11 +190,11 @@ func TestTwoPointCrossover(t *testing.T) {
 }
 
 func TestUniformCrossoverPreservesMultiset(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	src := newSource(2)
 	a := []Gene{0, 0, 0, 0, 0}
 	b := []Gene{1, 1, 1, 1, 1}
 	c1, c2 := make([]Gene, 5), make([]Gene, 5)
-	crossover(rng, UniformCrossover, c1, c2, a, b)
+	crossover(rand.New(src), src, UniformCrossover, c1, c2, a, b)
 	for i := range c1 {
 		if c1[i]+c2[i] != 1 {
 			t.Fatal("uniform crossover must exchange positionwise")
@@ -215,11 +216,15 @@ func referenceUniformCrossover(rng *rand.Rand, a, b []Gene) ([]Gene, []Gene) {
 	return c1, c2
 }
 
-// TestUniformCrossoverMatchesReference: the branch-free crossover makes
-// the reference's children and leaves the generator where the reference
-// leaves it, so every later draw of a run is unchanged too.
+// TestUniformCrossoverMatchesReference: crossover over the buffered
+// source makes the children of math/rand's per-gene Intn(2) and leaves
+// the stream where math/rand leaves it, so every later draw of a run is
+// unchanged too. 768 genes is more than one refill of the buffer, so
+// each crossover crosses a refill at a different gene.
 func TestUniformCrossoverMatchesReference(t *testing.T) {
-	ref, got := rand.New(rand.NewSource(29)), rand.New(rand.NewSource(29))
+	ref := rand.New(rand.NewSource(29))
+	src := newSource(29)
+	got := rand.New(src)
 	parents := rand.New(rand.NewSource(31))
 	const n = 768
 	a, b := make([]Gene, n), make([]Gene, n)
@@ -229,13 +234,54 @@ func TestUniformCrossoverMatchesReference(t *testing.T) {
 			a[i], b[i] = Gene(parents.Intn(3)), Gene(parents.Intn(3))
 		}
 		w1, w2 := referenceUniformCrossover(ref, a, b)
-		crossover(got, UniformCrossover, c1, c2, a, b)
+		crossover(got, src, UniformCrossover, c1, c2, a, b)
 		if !bytes.Equal(c1, w1) || !bytes.Equal(c2, w2) {
 			t.Fatalf("crossover %d: children differ from the reference", iter)
 		}
 	}
 	if ref.Int63() != got.Int63() {
 		t.Fatal("crossover consumed a different number of draws than the reference")
+	}
+}
+
+// TestSourceMatchesMathRand: source returns rand.NewSource(seed)'s
+// stream value for value, whether it is read a value at a time, as
+// Int63 or through take, whose reads end at a refill or anywhere else.
+func TestSourceMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, -1, 1<<31 - 1, 1 << 31, 1 << 40, math.MinInt64} {
+		ref := rand.NewSource(seed).(rand.Source64)
+		s := newSource(seed)
+		reads := rand.New(rand.NewSource(seed ^ 0x5eed))
+		for drawn := 0; drawn < 1_000_000; {
+			switch reads.Intn(3) {
+			case 0:
+				if got, want := s.Uint64(), ref.Uint64(); got != want {
+					t.Fatalf("seed %d, draw %d: Uint64 %#x, math/rand %#x", seed, drawn, got, want)
+				}
+				drawn++
+			case 1:
+				if got, want := s.Int63(), ref.Int63(); got != want {
+					t.Fatalf("seed %d, draw %d: Int63 %#x, math/rand %#x", seed, drawn, got, want)
+				}
+				drawn++
+			case 2:
+				n := 1 + reads.Intn(2*longLag)
+				v := s.take(n)
+				if len(v) < 1 || len(v) > n {
+					t.Fatalf("seed %d, draw %d: take(%d) returned %d values", seed, drawn, n, len(v))
+				}
+				for i, got := range v {
+					if want := ref.Uint64(); got != want {
+						t.Fatalf("seed %d, draw %d: take value %#x, math/rand %#x", seed, drawn+i, got, want)
+					}
+				}
+				drawn += len(v)
+			}
+		}
+		s.Seed(seed)
+		if got, want := s.Uint64(), rand.NewSource(seed).(rand.Source64).Uint64(); got != want {
+			t.Fatalf("seed %d: reseeded source starts at %#x, math/rand at %#x", seed, got, want)
+		}
 	}
 }
 
@@ -278,19 +324,68 @@ func TestInvertIsReversal(t *testing.T) {
 	}
 }
 
+// cancelling cancels its run's context at its n-th Fitness call.
+type cancelling struct {
+	oneMax
+	n      int
+	cancel context.CancelFunc
+}
+
+func (p *cancelling) Fitness(g []Gene) float64 {
+	if p.n--; p.n == 0 {
+		p.cancel()
+	}
+	return p.oneMax.Fitness(g)
+}
+
+// TestQuickPopulationSizeInvariant: however a run ends, by either cap,
+// by MaxNoImprove or by a cancelled context, Generations counts the
+// generations it ran: Evals is S + Generations·C, and History holds the
+// initial population and one entry per generation.
 func TestQuickPopulationSizeInvariant(t *testing.T) {
-	f := func(seed int64) bool {
-		cfg := DefaultConfig(seed)
-		cfg.MaxGenerations = 10
-		cfg.MaxNoImprove = 10
-		res, err := Run(cfg, oneMax{n: 8, alpha: 2})
-		if err != nil {
-			return false
+	f := func(seed int64, m uint8) bool {
+		limit := 1 + int(m%30)
+		for stop := 0; stop < 4; stop++ {
+			cfg := DefaultConfig(seed)
+			cfg.MaxGenerations, cfg.MaxNoImprove, cfg.MaxEvals = 0, 0, 0
+			ctx, cancel := context.WithCancel(context.Background())
+			var p Problem = oneMax{n: 8, alpha: 2}
+			switch stop {
+			case 0:
+				cfg.MaxGenerations = limit
+			case 1:
+				cfg.MaxEvals = cfg.PopSize + 3*limit
+			case 2:
+				cfg.MaxNoImprove = limit
+			case 3:
+				cfg.MaxGenerations = 1000
+				p = &cancelling{oneMax{n: 40, alpha: 2}, cfg.PopSize + limit, cancel}
+			}
+			res, err := RunCtx(ctx, cfg, p)
+			cancel()
+			if res == nil || (err != nil) != (stop == 3) {
+				t.Logf("seed %d, stop %d: result %v, error %v", seed, stop, res, err)
+				return false
+			}
+			s, c, g := cfg.PopSize, cfg.Children, res.Generations
+			var ended bool
+			switch stop {
+			case 0:
+				ended = g == limit
+			case 1:
+				ended = res.Evals >= cfg.MaxEvals && res.Evals-c < cfg.MaxEvals
+			case 2:
+				ended = g >= limit && res.History[g].Best == res.History[g-limit].Best
+			case 3:
+				ended = errors.Is(err, context.Canceled) && g < cfg.MaxGenerations
+			}
+			if !ended || res.Evals != s+g*c || len(res.History) != g+1 {
+				t.Logf("seed %d, stop %d (limit %d): %d generations, %d evals, %d history entries",
+					seed, stop, limit, g, res.Evals, len(res.History))
+				return false
+			}
 		}
-		// History has one entry per generation (+initial), evals
-		// consistent with S + gens*C.
-		return res.Evals == cfg.PopSize+res.Generations*cfg.Children ||
-			res.Evals <= cfg.PopSize+res.Generations*cfg.Children
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -419,5 +514,21 @@ func TestGenerationsAllocateNothing(t *testing.T) {
 	short, long := allocs(100), allocs(10000)
 	if long > short+16 {
 		t.Fatalf("%.0f allocations at 10000 generations, %.0f at 100", long, short)
+	}
+}
+
+// BenchmarkGenerations times the engine alone: 200 generations at the
+// paper's S, C and operator rates over 768 genes in {0, 1, 2}, K·L at
+// K = 12 and L = 64, under oneMax, a fitness that costs one pass over
+// the genes.
+func BenchmarkGenerations(b *testing.B) {
+	cfg := DefaultConfig(1)
+	cfg.MaxGenerations, cfg.MaxNoImprove = 200, 0
+	p := oneMax{n: 768, alpha: 3}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

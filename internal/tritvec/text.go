@@ -37,11 +37,6 @@ var spread = func() (t [256]uint64) {
 	return t
 }()
 
-// Spread returns b with bit i moved to bit 8i: eight one-bit flags
-// spread over the byte lanes of a word. It is the lane step of AppendTo
-// and of blockcode's acceptance masks.
-func Spread(b byte) uint64 { return spread[b] }
-
 // Parse reads a vector from trit characters. A group of eight '0', '1'
 // or 'X' characters becomes a care byte and a value byte in a few word
 // operations. A group holding any other byte (the spellings 'x', 'u',
