@@ -22,7 +22,8 @@ import (
 // and say so.
 var atpgPins = []struct {
 	name string
-	// circuit builds the netlist: a stuck-at flow circuit or a random one.
+	// circuit builds the netlist: a stuck-at or path-delay flow circuit,
+	// or a random one.
 	circuit                       func() (*circuit.Circuit, error)
 	opt                           func(*atpg.Options)
 	digest                        string
@@ -34,6 +35,10 @@ var atpgPins = []struct {
 	{"flow/s344/seed2", flowCircuit("s344", 2), nil, "b2a418866348e39e9fd7eafefd5b978cc01cc946c258dfb9b2cb2b35ab3a19ca", 100, 118, 0},
 	{"flow/s420/seed1", flowCircuit("s420", 1), nil, "f8c230ababeb4eab952101187e995c2c9848de4e390ac35cfe804bed383b816c", 181, 115, 10},
 	{"flow/s420/seed2", flowCircuit("s420", 2), nil, "e61eb32b61dd8cfdd4fe0e0976328bae59e5e56ea92873cb7d29631d82a112e8", 199, 103, 0},
+	{"flow/s298/path-delay/seed1", flowCircuit("s298", 1, tcomp.FlowTests(tcomp.FlowPathDelay)), nil,
+		"dc267ab41010aaa125196b97ca67bd5649441ef53c02dcf60eeef4904bab6fce", 54, 68, 0},
+	{"flow/s420/path-delay/seed1", flowCircuit("s420", 1, tcomp.FlowTests(tcomp.FlowPathDelay)), nil,
+		"787b2410ba9179a2fbf2e8f9690e6d5d7ce7758cb74060952deb3b8f9fa960ec", 144, 92, 0},
 	{"random/dropping", randomCircuit(16, 90, 5, 3, 61),
 		func(o *atpg.Options) { o.FaultDropping = true }, "0e945b02fd273b0c08ea63116bb76b2eeafb0983234719e56eae9bb53e11f26a", 82, 109, 0},
 	{"random/uncollapsed", randomCircuit(12, 70, 4, 4, 62),
@@ -44,9 +49,9 @@ var atpgPins = []struct {
 		func(o *atpg.Options) { o.MaxBacktracks = 10 }, "0386b23ebe33865def837d0efcb1da18b92bcaa8ea3c0bf7786dd5fe560f58cc", 95, 57, 176},
 }
 
-func flowCircuit(benchmark string, seed int64) func() (*circuit.Circuit, error) {
+func flowCircuit(benchmark string, seed int64, opts ...tcomp.FlowOption) func() (*circuit.Circuit, error) {
 	return func() (*circuit.Circuit, error) {
-		return tcomp.NewTestFlow(tcomp.FlowSeed(seed)).GenerateCircuit(context.Background(), benchmark)
+		return tcomp.NewTestFlow(append(opts, tcomp.FlowSeed(seed))...).GenerateCircuit(context.Background(), benchmark)
 	}
 }
 
@@ -59,7 +64,8 @@ func randomCircuit(inputs, gates, outputs, fanin int, seed int64) func() (*circu
 }
 
 // TestATPGOutputPinned compares PODEM's test sets and fault counts with
-// the values recorded in atpgPins, across the stuck-at flow circuits at
+// the values recorded in atpgPins, across the stuck-at flow circuits and
+// two path-delay ones (pinning both shapes of the flow's generator) at
 // their default options and random circuits under every option that
 // changes the search's path: fault dropping, the uncollapsed fault list,
 // no X-maximization and a backtrack limit low enough to abort faults.

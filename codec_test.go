@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -174,7 +175,10 @@ func TestCodecConformance(t *testing.T) {
 // TestDecompressAllocationsDoNotGrowWithPatterns holds every codec's
 // decompression to the same number of allocations at 1 Ki and 8 Ki
 // patterns: the decoded string, the patterns over one backing array and
-// the codec's own tables, nothing per pattern or block.
+// the codec's own tables, nothing per pattern or block. AllocsPerRun
+// counts the mallocs of every goroutine in the test binary, which can
+// only add to the decoder's own, so each side is the least of five
+// measurements.
 func TestDecompressAllocationsDoNotGrowWithPatterns(t *testing.T) {
 	small := testset.Random(48, 1024, 0.3, rand.New(rand.NewSource(6)))
 	large := testset.New(small.Width)
@@ -193,11 +197,15 @@ func TestDecompressAllocationsDoNotGrowWithPatterns(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Compress: %v", name, err)
 			}
-			return testing.AllocsPerRun(3, func() {
-				if _, err := codec.Decompress(art); err != nil {
-					t.Fatalf("%s: Decompress: %v", name, err)
-				}
-			})
+			least := math.Inf(1)
+			for i := 0; i < 5; i++ {
+				least = min(least, testing.AllocsPerRun(3, func() {
+					if _, err := codec.Decompress(art); err != nil {
+						t.Fatalf("%s: Decompress: %v", name, err)
+					}
+				}))
+			}
+			return least
 		}
 		if s, l := allocs(small), allocs(large); s != l {
 			t.Errorf("%s decompression allocates %v times on %d patterns and %v on %d",

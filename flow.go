@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"time"
 
@@ -67,9 +66,11 @@ const (
 
 // Deterministic per-stage seed indices: each flow stage draws its seed
 // as pipeline.Seed(flowSeed, stage), so stages are independently seeded
-// but all reproducible from the one root. Test generation is
-// deterministic and draws no seed, but flowStageATPG keeps its index so
-// that the later stages keep theirs, and every flow its bytes.
+// but all reproducible from the one root. The circuit stage is
+// iscasgen.Circuit, which draws index 0 of the root salted with the
+// benchmark name. Test generation is deterministic and draws no seed.
+// Both keep their indices so that the later stages keep theirs, and
+// every flow its bytes.
 const (
 	flowStageCircuit = iota
 	flowStageATPG
@@ -169,9 +170,10 @@ func (f *TestFlow) stage(name string, start time.Time, secs map[string]float64) 
 }
 
 // GenerateCircuit builds a deterministic ISCAS-style circuit for a
-// registry benchmark (see Benchmarks): a seeded random netlist whose
-// input count matches the paper row, capped so ATPG stays tractable.
-// The same (benchmark, FlowSeed) always yields the same netlist.
+// registry benchmark (see Benchmarks) with iscasgen.Circuit: a seeded
+// random netlist whose input count matches the paper row, capped so
+// ATPG stays tractable. The same (benchmark, FlowSeed) always yields
+// the same netlist.
 func (f *TestFlow) GenerateCircuit(ctx context.Context, benchmark string) (*Circuit, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -184,31 +186,7 @@ func (f *TestFlow) GenerateCircuit(ctx context.Context, benchmark string) (*Circ
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidCircuit, err)
 	}
-	inputs := m.Width
-	if inputs > 64 {
-		inputs = 64 // keep PODEM tractable; the registry row only sizes the shape
-	}
-	// Stuck-at flows get denser fanin-3 netlists; path-delay flows get
-	// shallow fanin-2 ones — deep reconvergent circuits rarely satisfy
-	// the strict robust steady-side-input condition, so they would
-	// generate near-empty test sets.
-	gates, fanin := 4*inputs, 3
-	if kind == iscasgen.PathDelay {
-		gates, fanin = 3*inputs, 2
-	}
-	if gates < 40 {
-		gates = 40
-	}
-	outputs := inputs / 3
-	if outputs < 2 {
-		outputs = 2
-	}
-	h := fnv.New64a()
-	h.Write([]byte(benchmark))
-	seed := pipeline.Seed(f.o.seed^int64(h.Sum64()), flowStageCircuit)
-	return circuit.Random(benchmark, circuit.RandomOptions{
-		Inputs: inputs, Gates: gates, Outputs: outputs, MaxFanin: fanin, Seed: seed,
-	})
+	return iscasgen.Circuit(m, f.o.seed)
 }
 
 // ParseCircuit parses a .bench netlist under the flow size caps.

@@ -18,47 +18,42 @@ func (s *MVSet) SubsumeOptimize(cov *Covering) (*Covering, *huffman.Code, int, e
 	freqs := append([]int(nil), cov.Freqs...)
 	assign := append([]int(nil), cov.Assign...)
 
-	size := func(f []int) (int, *huffman.Code, error) {
-		code, err := huffman.Build(f)
-		if err != nil {
-			return 0, nil, err
+	// size is CompressedBits under the Huffman code of f, found without
+	// building the code: its codeword bits plus every MV's fill bits.
+	nx := make([]int, len(s.MVs))
+	for i, mv := range s.MVs {
+		nx[i] = mv.CountX()
+	}
+	scratch := make([]int, len(freqs))
+	size := func(f []int) int {
+		bits, _ := huffman.Cost(append(scratch[:0], f...))
+		for i, fi := range f {
+			bits += fi * nx[i]
 		}
-		return s.CompressedBits(&Covering{Freqs: f}, code.Lengths), code, nil
+		return bits
 	}
 
-	bestSize, bestCode, err := size(freqs)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-
+	bestSize := size(freqs)
+	trial := make([]int, len(freqs))
 	for {
-		improved := false
-		bestFrom, bestTo, bestNew := -1, -1, bestSize
+		bestFrom, bestTo := -1, -1
 		for j := range s.MVs {
 			if freqs[j] == 0 {
 				continue
 			}
 			for i := range s.MVs {
-				if i == j || freqs[i] == 0 {
+				if i == j || freqs[i] == 0 || !s.MVs[i].Subsumes(s.MVs[j]) {
 					continue
 				}
-				if !s.MVs[i].Subsumes(s.MVs[j]) {
-					continue
-				}
-				trial := append([]int(nil), freqs...)
+				copy(trial, freqs)
 				trial[i] += trial[j]
 				trial[j] = 0
-				sz, _, err := size(trial)
-				if err != nil {
-					continue
-				}
-				if sz < bestNew {
-					bestNew, bestFrom, bestTo = sz, j, i
-					improved = true
+				if sz := size(trial); sz < bestSize {
+					bestSize, bestFrom, bestTo = sz, j, i
 				}
 			}
 		}
-		if !improved {
+		if bestFrom < 0 {
 			break
 		}
 		for b := range assign {
@@ -68,15 +63,14 @@ func (s *MVSet) SubsumeOptimize(cov *Covering) (*Covering, *huffman.Code, int, e
 		}
 		freqs[bestTo] += freqs[bestFrom]
 		freqs[bestFrom] = 0
-		bestSize = bestNew
 	}
 
-	var err2 error
-	bestSize, bestCode, err2 = size(freqs)
-	if err2 != nil {
-		return nil, nil, 0, err2
+	code, err := huffman.Build(freqs)
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	return &Covering{Assign: assign, Freqs: freqs}, bestCode, bestSize, nil
+	out := &Covering{Assign: assign, Freqs: freqs}
+	return out, code, s.CompressedBits(out, code.Lengths), nil
 }
 
 // BuildHuffmanOpt is BuildHuffman followed by the subsumption post-pass.

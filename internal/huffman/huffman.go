@@ -3,11 +3,14 @@
 // vectors (Section 3.3). Symbols with zero frequency receive no codeword at
 // all — the paper notes that "an MV with a frequency of 0 can be simply
 // left out without allocating a codeword to it".
+//
+// Build, which writes every block-code container, and Cost, which sizes
+// every EA fitness evaluation, run one merge, so the size the EA
+// optimises is the size the container gets.
 package huffman
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"slices"
 	"sort"
@@ -52,76 +55,50 @@ func (c *Code) WordString(i int) string {
 	return string(buf)
 }
 
-type node struct {
-	freq   int
-	order  int // tie-break: deterministic builds
-	symbol int // leaf symbol, -1 for internal
-	left   *node
-	right  *node
-}
-
-type nodeHeap []*node
-
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
-	if h[i].freq != h[j].freq {
-		return h[i].freq < h[j].freq
-	}
-	return h[i].order < h[j].order
-}
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(*node)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // Build constructs a canonical Huffman code for the given frequencies.
 // Zero-frequency symbols are excluded. If exactly one symbol has nonzero
 // frequency it is assigned the 1-bit codeword "0" (a degenerate but valid
 // prefix code; the stream remains self-delimiting). Build returns an error
 // if no symbol has positive frequency.
+//
+// The lengths come from merge over the used symbols sorted stably by
+// frequency, so a tie goes to the lower symbol index, and to a leaf
+// before a merged node.
 func Build(freqs []int) (*Code, error) {
-	n := len(freqs)
-	h := make(nodeHeap, 0, n)
+	var syms []int
 	for i, f := range freqs {
 		if f < 0 {
 			return nil, fmt.Errorf("huffman: negative frequency %d for symbol %d", f, i)
 		}
 		if f > 0 {
-			h = append(h, &node{freq: f, order: i, symbol: i})
+			syms = append(syms, i)
 		}
 	}
-	if len(h) == 0 {
+	if len(syms) == 0 {
 		return nil, fmt.Errorf("huffman: no symbol with positive frequency")
 	}
-	lengths := make([]int, n)
-	if len(h) == 1 {
-		lengths[h[0].symbol] = 1
+	lengths := make([]int, len(freqs))
+	n := len(syms)
+	if n == 1 {
+		lengths[syms[0]] = 1
 		return canonical(lengths)
 	}
-	heap.Init(&h)
-	order := n
-	for h.Len() > 1 {
-		a := heap.Pop(&h).(*node)
-		b := heap.Pop(&h).(*node)
-		heap.Push(&h, &node{freq: a.freq + b.freq, order: order, symbol: -1, left: a, right: b})
-		order++
+	slices.SortStableFunc(syms, func(a, b int) int { return cmp.Compare(freqs[a], freqs[b]) })
+	w := make([]int, n)
+	for i, s := range syms {
+		w[i] = freqs[s]
 	}
-	root := h[0]
-	var walk func(nd *node, depth int)
-	walk = func(nd *node, depth int) {
-		if nd.symbol >= 0 {
-			lengths[nd.symbol] = depth
-			return
-		}
-		walk(nd.left, depth+1)
-		walk(nd.right, depth+1)
+	up := make([]int, 2*n-1)
+	merge(w, up)
+	// Turn each merged node's parent into its depth, from the root
+	// (whose slot merge leaves 0) down: a parent is a later merge.
+	depth := up[n:]
+	for m := n - 3; m >= 0; m-- {
+		depth[m] = depth[depth[m]] + 1
 	}
-	walk(root, 0)
+	for i, s := range syms {
+		lengths[s] = depth[up[i]] + 1
+	}
 	return canonical(lengths)
 }
 
@@ -130,14 +107,12 @@ func Build(freqs []int) (*Code, error) {
 // and false when no frequency is positive. It reorders and overwrites
 // freqs, and allocates nothing.
 //
-// Cost sorts the positive weights and merges them with two queues (the
-// leaves, and the merged nodes, which come out in ascending order). The
-// sum of all merged weights is Σ f·len of the resulting tree. Every
-// Huffman code of the same weights is optimal and so has that same sum,
-// whichever way ties break; Build's tie-breaking cannot change it. One
-// used symbol costs 1 bit per occurrence, as in Build. Build's 62-bit
-// length cap is not checked: a codeword of 63 bits or more needs a total
-// weight above the Fibonacci number F(64) ≈ 1.06·10¹³.
+// Cost sorts the positive weights and runs merge on them, as Build
+// does: the same values in the same order give the same merges, whose
+// weights sum to Σ f·len. One used symbol costs 1 bit per occurrence,
+// as in Build. Build's 62-bit length cap is not checked: a codeword of
+// 63 bits or more needs a total weight above the Fibonacci number
+// F(64) ≈ 1.06·10¹³.
 func Cost(freqs []int) (int, bool) {
 	n := 0
 	for _, f := range freqs {
@@ -154,6 +129,18 @@ func Cost(freqs []int) (int, bool) {
 	}
 	w := freqs[:n]
 	slices.Sort(w)
+	return merge(w, nil), true
+}
+
+// merge runs Huffman's algorithm on n ≥ 2 weights w sorted ascending
+// and returns the sum of all merged weights, Σ w·len of the tree. The
+// leaves and the merged nodes, which come out ascending, wait in two
+// queues; each merge takes the two lightest heads, a leaf before a
+// merged node of equal weight. If up is not nil (2n-1 long), up[i]
+// receives the merge that consumed leaf i and up[n+m] the one that
+// consumed merged node m; the root, merge n-2, leaves its slot as is.
+func merge(w, up []int) int {
+	n := len(w)
 	// Leaves are w[leaf:]; merged nodes are w[node:merged]. Merge m
 	// consumes two nodes and stores its weight at w[m]: by then at
 	// least m+2 leaves are consumed, so the slot is free.
@@ -162,9 +149,15 @@ func Cost(freqs []int) (int, bool) {
 		sum := 0
 		for pick := 0; pick < 2; pick++ {
 			if leaf < n && (node == merged || w[leaf] <= w[node]) {
+				if up != nil {
+					up[leaf] = merged
+				}
 				sum += w[leaf]
 				leaf++
 			} else {
+				if up != nil {
+					up[n+node] = merged
+				}
 				sum += w[node]
 				node++
 			}
@@ -172,7 +165,7 @@ func Cost(freqs []int) (int, bool) {
 		w[merged] = sum
 		total += sum
 	}
-	return total, true
+	return total
 }
 
 // FromLengths builds a canonical code from explicit codeword lengths

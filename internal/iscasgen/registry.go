@@ -1,7 +1,8 @@
 // Package iscasgen carries the paper's per-circuit experimental metadata
 // (Tables 1 and 2: circuit names, test-set sizes in bits, and all
 // published compression rates) and generates deterministic synthetic test
-// sets with matching dimensions and calibrated compressibility.
+// sets with matching dimensions and calibrated compressibility. Circuit
+// builds the seeded netlist that stands in for a row in the test flow.
 //
 // Substitution note: the actual ISCAS-85/89 netlists
 // and the Kajihara/Miyase and TIP test sets are third-party artifacts

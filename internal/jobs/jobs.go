@@ -1,11 +1,11 @@
 // Package jobs turns the engine's synchronous compress/decompress calls
 // into durable background work: a Manager accepts job specs over a
-// bounded queue, runs them on a pipeline.Ordered worker pool under the
-// daemon's shared Limiter (jobs and interactive requests draw from one
-// worker budget), and journals every state transition to disk so a
-// daemon restart recovers the queue — finished outputs stay fetchable
-// from the artifact store until GC, unfinished work is re-queued and
-// runs again.
+// bounded queue, runs them on Workers goroutines, each taking the next
+// job as soon as it is free, under the daemon's shared Limiter (jobs
+// and interactive requests draw from one worker budget), and journals
+// every state transition to disk so a daemon restart recovers the
+// queue — finished outputs stay fetchable from the artifact store until
+// GC, unfinished work is re-queued and runs again.
 //
 // The job state machine:
 //
@@ -38,6 +38,8 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -142,9 +144,8 @@ type Manager struct {
 	ctx  context.Context
 	stop context.CancelFunc
 
-	queue  chan string
-	pumped chan struct{}
-	ord    *pipeline.Ordered[struct{}]
+	queue   chan string
+	workers sync.WaitGroup
 
 	mu      sync.Mutex
 	jobs    map[string]*state
@@ -177,55 +178,63 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:    cfg,
-		lim:    lim,
-		log:    logger,
-		ctx:    ctx,
-		stop:   stop,
-		queue:  make(chan string, cfg.MaxQueued),
-		pumped: make(chan struct{}),
-		jobs:   map[string]*state{},
+		cfg:   cfg,
+		lim:   lim,
+		log:   logger,
+		ctx:   ctx,
+		stop:  stop,
+		queue: make(chan string, cfg.MaxQueued),
+		jobs:  map[string]*state{},
 	}
 	recovered, err := m.loadJournal()
 	if err != nil {
 		stop()
 		return nil, err
 	}
-	// The pump is the Ordered producer (Submit/Close are single-goroutine
-	// calls): it feeds recovered work first, then drains the queue until
-	// shutdown. Runners never return errors to Ordered — a failed job is
-	// a job record, not a pool failure — so the sink cannot trip.
-	m.ord = pipeline.NewOrdered[struct{}](ctx, pipeline.Config{Workers: cfg.Workers},
-		func(pipeline.Result[struct{}]) error { return nil })
-	go m.pump(recovered)
+	// Recovered jobs run first, in journal order and outside MaxQueued.
+	rec := make(chan string, len(recovered))
+	for _, id := range recovered {
+		rec <- id
+	}
+	close(rec)
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	m.workers.Add(workers)
+	for i := 0; i < workers; i++ {
+		go m.work(rec)
+	}
 	return m, nil
 }
 
-// pump feeds job IDs into the Ordered pool until shutdown.
-func (m *Manager) pump(recovered []string) {
-	defer close(m.pumped)
-	defer func() { _ = m.ord.Close() }() // joins all runners; ctx is cancelled by then
-	feed := func(id string) bool {
-		err := m.ord.Submit("job "+id, func(ctx context.Context, _ int64) (struct{}, error) {
-			m.run(ctx, id)
-			return struct{}{}, nil
-		})
-		return err == nil
-	}
-	for _, id := range recovered {
-		if !feed(id) {
-			return
-		}
-	}
+// work runs jobs until shutdown: the recovered ones, then each job
+// Submit queues, taken as soon as this worker is free. A panic that
+// escapes run (execute contains the job's own) is logged and costs that
+// job's run, not the worker.
+func (m *Manager) work(recovered <-chan string) {
+	defer m.workers.Done()
 	for {
-		select {
-		case <-m.ctx.Done():
-			return
-		case id := <-m.queue:
-			if !feed(id) {
+		id, ok := <-recovered
+		if !ok {
+			select {
+			case <-m.ctx.Done():
 				return
+			case id = <-m.queue:
 			}
 		}
+		if m.ctx.Err() != nil {
+			return
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					m.log.Error("contained panic in job runner", slog.String("job_id", id),
+						slog.Any("panic", r), slog.String("stack", string(debug.Stack())))
+				}
+			}()
+			m.run(m.ctx, id)
+		}()
 	}
 }
 
@@ -241,7 +250,7 @@ func (m *Manager) Close() error {
 	m.closing = true
 	m.mu.Unlock()
 	m.stop()
-	<-m.pumped
+	m.workers.Wait()
 	return nil
 }
 

@@ -408,6 +408,37 @@ func TestCancelQueued(t *testing.T) {
 	waitState(t, m, blocker.ID, tcomp.JobDone)
 }
 
+// TestHeldJobDoesNotStallQueue: a job held mid-run occupies one worker
+// and nothing else, so the short jobs queued behind it all finish on the
+// other worker while it still runs.
+func TestHeldJobDoesNotStallQueue(t *testing.T) {
+	testGate.block()
+	defer testGate.release()
+	m, store := newTestManager(t, Config{Workers: 2, Limiter: pipeline.NewLimiter(2)})
+	d := putBlob(t, store, testPatterns(8, 16))
+	held, err := m.Submit(tcomp.JobSpec{Kind: KindCompress, Codec: "testgate", Input: string(d)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, held.ID, tcomp.JobRunning)
+	var short []string
+	for i := 0; i < 10; i++ {
+		j, err := m.Submit(tcomp.JobSpec{Kind: KindCompress, Codec: "golomb", Input: string(d)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		short = append(short, j.ID)
+	}
+	for _, id := range short {
+		waitState(t, m, id, tcomp.JobDone)
+	}
+	if got, err := m.Get(held.ID); err != nil || got.State != tcomp.JobRunning {
+		t.Fatalf("held job is %s (%v) after the short jobs, want running", got.State, err)
+	}
+	testGate.release()
+	waitState(t, m, held.ID, tcomp.JobDone)
+}
+
 // TestFailedJobCarriesTaxonomyCode: a decompress job over garbage input
 // fails with the corrupt_container classification the sync endpoint
 // would have used.

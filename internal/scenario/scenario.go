@@ -14,14 +14,12 @@ package scenario
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/atpg"
 	"repro/internal/circuit"
 	"repro/internal/delay"
 	"repro/internal/iscasgen"
 	"repro/internal/multichain"
-	"repro/internal/pipeline"
 	"repro/internal/testset"
 )
 
@@ -35,36 +33,14 @@ type Scenario struct {
 	Set  *testset.TestSet
 }
 
-// Circuit builds the deterministic netlist for a registry benchmark,
-// mirroring the flow's generator: input count from the registry row
-// (capped at 64), denser fanin-3 netlists for stuck-at, shallow
-// fanin-2 ones for path-delay (robust paths need them).
+// Circuit builds the registry benchmark's netlist of the given kind,
+// the one the flow generates (iscasgen.Circuit).
 func Circuit(benchmark string, kind iscasgen.Kind, seed int64) (*circuit.Circuit, error) {
 	m, err := iscasgen.Find(benchmark, kind)
 	if err != nil {
 		return nil, err
 	}
-	inputs := m.Width
-	if inputs > 64 {
-		inputs = 64
-	}
-	gates, fanin := 4*inputs, 3
-	if kind == iscasgen.PathDelay {
-		gates, fanin = 3*inputs, 2
-	}
-	if gates < 40 {
-		gates = 40
-	}
-	outputs := inputs / 3
-	if outputs < 2 {
-		outputs = 2
-	}
-	h := fnv.New64a()
-	h.Write([]byte(benchmark))
-	return circuit.Random(benchmark, circuit.RandomOptions{
-		Inputs: inputs, Gates: gates, Outputs: outputs, MaxFanin: fanin,
-		Seed: pipeline.Seed(seed^int64(h.Sum64()), 0),
-	})
+	return iscasgen.Circuit(m, seed)
 }
 
 // StuckAt runs PODEM stuck-at ATPG at its default options on the
